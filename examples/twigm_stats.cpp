@@ -68,10 +68,10 @@ class LatencySink : public twigm::obs::TraceSink {
 void PrintStages(const twigm::obs::Instrumentation& instr, double pct) {
   const twigm::obs::StageBreakdown b = instr.stages();
   std::printf(
-      "  %5.1f%% streamed | parse %7.2f ms  drive %7.2f ms  machine %7.2f ms"
-      "  emit %7.2f ms\n",
-      pct, b.parse_ns / 1e6, b.drive_ns / 1e6, b.machine_ns / 1e6,
-      b.emit_ns / 1e6);
+      "  %5.1f%% streamed | scan %7.2f ms  tokenize %7.2f ms  drive %7.2f ms"
+      "  machine %7.2f ms  emit %7.2f ms\n",
+      pct, b.scan_ns / 1e6, b.tokenize_ns / 1e6, b.drive_ns / 1e6,
+      b.machine_ns / 1e6, b.emit_ns / 1e6);
 }
 
 }  // namespace
@@ -170,7 +170,9 @@ int main(int argc, char** argv) {
 
   const twigm::obs::StageBreakdown b = instr.stages();
   std::printf("\nfinal stage breakdown:\n");
-  std::printf("  parse (tokenize + wf checks) %9.2f ms\n", b.parse_ns / 1e6);
+  std::printf("  scan (structural index)      %9.2f ms\n", b.scan_ns / 1e6);
+  std::printf("  tokenize (+ wf checks)       %9.2f ms\n",
+              b.tokenize_ns / 1e6);
   std::printf("  drive (modified-SAX events)  %9.2f ms\n", b.drive_ns / 1e6);
   std::printf("  machine (transitions)        %9.2f ms\n",
               b.machine_ns / 1e6);

@@ -136,6 +136,10 @@ void XPathStreamProcessor::WireStream() {
   parser_->set_offset_slot(options_.instrumentation != nullptr
                                ? options_.instrumentation->byte_offset_slot()
                                : &stream_offset_);
+  parser_->set_scan_timer_slot(
+      options_.instrumentation != nullptr
+          ? options_.instrumentation->stage_slot(obs::Stage::kScan)
+          : nullptr);
   // Bind the machine's query labels to this parser's tag dictionary so
   // per-event dispatch runs on SymbolIds (DESIGN.md §10).
   if (twig_ != nullptr) twig_->BindInterner(parser_->interner());
@@ -144,10 +148,10 @@ void XPathStreamProcessor::WireStream() {
 }
 
 Status XPathStreamProcessor::Consume(const xml::InputChunk& chunk) {
-  obs::TimerScope parse(options_.instrumentation != nullptr
-                            ? options_.instrumentation->stage_slot(
-                                  obs::Stage::kParse)
-                            : nullptr);
+  obs::TimerScope tokenize(options_.instrumentation != nullptr
+                               ? options_.instrumentation->stage_slot(
+                                     obs::Stage::kTokenize)
+                               : nullptr);
   return parser_->Consume(chunk);
 }
 

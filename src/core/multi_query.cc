@@ -90,6 +90,10 @@ Result<std::unique_ptr<MultiQueryProcessor>> MultiQueryProcessor::Create(
   proc->parser_->set_offset_slot(options.instrumentation != nullptr
                                      ? options.instrumentation->byte_offset_slot()
                                      : &proc->stream_offset_);
+  proc->parser_->set_scan_timer_slot(
+      options.instrumentation != nullptr
+          ? options.instrumentation->stage_slot(obs::Stage::kScan)
+          : nullptr);
   // Bind every machine's labels to the shared parser's tag dictionary so
   // the fan-out dispatches on SymbolIds (DESIGN.md §10).
   for (Entry& e : proc->entries_) {
@@ -105,7 +109,7 @@ Result<std::unique_ptr<MultiQueryProcessor>> MultiQueryProcessor::Create(
 Status MultiQueryProcessor::Consume(const xml::InputChunk& chunk) {
   obs::TimerScope parse(
       options_.instrumentation != nullptr
-          ? options_.instrumentation->stage_slot(obs::Stage::kParse)
+          ? options_.instrumentation->stage_slot(obs::Stage::kTokenize)
           : nullptr);
   return parser_->Consume(chunk);
 }

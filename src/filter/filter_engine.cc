@@ -120,6 +120,10 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
     engine->parser_ =
         std::make_unique<xml::SaxParser>(engine->driver_.get(), options.sax);
     engine->parser_->set_offset_slot(engine->offset_slot_);
+    engine->parser_->set_scan_timer_slot(
+        engine->instr_ != nullptr
+            ? engine->instr_->stage_slot(obs::Stage::kScan)
+            : nullptr);
     interner = engine->parser_->interner();
   }
 
@@ -156,7 +160,7 @@ Status FilterEngine::Consume(const xml::InputChunk& chunk) {
         "event-fed FilterEngine has no parser; dispatch via event_input()");
   }
   obs::TimerScope parse(instr_ != nullptr
-                            ? instr_->stage_slot(obs::Stage::kParse)
+                            ? instr_->stage_slot(obs::Stage::kTokenize)
                             : nullptr);
   return parser_->Consume(chunk);
 }

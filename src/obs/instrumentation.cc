@@ -4,7 +4,8 @@ namespace twigm::obs {
 
 const char* StageName(Stage stage) {
   switch (stage) {
-    case Stage::kParse: return "parse";
+    case Stage::kTokenize: return "tokenize";
+    case Stage::kScan: return "scan";
     case Stage::kDrive: return "drive";
     case Stage::kMachine: return "machine";
     case Stage::kEmit: return "emit";
@@ -24,15 +25,18 @@ const char* TraceEventKindName(TraceEvent::Kind kind) {
 }
 
 StageBreakdown Instrumentation::stages() const {
-  const uint64_t parse = stage_inclusive_ns(Stage::kParse);
+  const uint64_t tokenize = stage_inclusive_ns(Stage::kTokenize);
+  const uint64_t scan = stage_inclusive_ns(Stage::kScan);
   const uint64_t drive = stage_inclusive_ns(Stage::kDrive);
   const uint64_t machine = stage_inclusive_ns(Stage::kMachine);
   const uint64_t emit = stage_inclusive_ns(Stage::kEmit);
   StageBreakdown out;
-  out.total_ns = parse;
-  // Inclusive times nest parse >= drive >= machine >= emit in a correctly
-  // wired pipeline; clamp anyway so a partial wiring never underflows.
-  out.parse_ns = parse > drive ? parse - drive : 0;
+  out.total_ns = tokenize;
+  // Inclusive times nest tokenize >= scan + drive and drive >= machine >=
+  // emit in a correctly wired pipeline; clamp anyway so a partial wiring
+  // never underflows.
+  out.scan_ns = scan;
+  out.tokenize_ns = tokenize > scan + drive ? tokenize - scan - drive : 0;
   out.drive_ns = drive > machine ? drive - machine : 0;
   out.machine_ns = machine > emit ? machine - emit : 0;
   out.emit_ns = emit;

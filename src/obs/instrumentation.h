@@ -13,11 +13,13 @@
 //   * a MetricsRegistry (counters/gauges/histograms; no allocation on the
 //     hot path) that engines export their EngineStats-style accounting
 //     into,
-//   * per-stage wall time via RAII TimerScopes — kParse (bytes in, whole
-//     Feed), kDrive (modified-SAX dispatch), kMachine (transition
-//     functions), kEmit (result delivery). Stages nest in that order, so
-//     exclusive times are pairwise differences (StageBreakdown computes
-//     them),
+//   * per-stage wall time via RAII TimerScopes — kTokenize (bytes in,
+//     the whole Consume call), kScan (the parser's structural scan, one
+//     timer per Consume), kDrive (modified-SAX dispatch), kMachine
+//     (transition functions), kEmit (result delivery). kScan and kDrive
+//     both nest inside kTokenize; kMachine nests in kDrive and kEmit in
+//     kMachine, so exclusive times are differences (StageBreakdown
+//     computes them),
 //   * per-query-node peak stack depth — the observable form of the paper's
 //     memory bound (|Q| stacks, each bounded by document depth),
 //   * structured TraceEvents (push/pop/candidate/prune/emit with byte
@@ -37,9 +39,11 @@
 namespace twigm::obs {
 
 /// Pipeline stages, outermost first. Each recorded time is *inclusive* of
-/// the stages below it.
-enum class Stage : uint8_t { kParse = 0, kDrive, kMachine, kEmit };
-inline constexpr size_t kStageCount = 4;
+/// the stages nested in it: kTokenize spans the whole Consume call, so it
+/// holds the structural scan (kScan) and the dispatch (kDrive) as two
+/// disjoint parts; kDrive holds kMachine, which holds kEmit.
+enum class Stage : uint8_t { kTokenize = 0, kScan, kDrive, kMachine, kEmit };
+inline constexpr size_t kStageCount = 5;
 
 const char* StageName(Stage stage);
 
@@ -68,11 +72,12 @@ class TimerScope {
 
 /// Exclusive per-stage times derived from the inclusive accumulators.
 struct StageBreakdown {
-  uint64_t parse_ns = 0;    // parse minus dispatch
-  uint64_t drive_ns = 0;    // dispatch minus machine
-  uint64_t machine_ns = 0;  // machine minus emit
+  uint64_t scan_ns = 0;      // structural scan (parser stage 1)
+  uint64_t tokenize_ns = 0;  // Consume minus scan minus dispatch
+  uint64_t drive_ns = 0;     // dispatch minus machine
+  uint64_t machine_ns = 0;   // machine minus emit
   uint64_t emit_ns = 0;
-  uint64_t total_ns = 0;    // inclusive parse time
+  uint64_t total_ns = 0;     // inclusive Consume time
 };
 
 class Instrumentation {
@@ -147,7 +152,7 @@ class Instrumentation {
   MetricsRegistry registry_;
   TraceSink* trace_sink_ = nullptr;
   uint64_t byte_offset_ = 0;
-  uint64_t stage_ns_[kStageCount] = {0, 0, 0, 0};
+  uint64_t stage_ns_[kStageCount] = {};
   std::vector<uint64_t> node_depth_peak_;
 };
 

@@ -1,24 +1,40 @@
 #include "xml/sax_parser.h"
 
-#include <cctype>
 #include <cstring>
+
+#include "obs/instrumentation.h"
 
 namespace twigm::xml {
 
 namespace {
 
-bool IsWhitespace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+// Per-byte name/whitespace classes: one table load answers "may this byte
+// start a name", "continue a name" and "is it XML whitespace" (the
+// parser's byte-oriented name rules: ASCII letters, '_', ':' and every
+// byte >= 0x80 start a name; digits, '-' and '.' may follow).
+enum : uint8_t { kNameStart = 1, kNameByte = 2, kSpace = 4 };
+
+struct ByteClassTable {
+  uint8_t v[256] = {};
+  constexpr ByteClassTable() {
+    for (int c = 0; c < 256; ++c) {
+      const bool start = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+                         c == '_' || c == ':' || c >= 0x80;
+      const bool name = start || (c >= '0' && c <= '9') || c == '-' || c == '.';
+      const bool space = c == ' ' || c == '\t' || c == '\n' || c == '\r';
+      v[c] = static_cast<uint8_t>((start ? kNameStart : 0) |
+                                  (name ? kNameByte : 0) |
+                                  (space ? kSpace : 0));
+    }
+  }
+};
+constexpr ByteClassTable kByteClass;
+
+inline bool Is(char c, uint8_t cls) {
+  return (kByteClass.v[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
-bool IsNameStartByte(unsigned char c) {
-  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c == '_' ||
-         c == ':' || c >= 0x80;
-}
-
-bool IsNameByte(unsigned char c) {
-  return IsNameStartByte(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
+bool IsWhitespace(char c) { return Is(c, kSpace); }
 
 bool IsAllWhitespace(std::string_view s) {
   for (char c : s) {
@@ -64,10 +80,9 @@ bool AppendUtf8(uint32_t cp, std::string* out) {
 }  // namespace
 
 bool IsValidXmlName(std::string_view name) {
-  if (name.empty()) return false;
-  if (!IsNameStartByte(static_cast<unsigned char>(name[0]))) return false;
+  if (name.empty() || !Is(name[0], kNameStart)) return false;
   for (size_t i = 1; i < name.size(); ++i) {
-    if (!IsNameByte(static_cast<unsigned char>(name[i]))) return false;
+    if (!Is(name[i], kNameByte)) return false;
   }
   return true;
 }
@@ -85,7 +100,12 @@ void SaxParser::Reset() {
   index_.Clear();  // keeps capacity
   scanned_end_ = 0;
   mark_cursor_ = 0;
-  first_nul_ = StructuralIndex::npos;
+  pending_ = Construct::kNone;
+  text_has_amp_ = false;
+  tag_quote_ = kNoQuote;
+  doctype_scanned_ = 0;
+  doctype_depth_ = 0;
+  tag_values_.clear();
   encoding_ = Encoding::kUnknown;
   sniff_len_ = 0;
   have_pending_u16_byte_ = false;
@@ -123,7 +143,7 @@ Status SaxParser::Consume(const InputChunk& chunk) {
   if (!error_.ok()) return error_;
   error_ = Drain();
   if (!error_.ok()) return error_;
-  if (first_nul_ != StructuralIndex::npos && pos_ >= first_nul_) {
+  if (AtNul()) {
     // Everything up to the NUL wall has been consumed; the NUL is next.
     error_ = NulError();
     return error_;
@@ -158,7 +178,10 @@ Status SaxParser::FinishInput() {
   if (have_pending_u16_byte_ || pending_high_surrogate_ != 0) {
     return ErrorHere("truncated UTF-16 input (document ends mid-character)");
   }
-  if (first_nul_ != StructuralIndex::npos) return NulError();
+  if (std::memchr(buffer_.data() + pos_, '\0', buffer_.size() - pos_) !=
+      nullptr) {
+    return NulError();
+  }
   // Whatever remains must be trailing whitespace; anything else means the
   // document was truncated.
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
@@ -278,149 +301,293 @@ Status SaxParser::DecodeUtf16(std::string_view bytes) {
 
 void SaxParser::ScanAppended() {
   if (scanned_end_ >= buffer_.size()) return;
+  obs::TimerScope timer(scan_timer_slot_);
   if (options_.force_scalar_scan) {
     ScanStructuralScalar(buffer_, scanned_end_, buffer_.size(), &index_);
   } else {
     ScanStructural(buffer_, scanned_end_, buffer_.size(), &index_);
   }
-  if (first_nul_ == StructuralIndex::npos) {
-    first_nul_ =
-        index_.Next(StructClass::kNul, scanned_end_, buffer_.size());
-  }
   scanned_end_ = buffer_.size();
 }
 
 Status SaxParser::NulError() {
-  bytes_consumed_ += first_nul_ - pos_;
-  pos_ = first_nul_;
+  const char* nul = static_cast<const char*>(
+      std::memchr(buffer_.data() + pos_, '\0', buffer_.size() - pos_));
+  Advance(static_cast<size_t>(nul - buffer_.data()));
   return ErrorHere("NUL (0x00) byte in document");
 }
 
 // ---------------------------------------------------------------------------
-// Structural-index walks
+// Stage 2: one forward walk over the structural marks
 //
-// The parse cursor only moves forward, so mark_cursor_ tracks the first
-// mark at or after pos_ and every lookup walks linearly from there —
-// amortized O(total marks) over the document, no binary searches on the
-// hot path.
-
-size_t SaxParser::MarkFrom(size_t from) const {
-  const std::vector<uint64_t>& marks = index_.marks;
-  const uint64_t key = static_cast<uint64_t>(from) << 3;
-  size_t k = mark_cursor_;
-  while (k < marks.size() && marks[k] < key) ++k;
-  return k;
-}
-
-size_t SaxParser::NextMark(StructClass cls, size_t from, size_t to) const {
-  const std::vector<uint64_t>& marks = index_.marks;
-  const uint64_t limit = static_cast<uint64_t>(to) << 3;
-  for (size_t k = MarkFrom(from); k < marks.size() && marks[k] < limit; ++k) {
-    if (StructuralIndex::ClassOf(marks[k]) == cls) {
-      return StructuralIndex::PosOf(marks[k]);
-    }
-  }
-  return StructuralIndex::npos;
-}
-
-size_t SaxParser::FindTagEnd(size_t start) const {
-  const std::vector<uint64_t>& marks = index_.marks;
-  const size_t end = parse_limit();
-  size_t k = MarkFrom(start);
-  while (k < marks.size() && StructuralIndex::PosOf(marks[k]) < end) {
-    const StructClass cls = StructuralIndex::ClassOf(marks[k]);
-    if (cls == StructClass::kGt) return StructuralIndex::PosOf(marks[k]);
-    if (cls == StructClass::kLt) {
-      return StructuralIndex::npos - 1;  // error: '<' inside tag
-    }
-    if (cls == StructClass::kDQuote || cls == StructClass::kSQuote) {
-      // Skip the quoted value wholesale: walk to the matching close quote.
-      ++k;
-      while (k < marks.size() && StructuralIndex::PosOf(marks[k]) < end &&
-             StructuralIndex::ClassOf(marks[k]) != cls) {
-        ++k;
-      }
-      if (k >= marks.size() || StructuralIndex::PosOf(marks[k]) >= end) {
-        return StructuralIndex::npos;  // close quote not yet buffered
-      }
-    }
-    ++k;
-  }
-  return StructuralIndex::npos;
-}
-
-size_t SaxParser::FindMarkupEnd(size_t from, std::string_view prefix) const {
-  const std::vector<uint64_t>& marks = index_.marks;
-  const size_t end = parse_limit();
-  const std::string_view buf(buffer_);
-  for (size_t k = MarkFrom(from + prefix.size()); k < marks.size(); ++k) {
-    const size_t p = StructuralIndex::PosOf(marks[k]);
-    if (p >= end) break;
-    if (StructuralIndex::ClassOf(marks[k]) != StructClass::kGt) continue;
-    if (buf.substr(p - prefix.size(), prefix.size()) == prefix) return p;
-  }
-  return StructuralIndex::npos;
-}
-
-// ---------------------------------------------------------------------------
-// Tokenizer
+// Drain classifies the construct at pos_ once, from its first bytes
+// (ClassifyDeclaration sorts out "<!"), and walks its marks from
+// mark_cursor_ (Walk*). Each mark is classified exactly once:
+// when the buffered input ends inside a construct, the walk leaves
+// mark_cursor_ at the first mark it has not classified and keeps what it
+// learned from the others (pending_, the open quote, the '&' flag, the
+// attribute value spans, the DOCTYPE depth), and the next Drain continues
+// from there. The first NUL is itself a mark, so every walk stops at the
+// NUL wall by class alone. All walk state is held as offsets from pos_,
+// so buffer compaction (which cuts at pos_) only rebases the cursor.
+// The per-element helpers (text, start- and end-tag walks, EmitText,
+// ConsumeEndTag) are defined `inline` so Drain folds them into its loop.
 
 Status SaxParser::Drain() {
-  while (pos_ < parse_limit()) {
-    // Keep the mark cursor caught up with the parse cursor (amortized
-    // linear; see MarkFrom).
-    {
-      const std::vector<uint64_t>& marks = index_.marks;
-      const uint64_t key = static_cast<uint64_t>(pos_) << 3;
-      while (mark_cursor_ < marks.size() && marks[mark_cursor_] < key) {
+  constexpr size_t npos = StructuralIndex::npos;
+  while (pos_ < buffer_.size() && buffer_[pos_] != '\0') {
+    // Publish the construct-start offset before any handler fires for it.
+    if (offset_slot_ != nullptr) *offset_slot_ = bytes_consumed_;
+    if (pending_ == Construct::kNone) {
+      if (buffer_[pos_] != '<') {
+        text_has_amp_ = false;
+        pending_ = Construct::kText;
+      } else if (buffer_.size() - pos_ < 2) {
+        break;  // too few bytes to tell
+      } else if (buffer_[pos_ + 1] == '!') {
+        TWIGM_RETURN_IF_ERROR(ClassifyDeclaration());
+        if (pending_ == Construct::kNone) break;  // too few bytes to tell
+      } else {
+        // Dispatch on the byte after '<'. The cursor is on the '<' mark at
+        // pos_; the construct's walk starts after it.
+        const char c1 = buffer_[pos_ + 1];
+        if (c1 == '/') {
+          pending_ = Construct::kEndTag;
+        } else if (c1 == '?') {
+          pending_ = Construct::kPi;
+        } else {
+          tag_values_.clear();
+          pending_ = Construct::kStartTag;
+        }
         ++mark_cursor_;
       }
     }
-    // Publish the construct-start offset before any handler fires for it.
-    if (offset_slot_ != nullptr) *offset_slot_ = bytes_consumed_;
-    if (buffer_[pos_] == '<') {
-      bool made_progress = false;
-      TWIGM_RETURN_IF_ERROR(ConsumeMarkup(&made_progress));
-      if (!made_progress) break;  // construct incomplete; wait for more input
-    } else {
-      // One walk finds both the terminating '<' and whether the run has
-      // any '&' (selecting the entity-decode path in EmitText).
-      const std::vector<uint64_t>& marks = index_.marks;
-      const uint64_t limit = static_cast<uint64_t>(parse_limit()) << 3;
-      size_t lt = StructuralIndex::npos;
-      bool has_amp = false;
-      for (size_t k = mark_cursor_; k < marks.size() && marks[k] < limit;
-           ++k) {
-        const StructClass cls = StructuralIndex::ClassOf(marks[k]);
-        if (cls == StructClass::kLt) {
-          lt = StructuralIndex::PosOf(marks[k]);
-          break;
-        }
-        if (cls == StructClass::kAmp) has_amp = true;
-      }
-      if (lt == StructuralIndex::npos) {
-        // Text may continue into the next chunk; wait — text runs are
-        // bounded by the next tag in practice.
+    size_t end = npos;
+    switch (pending_) {
+      case Construct::kText:
+        end = WalkText();
+        if (end != npos) TWIGM_RETURN_IF_ERROR(EmitText(end, text_has_amp_));
+        break;
+      case Construct::kStartTag: {
+        bool lt_in_tag = false;
+        end = WalkStartTag(&lt_in_tag);
+        if (lt_in_tag) return ErrorHere("'<' is not allowed inside a tag");
+        if (end != npos) TWIGM_RETURN_IF_ERROR(ConsumeStartTag(end));
         break;
       }
-      TWIGM_RETURN_IF_ERROR(EmitText(lt, has_amp));
+      case Construct::kEndTag:
+        end = WalkToGt();
+        if (end != npos) TWIGM_RETURN_IF_ERROR(ConsumeEndTag(end));
+        break;
+      case Construct::kComment:  // "<!--" body "-->"
+        end = WalkToTerminator(pos_ + 6, "--");
+        if (end != npos) TWIGM_RETURN_IF_ERROR(ConsumeComment(end));
+        break;
+      case Construct::kCdata:  // "<![CDATA[" body "]]>"
+        end = WalkToTerminator(pos_ + 11, "]]");
+        if (end != npos) TWIGM_RETURN_IF_ERROR(ConsumeCdata(end));
+        break;
+      case Construct::kPi:  // "<?" body "?>"
+        end = WalkToTerminator(pos_ + 3, "?");
+        if (end != npos) TWIGM_RETURN_IF_ERROR(ConsumePi(end));
+        break;
+      case Construct::kDoctype:  // skipped
+        end = WalkDoctype();
+        if (end != npos) Advance(end + 1);
+        break;
+      case Construct::kNone:
+        break;
     }
+    if (end == npos) break;  // construct incomplete; wait for more input
+    pending_ = Construct::kNone;
   }
-  // Compact the buffer occasionally so long documents do not accumulate.
-  if (pos_ > 65536 && pos_ > buffer_.size() / 2) {
-    SyncLocation(pos_);  // the bytes below pos_ are about to disappear
-    buffer_.erase(0, pos_);
-    index_.DropBelowAndRebase(pos_);
-    scanned_end_ -= pos_;
-    if (first_nul_ != StructuralIndex::npos) first_nul_ -= pos_;
-    mark_cursor_ = 0;
-    loc_pos_ = 0;
-    pos_ = 0;
-  }
+  Compact();
   return Status::Ok();
 }
 
-Status SaxParser::EmitText(size_t lt, bool has_amp) {
+Status SaxParser::ClassifyDeclaration() {
+  // buffer_[pos_, pos_ + 2) == "<!". It must be told apart from its three
+  // openers, and stays undecided while the buffered bytes are still a
+  // prefix of one of them.
+  constexpr std::string_view kCommentOpen = "<!--";
+  constexpr std::string_view kCdataOpen = "<![CDATA[";
+  constexpr std::string_view kDoctypeOpen = "<!DOCTYPE";
+  const size_t avail = buffer_.size() - pos_;
+  const std::string_view view(buffer_.data() + pos_, avail);
+  Construct kind = Construct::kNone;
+  if (view.starts_with(kCommentOpen)) {
+    kind = Construct::kComment;
+  } else if (avail < kCommentOpen.size() && kCommentOpen.starts_with(view)) {
+    return Status::Ok();
+  } else if (view.starts_with(kCdataOpen)) {
+    kind = Construct::kCdata;
+  } else if (avail < kCdataOpen.size() && kCdataOpen.starts_with(view)) {
+    return Status::Ok();
+  } else if (view.starts_with(kDoctypeOpen)) {
+    if (seen_root_ || !open_tags_.empty()) {
+      return ErrorHere("DOCTYPE must precede the root element");
+    }
+    kind = Construct::kDoctype;
+    doctype_scanned_ = kDoctypeOpen.size();
+    doctype_depth_ = 0;
+  } else if (avail < kDoctypeOpen.size() && kDoctypeOpen.starts_with(view)) {
+    return Status::Ok();
+  } else if (avail >= kCdataOpen.size()) {
+    return ErrorHere("unrecognized markup declaration");
+  } else {
+    return Status::Ok();
+  }
+  ++mark_cursor_;  // past the '<' mark at pos_
+  pending_ = kind;
+  return Status::Ok();
+}
+
+inline size_t SaxParser::WalkText() {
+  const uint64_t* marks = index_.marks.data();
+  const size_t n = index_.marks.size();
+  size_t k = mark_cursor_;
+  bool amp = false;
+  size_t lt = StructuralIndex::npos;
+  for (; k < n; ++k) {
+    const StructClass cls = StructuralIndex::ClassOf(marks[k]);
+    if (cls == StructClass::kLt) {
+      lt = StructuralIndex::PosOf(marks[k]);
+      break;
+    }
+    if (cls == StructClass::kNul) break;
+    amp |= cls == StructClass::kAmp;
+  }
+  mark_cursor_ = k;  // on completion: the '<' that starts the next construct
+  text_has_amp_ |= amp;
+  return lt;
+}
+
+inline size_t SaxParser::WalkStartTag(bool* lt_in_tag) {
+  constexpr uint8_t kLt = static_cast<uint8_t>(StructClass::kLt);
+  constexpr uint8_t kGt = static_cast<uint8_t>(StructClass::kGt);
+  constexpr uint8_t kAmp = static_cast<uint8_t>(StructClass::kAmp);
+  constexpr uint8_t kDQuote = static_cast<uint8_t>(StructClass::kDQuote);
+  constexpr uint8_t kSQuote = static_cast<uint8_t>(StructClass::kSQuote);
+  constexpr uint8_t kNul = static_cast<uint8_t>(StructClass::kNul);
+  const uint64_t* marks = index_.marks.data();
+  const size_t n = index_.marks.size();
+  size_t k = mark_cursor_;
+  uint8_t quote = tag_quote_;
+  for (; k < n; ++k) {
+    const uint64_t mark = marks[k];
+    const uint8_t cls = static_cast<uint8_t>(mark & 7);
+    if (quote == kNoQuote) {
+      if (cls == kGt) {
+        mark_cursor_ = k + 1;
+        tag_quote_ = kNoQuote;
+        return StructuralIndex::PosOf(mark);
+      }
+      if (cls == kDQuote || cls == kSQuote) {
+        // A quote outside a value opens one; pairing is greedy, exactly
+        // as the attribute parser will meet the quotes.
+        quote = cls;
+        tag_values_.push_back(
+            {StructuralIndex::PosOf(mark) - pos_, 0, false, false});
+      } else if (cls == kLt) {
+        *lt_in_tag = true;
+        break;
+      } else if (cls == kNul) {
+        break;
+      }
+    } else if (cls == quote) {
+      tag_values_.back().close = StructuralIndex::PosOf(mark) - pos_;
+      quote = kNoQuote;
+    } else if (cls == kLt) {
+      tag_values_.back().has_lt = true;
+    } else if (cls == kAmp) {
+      tag_values_.back().has_amp = true;
+    } else if (cls == kNul) {
+      break;
+    }
+  }
+  mark_cursor_ = k;
+  tag_quote_ = quote;
+  return StructuralIndex::npos;
+}
+
+inline size_t SaxParser::WalkToGt() {
+  const uint64_t* marks = index_.marks.data();
+  const size_t n = index_.marks.size();
+  size_t k = mark_cursor_;
+  for (; k < n; ++k) {
+    const StructClass cls = StructuralIndex::ClassOf(marks[k]);
+    if (cls == StructClass::kGt) {
+      mark_cursor_ = k + 1;
+      return StructuralIndex::PosOf(marks[k]);
+    }
+    if (cls == StructClass::kNul) break;
+  }
+  mark_cursor_ = k;
+  return StructuralIndex::npos;
+}
+
+size_t SaxParser::WalkToTerminator(size_t min_gt, std::string_view close) {
+  const uint64_t* marks = index_.marks.data();
+  const size_t n = index_.marks.size();
+  const char* b = buffer_.data();
+  size_t k = mark_cursor_;
+  for (; k < n; ++k) {
+    const StructClass cls = StructuralIndex::ClassOf(marks[k]);
+    if (cls == StructClass::kGt) {
+      const size_t p = StructuralIndex::PosOf(marks[k]);
+      if (p >= min_gt &&
+          std::memcmp(b + p - close.size(), close.data(), close.size()) == 0) {
+        mark_cursor_ = k + 1;
+        return p;
+      }
+    } else if (cls == StructClass::kNul) {
+      break;
+    }
+  }
+  mark_cursor_ = k;
+  return StructuralIndex::npos;
+}
+
+size_t SaxParser::WalkDoctype() {
+  const char* b = buffer_.data();
+  const size_t size = buffer_.size();
+  int depth = doctype_depth_;
+  size_t i = pos_ + doctype_scanned_;
+  for (; i < size; ++i) {
+    const char c = b[i];
+    if (c == '\0') break;  // the NUL wall
+    if (c == '[') {
+      ++depth;
+    } else if (c == ']') {
+      --depth;
+    } else if (c == '>' && depth == 0) {
+      // The declaration's own marks are passed over unclassified.
+      const std::vector<uint64_t>& marks = index_.marks;
+      while (mark_cursor_ < marks.size() &&
+             StructuralIndex::PosOf(marks[mark_cursor_]) <= i) {
+        ++mark_cursor_;
+      }
+      return i;
+    }
+  }
+  doctype_scanned_ = i - pos_;
+  doctype_depth_ = depth;
+  return StructuralIndex::npos;
+}
+
+void SaxParser::Compact() {
+  // Drop the consumed prefix once it dominates the buffer, so long
+  // documents do not accumulate.
+  if (pos_ <= 65536 || pos_ <= buffer_.size() / 2) return;
+  SyncLocation(pos_);  // the bytes below pos_ are about to disappear
+  buffer_.erase(0, pos_);
+  mark_cursor_ -= index_.DropBelowAndRebase(pos_);
+  scanned_end_ -= pos_;
+  loc_pos_ = 0;
+  pos_ = 0;
+}
+
+inline Status SaxParser::EmitText(size_t lt, bool has_amp) {
   std::string_view raw(buffer_.data() + pos_, lt - pos_);
   if (!raw.empty()) {
     if (open_tags_.empty()) {
@@ -443,151 +610,71 @@ Status SaxParser::EmitText(size_t lt, bool has_amp) {
       }
     }
   }
-  bytes_consumed_ += lt - pos_;
-  pos_ = lt;
+  Advance(lt);
   return Status::Ok();
 }
 
-Status SaxParser::ConsumeMarkup(bool* made_progress) {
-  *made_progress = false;
-  const size_t avail = buffer_.size() - pos_;
-  std::string_view view(buffer_.data() + pos_, avail);
-
-  // Comments: <!-- ... -->
-  if (view.substr(0, 4) == "<!--" ||
-      (avail < 4 && std::string_view("<!--").substr(0, avail) == view)) {
-    if (avail < 4) return Status::Ok();  // prefix only; need more input
-    const size_t gt = FindMarkupEnd(pos_ + 4, "--");
-    if (gt == StructuralIndex::npos) return Status::Ok();
-    std::string_view body(buffer_.data() + pos_ + 4, gt - 2 - (pos_ + 4));
-    if (body.find("--") != std::string_view::npos) {
-      return ErrorHere("'--' is not allowed inside a comment");
-    }
-    handler_->OnComment(body);
-    bytes_consumed_ += gt + 1 - pos_;
-    pos_ = gt + 1;
-    *made_progress = true;
-    return Status::Ok();
+Status SaxParser::ConsumeComment(size_t gt) {
+  const size_t body_begin = pos_ + 4;  // past "<!--"
+  std::string_view body(buffer_.data() + body_begin, gt - 2 - body_begin);
+  if (body.find("--") != std::string_view::npos) {
+    return ErrorHere("'--' is not allowed inside a comment");
   }
-
-  // CDATA: <![CDATA[ ... ]]>
-  constexpr std::string_view kCdataOpen = "<![CDATA[";
-  if (view.substr(0, kCdataOpen.size()) == kCdataOpen ||
-      (avail < kCdataOpen.size() && kCdataOpen.substr(0, avail) == view)) {
-    if (avail < kCdataOpen.size()) return Status::Ok();
-    const size_t gt = FindMarkupEnd(pos_ + kCdataOpen.size(), "]]");
-    if (gt == StructuralIndex::npos) return Status::Ok();
-    if (open_tags_.empty()) {
-      return ErrorHere("CDATA section outside the root element");
-    }
-    std::string_view body(buffer_.data() + pos_ + kCdataOpen.size(),
-                          gt - 2 - (pos_ + kCdataOpen.size()));
-    handler_->OnCharacters(body);
-    bytes_consumed_ += gt + 1 - pos_;
-    pos_ = gt + 1;
-    *made_progress = true;
-    return Status::Ok();
-  }
-
-  // DOCTYPE: skipped. May contain an [ internal subset ].
-  constexpr std::string_view kDoctype = "<!DOCTYPE";
-  if (view.substr(0, kDoctype.size()) == kDoctype ||
-      (avail < kDoctype.size() && kDoctype.substr(0, avail) == view)) {
-    if (avail < kDoctype.size()) return Status::Ok();
-    if (seen_root_ || !open_tags_.empty()) {
-      return ErrorHere("DOCTYPE must precede the root element");
-    }
-    int bracket_depth = 0;
-    for (size_t i = pos_ + kDoctype.size(); i < parse_limit(); ++i) {
-      const char c = buffer_[i];
-      if (c == '[') {
-        ++bracket_depth;
-      } else if (c == ']') {
-        --bracket_depth;
-      } else if (c == '>' && bracket_depth == 0) {
-        bytes_consumed_ += i + 1 - pos_;
-        pos_ = i + 1;
-        *made_progress = true;
-        return Status::Ok();
-      }
-    }
-    return Status::Ok();  // incomplete
-  }
-
-  // Processing instruction / XML declaration: <? ... ?>
-  if (view.substr(0, 2) == "<?" || (avail == 1)) {
-    if (avail < 2) return Status::Ok();
-    if (view.substr(0, 2) == "<?") {
-      const size_t gt = FindMarkupEnd(pos_ + 2, "?");
-      if (gt == StructuralIndex::npos) return Status::Ok();
-      std::string_view body(buffer_.data() + pos_ + 2, gt - 1 - (pos_ + 2));
-      size_t name_end = 0;
-      while (name_end < body.size() &&
-             !IsWhitespace(body[name_end])) {
-        ++name_end;
-      }
-      std::string_view target = body.substr(0, name_end);
-      std::string_view data = body.substr(name_end);
-      while (!data.empty() && IsWhitespace(data.front())) data.remove_prefix(1);
-      if (target.empty() || !IsValidXmlName(target)) {
-        return ErrorHere("invalid processing-instruction target");
-      }
-      // The XML declaration is consumed silently. It must be the first
-      // bytes of the canonical stream — right after the BOM, if any
-      // (bytes_consumed_ counts canonical bytes, so a stripped BOM does
-      // not forfeit the position).
-      if (target != "xml") {
-        handler_->OnProcessingInstruction(target, data);
-      } else if (seen_root_ || !open_tags_.empty() || bytes_consumed_ != 0 ||
-                 pos_ != 0) {
-        return ErrorHere("XML declaration must be at the start of the document");
-      }
-      bytes_consumed_ += gt + 1 - pos_;
-      pos_ = gt + 1;
-      *made_progress = true;
-      return Status::Ok();
-    }
-  }
-
-  // Unknown "<!..." construct.
-  if (view.size() >= 2 && view[1] == '!') {
-    // Could still be the prefix of a comment/CDATA/DOCTYPE; if we already
-    // have enough bytes to rule those out, it is an error.
-    if (avail >= kCdataOpen.size()) {
-      return ErrorHere("unrecognized markup declaration");
-    }
-    return Status::Ok();
-  }
-
-  // End tag: </name>
-  if (view.size() >= 2 && view[1] == '/') {
-    const size_t gt = NextMark(StructClass::kGt, pos_ + 2, parse_limit());
-    if (gt == StructuralIndex::npos) return Status::Ok();
-    TWIGM_RETURN_IF_ERROR(ConsumeEndTag(gt));
-    *made_progress = true;
-    return Status::Ok();
-  }
-
-  // Start tag: <name attr="v" ...> or empty element <name ... />
-  const size_t gt = FindTagEnd(pos_ + 1);
-  if (gt == StructuralIndex::npos) return Status::Ok();
-  if (gt == StructuralIndex::npos - 1) {
-    return ErrorHere("'<' is not allowed inside a tag");
-  }
-  TWIGM_RETURN_IF_ERROR(ConsumeStartTag(gt));
-  *made_progress = true;
+  handler_->OnComment(body);
+  Advance(gt + 1);
   return Status::Ok();
 }
+
+Status SaxParser::ConsumeCdata(size_t gt) {
+  if (open_tags_.empty()) {
+    return ErrorHere("CDATA section outside the root element");
+  }
+  const size_t body_begin = pos_ + 9;  // past "<![CDATA["
+  handler_->OnCharacters(
+      std::string_view(buffer_.data() + body_begin, gt - 2 - body_begin));
+  Advance(gt + 1);
+  return Status::Ok();
+}
+
+Status SaxParser::ConsumePi(size_t gt) {
+  std::string_view body(buffer_.data() + pos_ + 2, gt - 1 - (pos_ + 2));
+  size_t name_end = 0;
+  while (name_end < body.size() && !IsWhitespace(body[name_end])) {
+    ++name_end;
+  }
+  std::string_view target = body.substr(0, name_end);
+  std::string_view data = body.substr(name_end);
+  while (!data.empty() && IsWhitespace(data.front())) data.remove_prefix(1);
+  if (!IsValidXmlName(target)) {
+    return ErrorHere("invalid processing-instruction target");
+  }
+  // The XML declaration is consumed silently. It must be the first bytes
+  // of the canonical stream — right after the BOM, if any (bytes_consumed_
+  // counts canonical bytes, so a stripped BOM does not forfeit the
+  // position).
+  if (target != "xml") {
+    handler_->OnProcessingInstruction(target, data);
+  } else if (seen_root_ || !open_tags_.empty() || bytes_consumed_ != 0 ||
+             pos_ != 0) {
+    return ErrorHere("XML declaration must be at the start of the document");
+  }
+  Advance(gt + 1);
+  return Status::Ok();
+}
+
+// Both tag parsers rely on buffer_[gt] == '>': it is neither a name byte
+// nor whitespace, so the byte loops below need no bound check.
 
 Status SaxParser::ConsumeStartTag(size_t gt) {
-  // buffer_[pos_] == '<', buffer_[gt] == '>'.
+  // buffer_[pos_] == '<'; tag_values_ holds the quoted values before gt.
+  const char* b = buffer_.data();
   size_t i = pos_ + 1;
+  if (!Is(b[i], kNameStart)) return ErrorHere("invalid element name");
   const size_t name_begin = i;
-  while (i < gt && IsNameByte(static_cast<unsigned char>(buffer_[i]))) ++i;
-  std::string_view name(buffer_.data() + name_begin, i - name_begin);
-  if (!IsValidXmlName(name)) {
-    return ErrorHere("invalid element name");
-  }
+  do {
+    ++i;
+  } while (Is(b[i], kNameByte));
+  const std::string_view name(b + name_begin, i - name_begin);
   if (open_tags_.empty() && seen_root_) {
     return ErrorHere("multiple root elements");
   }
@@ -598,82 +685,60 @@ Status SaxParser::ConsumeStartTag(size_t gt) {
   attr_scratch_.clear();
   attr_fixups_.clear();
   attr_decode_buf_.clear();
-
-  // Local mark cursor for the attribute walk. It only moves forward, so
-  // each mark inside the tag is visited O(1) times even with many
-  // attributes (NextMark would re-walk from the tag's first mark for
-  // every attribute).
-  const std::vector<uint64_t>& marks = index_.marks;
-  size_t mk = mark_cursor_;
-  auto next_mark = [&](StructClass cls, size_t from, size_t to) -> size_t {
-    const uint64_t key = static_cast<uint64_t>(from) << 3;
-    const uint64_t limit = static_cast<uint64_t>(to) << 3;
-    while (mk < marks.size() && marks[mk] < key) ++mk;
-    for (size_t j = mk; j < marks.size() && marks[j] < limit; ++j) {
-      if (StructuralIndex::ClassOf(marks[j]) == cls) {
-        return StructuralIndex::PosOf(marks[j]);
-      }
-    }
-    return StructuralIndex::npos;
-  };
-
+  size_t next_value = 0;
   bool self_closing = false;
   while (i < gt) {
-    // Skip whitespace.
-    if (IsWhitespace(buffer_[i])) {
+    if (Is(b[i], kSpace)) {
       ++i;
       continue;
     }
-    if (buffer_[i] == '/') {
+    if (b[i] == '/') {
       if (i + 1 != gt) return ErrorHere("'/' must immediately precede '>'");
       self_closing = true;
       ++i;
       continue;
     }
-    // Attribute name.
+    // Attribute name: a maximal run of name bytes.
     const size_t an_begin = i;
-    while (i < gt && IsNameByte(static_cast<unsigned char>(buffer_[i]))) ++i;
-    std::string_view attr_name(buffer_.data() + an_begin, i - an_begin);
-    if (!IsValidXmlName(attr_name)) {
+    while (Is(b[i], kNameByte)) ++i;
+    std::string_view attr_name(b + an_begin, i - an_begin);
+    if (!Is(b[an_begin], kNameStart)) {
       return ErrorHere("invalid attribute name in <" + std::string(name) +
                        ">");
     }
-    while (i < gt && IsWhitespace(buffer_[i])) ++i;
-    if (i >= gt || buffer_[i] != '=') {
+    while (Is(b[i], kSpace)) ++i;
+    if (i >= gt || b[i] != '=') {
       return ErrorHere("expected '=' after attribute name '" +
                        std::string(attr_name) + "'");
     }
     ++i;
-    while (i < gt && IsWhitespace(buffer_[i])) ++i;
-    if (i >= gt || (buffer_[i] != '"' && buffer_[i] != '\'')) {
+    while (Is(b[i], kSpace)) ++i;
+    if (i >= gt || (b[i] != '"' && b[i] != '\'')) {
       return ErrorHere("attribute value must be quoted");
     }
-    const char quote = buffer_[i];
-    const StructClass quote_cls =
-        quote == '"' ? StructClass::kDQuote : StructClass::kSQuote;
-    ++i;
-    const size_t val_begin = i;
-    const size_t val_end = next_mark(quote_cls, i, gt);
-    if (val_end == StructuralIndex::npos) {
+    // The walk paired this quote with its closing quote already: quotes
+    // reach the attribute parser in the order the walk opened them.
+    if (next_value >= tag_values_.size() ||
+        pos_ + tag_values_[next_value].open != i) {
       return ErrorHere("unterminated attribute value");
     }
-    if (next_mark(StructClass::kLt, val_begin, val_end) !=
-        StructuralIndex::npos) {
+    const ValueSpan& span = tag_values_[next_value++];
+    if (span.has_lt) {
       return ErrorHere("'<' is not allowed in an attribute value");
     }
-    std::string_view raw_value(buffer_.data() + val_begin,
-                               val_end - val_begin);
+    const size_t val_begin = i + 1;
+    const size_t val_end = pos_ + span.close;
+    std::string_view raw_value(b + val_begin, val_end - val_begin);
     i = val_end + 1;  // past the closing quote
     for (const Attribute& existing : attr_scratch_) {
-      if (existing.name == attr_name) {
+      if (SameName(existing.name, attr_name)) {
         return ErrorHere("duplicate attribute '" + std::string(attr_name) +
                          "'");
       }
     }
     Attribute attr;
     attr.name = attr_name;
-    if (next_mark(StructClass::kAmp, val_begin, val_end) ==
-        StructuralIndex::npos) {
+    if (!span.has_amp) {
       // Fast path: no entities, the raw bytes are the value.
       attr.value = raw_value;
     } else {
@@ -702,18 +767,38 @@ Status SaxParser::ConsumeStartTag(size_t gt) {
   } else {
     open_tags_.push_back(sym);
   }
-  bytes_consumed_ += gt + 1 - pos_;
-  pos_ = gt + 1;
+  Advance(gt + 1);
   return Status::Ok();
 }
 
-Status SaxParser::ConsumeEndTag(size_t gt) {
+inline Status SaxParser::ConsumeEndTag(size_t gt) {
   // buffer_[pos_..pos_+1] == "</", buffer_[gt] == '>'.
-  size_t i = pos_ + 2;
-  const size_t name_begin = i;
-  while (i < gt && IsNameByte(static_cast<unsigned char>(buffer_[i]))) ++i;
-  std::string_view name(buffer_.data() + name_begin, i - name_begin);
-  while (i < gt && IsWhitespace(buffer_[i])) ++i;
+  const char* b = buffer_.data();
+  const size_t name_begin = pos_ + 2;
+  if (!open_tags_.empty()) {
+    // Fast path: the bytes spell the open element's name, followed by
+    // nothing but whitespace up to the '>'.
+    const SymbolId sym = open_tags_.back();
+    const std::string_view open = interner_.name(sym);
+    if (gt - name_begin >= open.size() &&
+        SameNameBytes(b + name_begin, open.data(), open.size())) {
+      size_t i = name_begin + open.size();
+      while (Is(b[i], kSpace)) ++i;
+      if (i == gt) {
+        open_tags_.pop_back();
+        handler_->OnEndElement(
+            TagToken(std::string_view(b + name_begin, open.size()),
+                     options_.intern_tags ? sym : kNoSymbol));
+        Advance(gt + 1);
+        return Status::Ok();
+      }
+    }
+  }
+  // Slow path: sort out which error it is.
+  size_t i = name_begin;
+  while (Is(b[i], kNameByte)) ++i;
+  std::string_view name(b + name_begin, i - name_begin);
+  while (Is(b[i], kSpace)) ++i;
   if (i != gt || !IsValidXmlName(name)) {
     return ErrorHere("malformed end tag");
   }
@@ -721,18 +806,9 @@ Status SaxParser::ConsumeEndTag(size_t gt) {
     return ErrorHere("end tag </" + std::string(name) +
                      "> with no open element");
   }
-  const SymbolId sym = open_tags_.back();
-  if (interner_.name(sym) != name) {
-    return ErrorHere("mismatched end tag: expected </" +
-                     std::string(interner_.name(sym)) + ">, found </" +
-                     std::string(name) + ">");
-  }
-  open_tags_.pop_back();
-  handler_->OnEndElement(
-      TagToken(name, options_.intern_tags ? sym : kNoSymbol));
-  bytes_consumed_ += gt + 1 - pos_;
-  pos_ = gt + 1;
-  return Status::Ok();
+  return ErrorHere("mismatched end tag: expected </" +
+                   std::string(interner_.name(open_tags_.back())) +
+                   ">, found </" + std::string(name) + ">");
 }
 
 Status SaxParser::DecodeEntities(std::string_view raw, const char* context,

@@ -22,12 +22,18 @@
 // declaration anywhere but the (post-BOM) start of the document is an
 // error. Chunks may split anywhere — mid-tag, mid-BOM, mid-UTF-16 unit.
 //
-// Scanning: a SIMD/SWAR structural pass (xml/structural_scan.h) classifies
-// each appended region once, producing a sparse index of '<', '>', '&',
-// quotes and newlines; the tokenizer walks that index instead of
-// re-scanning bytes. Build-time ISA dispatch; -DTWIGM_FORCE_SCALAR_SCAN
-// forces the portable SWAR path, and SaxParserOptions::force_scalar_scan
-// selects the byte-loop reference scanner at runtime (differential tests).
+// Scanning (stage 1): a SIMD/SWAR structural pass (xml/structural_scan.h)
+// classifies each appended region once, producing a sparse index of '<',
+// '>', '&', quotes and NUL. Build-time ISA dispatch;
+// -DTWIGM_FORCE_SCALAR_SCAN forces the portable SWAR path, and
+// SaxParserOptions::force_scalar_scan selects the byte-loop reference
+// scanner at runtime (differential tests).
+//
+// Tokenizing (stage 2): one forward walk over the index. Each mark is
+// classified exactly once; a construct left incomplete at the end of the
+// buffered input keeps its walk state (mark cursor, construct kind, open
+// quote, DOCTYPE bracket depth) and resumes there on the next Consume, so
+// chunked input costs the same linear work as one whole-document call.
 //
 // Hot path: every element name is interned into a TagInterner and events
 // carry the resulting SymbolId (TagToken). Attribute names and values are
@@ -153,6 +159,12 @@ class SaxParser {
   /// trace events. Null (default) disables the store.
   void set_offset_slot(uint64_t* slot) { offset_slot_ = slot; }
 
+  /// Optional: accumulates the wall time of the structural scan (stage 1)
+  /// into `*slot`, in nanoseconds — one timer per Consume, never per event.
+  /// Processors point this at their Instrumentation's obs::Stage::kScan
+  /// slot. Null (default) disables the timer.
+  void set_scan_timer_slot(uint64_t* slot) { scan_timer_slot_ = slot; }
+
  private:
   enum class Encoding : uint8_t { kUnknown, kUtf8, kUtf16Le, kUtf16Be };
 
@@ -162,54 +174,67 @@ class SaxParser {
   // structural-scans whatever was appended.
   Status Ingest(std::string_view bytes, bool last);
   Status DecodeUtf16(std::string_view bytes);
-  // Scans buffer_[scanned_end_, size) into index_ and tracks first_nul_.
+  // Scans buffer_[scanned_end_, size) into index_.
   void ScanAppended();
-  // Error at the first NUL byte (advances position to it first).
+  // Error at the first NUL byte at or after pos_ (advances position to it
+  // first).
   Status NulError();
 
-  // --- tokenizer -------------------------------------------------------
-  // Bytes the tokenizer may look at: the canonical buffer, walled at the
-  // first NUL (whose consumption is the error of NulError()).
-  size_t parse_limit() const {
-    return first_nul_ < buffer_.size() ? first_nul_ : buffer_.size();
+  // --- tokenizer (stage 2) ---------------------------------------------
+  // The tokenizer never consumes past the first NUL, whose consumption is
+  // the error of NulError(): a NUL is a mark, so every mark walk stops at
+  // it by class, and the DOCTYPE byte walk stops at it too. So pos_ is at
+  // most the first NUL's position, and pos_ is at a NUL exactly when
+  // everything before the first NUL has been consumed.
+  bool AtNul() const {
+    return pos_ < buffer_.size() && buffer_[pos_] == '\0';
   }
   // End-of-document checks + OnEndDocument (consuming a last=true chunk).
   Status FinishInput();
-  // Consumes as many complete constructs from buffer_ as possible.
+  // Consumes as many complete constructs from buffer_ as possible,
+  // resuming the construct left pending by the previous call.
   Status Drain();
-  // Handles one markup construct starting at buffer_[pos_] == '<'.
-  // Sets *made_progress to false if the construct is still incomplete.
-  Status ConsumeMarkup(bool* made_progress);
-  // Emits the text run [pos_, lt) as character data. `has_amp` (from the
-  // caller's index walk) selects the entity-decoding slow path.
+  // Decides which "<!" construct starts at pos_ and sets pending_ (kNone
+  // while too few bytes are buffered to tell). Drain classifies every
+  // other construct from its first two bytes itself.
+  Status ClassifyDeclaration();
+  // Each Walk* advances mark_cursor_ over the pending construct's marks.
+  // They return the position of the mark that completes the construct,
+  // or npos if the buffered input ends first (the walk state is kept).
+  size_t WalkText();
+  size_t WalkStartTag(bool* lt_in_tag);
+  size_t WalkToGt();
+  // First '>' at or after `min_gt` whose preceding bytes equal `close`
+  // ("--", "]]" or "?").
+  size_t WalkToTerminator(size_t min_gt, std::string_view close);
+  size_t WalkDoctype();
+  // Emits the text run [pos_, lt) as character data; `has_amp` (from the
+  // mark walk) selects the entity-decoding slow path.
   Status EmitText(size_t lt, bool has_amp);
   Status ConsumeStartTag(size_t gt);
   Status ConsumeEndTag(size_t gt);
+  Status ConsumeComment(size_t gt);
+  Status ConsumeCdata(size_t gt);
+  Status ConsumePi(size_t gt);
   // Decodes entities/char-refs in `raw` into `out`. `context` names the
   // construct for error messages ("character data", "attribute value").
   Status DecodeEntities(std::string_view raw, const char* context,
                         std::string* out);
-  Status ErrorHere(const std::string& msg);
+  // Cold: every well-formedness check ends here on failure, so marking it
+  // lets the compiler lay the hot paths out straight.
+  [[gnu::cold]] Status ErrorHere(const std::string& msg);
   // Brings line_/column_ up to buffer position `to` (>= loc_pos_),
   // counting newlines with memchr. Lazy: runs only for error messages,
   // the line()/column() accessors and buffer compaction — never on the
   // per-construct hot path.
   void SyncLocation(size_t to);
-  // Scans the structural index for the '>' ending a tag, skipping quoted
-  // attribute values wholesale. Returns npos if not yet complete.
-  size_t FindTagEnd(size_t start) const;
-  // First '>' at position p >= from + prefix.size() (within parse_limit)
-  // whose preceding bytes equal `prefix` starting at >= from; npos if
-  // none. Implements the "-->", "]]>" and "?>" terminator searches as
-  // walks over '>' marks.
-  size_t FindMarkupEnd(size_t from, std::string_view prefix) const;
-  // Index of the first mark at position >= from. The parse cursor only
-  // moves forward, so lookups walk linearly from mark_cursor_ (which Drain
-  // keeps caught up with pos_) — amortized O(total marks), no binary
-  // searches on the hot path. Requires from >= pos_.
-  size_t MarkFrom(size_t from) const;
-  // Position of the first mark of class `cls` in [from, to); npos if none.
-  size_t NextMark(StructClass cls, size_t from, size_t to) const;
+  // Drops the consumed prefix of buffer_ once it dominates the buffer.
+  void Compact();
+  // Moves the parse cursor to `to`, counting the bytes consumed.
+  void Advance(size_t to) {
+    bytes_consumed_ += to - pos_;
+    pos_ = to;
+  }
 
   SaxHandler* handler_;
   SaxParserOptions options_;
@@ -223,11 +248,48 @@ class SaxParser {
   size_t loc_pos_ = 0;  // buffer position line_/column_ refer to
   size_t bytes_consumed_ = 0;
 
+  uint64_t* scan_timer_slot_ = nullptr;  // see set_scan_timer_slot
+
   // Structural index over buffer_[0, scanned_end_).
   StructuralIndex index_;
   size_t scanned_end_ = 0;
-  size_t mark_cursor_ = 0;  // first mark at position >= pos_ (see MarkFrom)
-  size_t first_nul_ = StructuralIndex::npos;  // buffer pos of first NUL
+
+  // Stage-2 walk state. mark_cursor_ is the first mark not yet classified:
+  // with no construct pending it is the first mark at or after pos_;
+  // while a construct is pending it sits inside that construct, and the
+  // fields below summarize the marks already passed.
+  enum class Construct : uint8_t {
+    kNone,  // pos_ starts a construct not yet classified
+    kText,
+    kStartTag,
+    kEndTag,
+    kComment,
+    kCdata,
+    kPi,
+    kDoctype,
+  };
+  size_t mark_cursor_ = 0;
+  Construct pending_ = Construct::kNone;
+  bool text_has_amp_ = false;  // kText: an '&' was passed
+  // kStartTag: class of the quote opening the value being walked, or
+  // kNoQuote between values.
+  static constexpr uint8_t kNoQuote = 0xFF;
+  uint8_t tag_quote_ = kNoQuote;
+  // kDoctype: bytes already scanned (offset from pos_) and the '[' ']'
+  // nesting depth there. DOCTYPE brackets are not marks, so this walk is
+  // over bytes; keeping its offset makes it linear across chunks too.
+  size_t doctype_scanned_ = 0;
+  int doctype_depth_ = 0;
+  // kStartTag: the quoted values passed so far, as offsets from pos_, with
+  // whether each holds a '<' (an error) or an '&' (needs decoding). The
+  // attribute parser takes them in order instead of re-walking the marks.
+  struct ValueSpan {
+    size_t open;   // offset of the opening quote
+    size_t close;  // offset of the closing quote
+    bool has_lt;
+    bool has_amp;
+  };
+  std::vector<ValueSpan> tag_values_;
 
   // Encoding front end state.
   Encoding encoding_ = Encoding::kUnknown;

@@ -295,22 +295,14 @@ size_t StructuralIndex::LowerBound(size_t from) const {
       marks.begin());
 }
 
-size_t StructuralIndex::Next(StructClass cls, size_t from, size_t to) const {
-  const uint64_t limit = static_cast<uint64_t>(to) << 3;
-  for (size_t k = LowerBound(from); k < marks.size() && marks[k] < limit;
-       ++k) {
-    if (ClassOf(marks[k]) == cls) return PosOf(marks[k]);
-  }
-  return npos;
-}
-
-void StructuralIndex::DropBelowAndRebase(size_t cut) {
-  if (cut == 0) return;
+size_t StructuralIndex::DropBelowAndRebase(size_t cut) {
+  if (cut == 0) return 0;
   const size_t first = LowerBound(cut);
   const uint64_t delta = static_cast<uint64_t>(cut) << 3;
   const size_t n = marks.size() - first;
   for (size_t k = 0; k < n; ++k) marks[k] = marks[first + k] - delta;
   marks.resize(n);
+  return first;
 }
 
 void ScanStructural(std::string_view buf, size_t from, size_t to,

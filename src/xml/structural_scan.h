@@ -30,8 +30,10 @@
 // a single-byte test), so arbitrary chunk splits need no carry — callers
 // simply scan each newly appended region [from, to) of their buffer and
 // append the marks. Cross-chunk *constructs* (a tag split over two reads)
-// are the tokenizer's job; it re-walks the index from its parse cursor,
-// which stays valid because marks are absolute buffer positions.
+// are the tokenizer's job; it keeps a cursor into the index and resumes
+// its walk there, which stays valid because marks are absolute buffer
+// positions. A NUL is a mark like the others, so the tokenizer's walks
+// stop at it by class; nothing needs a separate pass to find it.
 
 #ifndef TWIGM_XML_STRUCTURAL_SCAN_H_
 #define TWIGM_XML_STRUCTURAL_SCAN_H_
@@ -55,8 +57,7 @@ enum class StructClass : uint8_t {
 
 /// Sparse index of the structural characters of a byte buffer. Each mark
 /// packs (position << 3) | class; marks are strictly ascending by
-/// position, so "next '<' at or after p" is a lower_bound plus a short
-/// class-filtering walk.
+/// position, so a reader walks them front to back.
 struct StructuralIndex {
   std::vector<uint64_t> marks;
 
@@ -72,12 +73,10 @@ struct StructuralIndex {
   /// Index of the first mark at position >= from (marks.size() if none).
   size_t LowerBound(size_t from) const;
 
-  /// Position of the first mark of class `cls` in [from, to); npos if none.
-  size_t Next(StructClass cls, size_t from, size_t to) const;
-
   /// Drops all marks below `cut` and rebases the rest by -cut (the caller
-  /// erased the first `cut` bytes of its buffer).
-  void DropBelowAndRebase(size_t cut);
+  /// erased the first `cut` bytes of its buffer). Returns the number of
+  /// marks dropped, so callers can rebase their indices into `marks`.
+  size_t DropBelowAndRebase(size_t cut);
 };
 
 /// Appends the structural marks of buf[from, to) to *out, positions

@@ -1,5 +1,6 @@
 #include "xml/tag_interner.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace twigm::xml {
@@ -7,17 +8,11 @@ namespace twigm::xml {
 namespace {
 
 constexpr size_t kInitialSlots = 64;       // power of two
+// Arena chunks start small and double up to kArenaChunkBytes: an interner
+// usually holds a few dozen short names, and every processor Create builds
+// one, so a first 4 KB chunk was most of Create's allocation.
+constexpr size_t kFirstArenaChunkBytes = 256;
 constexpr size_t kArenaChunkBytes = 4096;
-
-uint64_t HashName(std::string_view name) {
-  // FNV-1a.
-  uint64_t h = 14695981039346656037ull;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -25,9 +20,10 @@ TagInterner::TagInterner() : table_(kInitialSlots, 0) {}
 
 const char* TagInterner::ArenaCopy(std::string_view name) {
   if (arena_used_ + name.size() > arena_cap_) {
-    arena_cap_ = name.size() > kArenaChunkBytes ? name.size()
-                                                : kArenaChunkBytes;
-    arena_.push_back(std::make_unique<char[]>(arena_cap_));
+    const size_t next = arena_.empty() ? kFirstArenaChunkBytes
+                        : std::min(2 * arena_cap_, kArenaChunkBytes);
+    arena_cap_ = std::max(name.size(), next);
+    arena_.push_back(std::make_unique_for_overwrite<char[]>(arena_cap_));
     arena_used_ = 0;
   }
   char* dst = arena_.back().get() + arena_used_;
@@ -48,21 +44,12 @@ void TagInterner::Grow() {
   table_ = std::move(bigger);
 }
 
-SymbolId TagInterner::Intern(std::string_view name) {
-  const uint64_t hash = HashName(name);
-  const size_t mask = table_.size() - 1;
-  size_t i = hash & mask;
-  while (true) {
-    const uint32_t slot = table_[i];
-    if (slot == 0) break;
-    const SymbolId sym = slot - 1;
-    if (hashes_[sym] == hash && names_[sym] == name) return sym;
-    i = (i + 1) & mask;
-  }
+SymbolId TagInterner::Insert(std::string_view name, uint64_t hash,
+                             size_t slot) {
   const SymbolId sym = static_cast<SymbolId>(names_.size());
   names_.emplace_back(ArenaCopy(name), name.size());
   hashes_.push_back(hash);
-  table_[i] = sym + 1;
+  table_[slot] = sym + 1;
   // Keep load factor under ~70%.
   if (names_.size() * 10 >= table_.size() * 7) Grow();
   return sym;
@@ -117,19 +104,6 @@ Status TagInterner::Load(std::string_view bytes) {
     return Status::ParseError("tag dictionary has trailing bytes");
   }
   return Status::Ok();
-}
-
-SymbolId TagInterner::Find(std::string_view name) const {
-  const uint64_t hash = HashName(name);
-  const size_t mask = table_.size() - 1;
-  size_t i = hash & mask;
-  while (true) {
-    const uint32_t slot = table_[i];
-    if (slot == 0) return kNoSymbol;
-    const SymbolId sym = slot - 1;
-    if (hashes_[sym] == hash && names_[sym] == name) return sym;
-    i = (i + 1) & mask;
-  }
 }
 
 }  // namespace twigm::xml

@@ -132,10 +132,17 @@ TEST(InstrumentationTest, NullInstrumentationIsNoop) {
   EXPECT_EQ(plain, 2u);
 
   // Stage timers only tick when instrumentation is attached.
-  EXPECT_GT(instr.stage_inclusive_ns(obs::Stage::kParse), 0u);
+  EXPECT_GT(instr.stage_inclusive_ns(obs::Stage::kTokenize), 0u);
+  EXPECT_GT(instr.stage_inclusive_ns(obs::Stage::kScan), 0u);
   const obs::StageBreakdown b = instr.stages();
-  EXPECT_EQ(b.total_ns, instr.stage_inclusive_ns(obs::Stage::kParse));
-  EXPECT_GE(b.total_ns, b.drive_ns + b.machine_ns + b.emit_ns);
+  EXPECT_EQ(b.total_ns, instr.stage_inclusive_ns(obs::Stage::kTokenize));
+  EXPECT_EQ(b.scan_ns, instr.stage_inclusive_ns(obs::Stage::kScan));
+  // The scan and the dispatch run inside the Consume call, one after the
+  // other, so the exclusive shares add up to the inclusive total.
+  EXPECT_GE(b.total_ns, instr.stage_inclusive_ns(obs::Stage::kScan) +
+                            instr.stage_inclusive_ns(obs::Stage::kDrive));
+  EXPECT_EQ(b.total_ns, b.scan_ns + b.tokenize_ns + b.drive_ns +
+                            b.machine_ns + b.emit_ns);
 }
 
 TEST(InstrumentationTest, NodeDepthPeaksBoundedByDocumentDepth) {
@@ -205,9 +212,11 @@ TEST(InstrumentationTest, ResetValuesClearsMeasurements) {
   EvaluatorOptions options;
   options.instrumentation = &instr;
   RunCount("//b", "<a><b/></a>", options);
-  EXPECT_GT(instr.stage_inclusive_ns(obs::Stage::kParse), 0u);
+  EXPECT_GT(instr.stage_inclusive_ns(obs::Stage::kTokenize), 0u);
+  EXPECT_GT(instr.stage_inclusive_ns(obs::Stage::kScan), 0u);
   instr.ResetValues();
-  EXPECT_EQ(instr.stage_inclusive_ns(obs::Stage::kParse), 0u);
+  EXPECT_EQ(instr.stage_inclusive_ns(obs::Stage::kTokenize), 0u);
+  EXPECT_EQ(instr.stage_inclusive_ns(obs::Stage::kScan), 0u);
   EXPECT_EQ(instr.byte_offset(), 0u);
   for (uint64_t peak : instr.node_depth_peaks()) EXPECT_EQ(peak, 0u);
 }

@@ -179,8 +179,11 @@ struct EngineQueryCase {
   EngineKind engine;
 };
 
+// The query is a std::string, not a const char*: gtest prints a char pointer
+// with its address, which ASLR changes on every run, so the test names would
+// differ from one test discovery to the next.
 class EngineForcingTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(EngineForcingTest, ForcedEngineMatchesOracle) {
   const std::string query = std::get<0>(GetParam());
@@ -193,12 +196,18 @@ TEST_P(EngineForcingTest, ForcedEngineMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     ForcedEngines, EngineForcingTest,
     ::testing::Values(
-        std::make_tuple("//a//c", static_cast<int>(EngineKind::kPathM)),
-        std::make_tuple("//a//c", static_cast<int>(EngineKind::kTwigM)),
-        std::make_tuple("/a/b", static_cast<int>(EngineKind::kBranchM)),
-        std::make_tuple("/a/b[c]", static_cast<int>(EngineKind::kBranchM)),
-        std::make_tuple("/a/b[c][d]", static_cast<int>(EngineKind::kTwigM)),
-        std::make_tuple("//a[b/c]//c", static_cast<int>(EngineKind::kTwigM))));
+        std::make_tuple(std::string("//a//c"),
+                        static_cast<int>(EngineKind::kPathM)),
+        std::make_tuple(std::string("//a//c"),
+                        static_cast<int>(EngineKind::kTwigM)),
+        std::make_tuple(std::string("/a/b"),
+                        static_cast<int>(EngineKind::kBranchM)),
+        std::make_tuple(std::string("/a/b[c]"),
+                        static_cast<int>(EngineKind::kBranchM)),
+        std::make_tuple(std::string("/a/b[c][d]"),
+                        static_cast<int>(EngineKind::kTwigM)),
+        std::make_tuple(std::string("//a[b/c]//c"),
+                        static_cast<int>(EngineKind::kTwigM))));
 
 }  // namespace
 }  // namespace twigm

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "core/evaluator.h"
 #include "core/value_test.h"
 #include "gtest/gtest.h"
@@ -103,6 +104,63 @@ TEST(RobustnessTest, PathologicalDeepNestingHitsDepthLimit) {
     if (!s.ok()) break;
   }
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+}
+
+// Parses `doc` with `chunk` bytes per Consume (0 = one last chunk) and
+// returns the best wall time of three runs, in milliseconds.
+double BestParseMs(const std::string& doc, size_t chunk) {
+  double best = 0;
+  for (int run = 0; run < 3; ++run) {
+    xml::SaxHandler handler;
+    xml::SaxParser parser(&handler);
+    Stopwatch sw;
+    Status s;
+    if (chunk == 0) {
+      s = parser.ParseAll(doc);
+    } else {
+      for (size_t at = 0; at < doc.size() && s.ok(); at += chunk) {
+        s = parser.Consume({std::string_view(doc).substr(at, chunk), false});
+      }
+      if (s.ok()) s = parser.Consume({std::string_view(), true});
+    }
+    const double ms = sw.ElapsedMillis();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (run == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+TEST(RobustnessTest, ChunkedLongConstructsStayLinear) {
+  // A construct still open at the end of a chunk resumes where its walk
+  // stopped; re-walking it from its start on every Consume would make
+  // these shapes quadratic in their length under small chunks.
+  auto repeat = [](std::string_view unit, size_t bytes) {
+    std::string out;
+    while (out.size() < bytes) out.append(unit);
+    return out;
+  };
+  constexpr size_t kTwoMb = size_t{2} << 20;
+  const struct {
+    const char* shape;
+    std::string doc;
+  } cases[] = {
+      {"comment full of '>'", "<a><!--" + repeat("x>", kTwoMb) + "--></a>"},
+      {"5 MB of &amp; text", "<a>" + repeat("&amp;", 5 * (size_t{1} << 20)) +
+                                 "</a>"},
+      {"'-dense attribute value",
+       "<a b=\"" + repeat("'", kTwoMb) + "\"/>"},
+      {"DOCTYPE internal subset",
+       "<!DOCTYPE a [" + repeat("<!ENTITY e '[x]>'>", kTwoMb) + "]><a/>"},
+  };
+  for (const auto& c : cases) {
+    const double whole_ms = BestParseMs(c.doc, 0);
+    const double chunked_ms = BestParseMs(c.doc, 1024);
+    // 1 KB chunks may cost per-call overhead, never a re-walk: within 10x
+    // of one chunk (the quadratic walk measured 70-900x on these shapes).
+    EXPECT_LE(chunked_ms, 10 * whole_ms)
+        << c.shape << ": whole " << whole_ms << " ms, 1 KB chunks "
+        << chunked_ms << " ms";
+  }
 }
 
 TEST(ValueTestSemantics, NumericVsStringComparison) {
