@@ -2,27 +2,39 @@
 
 namespace twigm::core {
 
-const char* EngineKindToString(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kAuto: return "auto";
-    case EngineKind::kPathM: return "PathM";
-    case EngineKind::kBranchM: return "BranchM";
-    case EngineKind::kTwigM: return "TwigM";
-  }
-  return "?";
-}
-
 namespace {
 
+// kAuto's choice: only a linear query (no predicates, no value tests) can
+// run on PathM; TwigM evaluates the rest of XP{/,//,*,[]}.
 EngineKind PickEngine(const xpath::QueryTree& query) {
   if (query.is_linear() && !query.has_value_tests()) return EngineKind::kPathM;
-  if (!query.has_descendant_axis() && !query.has_wildcard()) {
-    return EngineKind::kBranchM;
-  }
   return EngineKind::kTwigM;
 }
 
 }  // namespace
+
+Result<std::unique_ptr<StreamingMachine>> CreateMachine(
+    const xpath::QueryTree& query, MatchObserver* observer,
+    const EvaluatorOptions& options, const uint64_t* offset_slot) {
+  const EngineKind kind = options.engine == EngineKind::kAuto
+                              ? PickEngine(query)
+                              : options.engine;
+  std::unique_ptr<StreamingMachine> machine;
+  if (kind == EngineKind::kPathM) {
+    Result<std::unique_ptr<PathMachine>> m =
+        PathMachine::Create(query, observer);
+    if (!m.ok()) return m.status();
+    machine = std::move(m).value();
+  } else {
+    Result<std::unique_ptr<TwigMachine>> m =
+        TwigMachine::Create(query, observer, options.twig);
+    if (!m.ok()) return m.status();
+    machine = std::move(m).value();
+  }
+  machine->set_instrumentation(options.instrumentation);
+  machine->set_stream_offset(offset_slot);
+  return machine;
+}
 
 // Registered-once export instruments; values are refreshed per call.
 struct XPathStreamProcessor::ExportHandles {
@@ -68,10 +80,6 @@ Result<std::unique_ptr<XPathStreamProcessor>> XPathStreamProcessor::Create(
       std::unique_ptr<XPathStreamProcessor>(new XPathStreamProcessor());
   proc->query_ = std::move(query).value();
   proc->options_ = options;
-  proc->engine_kind_ = options.engine == EngineKind::kAuto
-                           ? PickEngine(proc->query_)
-                           : options.engine;
-
   const bool fragments =
       options.capture_fragments || observer->wants_fragments();
   MatchObserver* machine_observer = observer;
@@ -85,66 +93,28 @@ Result<std::unique_ptr<XPathStreamProcessor>> XPathStreamProcessor::Create(
   obs::Instrumentation* instr = options.instrumentation;
   uint64_t* offset_slot =
       instr != nullptr ? instr->byte_offset_slot() : &proc->stream_offset_;
-  switch (proc->engine_kind_) {
-    case EngineKind::kPathM: {
-      Result<std::unique_ptr<PathMachine>> m =
-          PathMachine::Create(proc->query_, machine_observer);
-      if (!m.ok()) return m.status();
-      proc->path_ = std::move(m).value();
-      proc->path_->set_instrumentation(instr);
-      proc->path_->set_stream_offset(offset_slot);
-      proc->machine_ = proc->path_.get();
-      break;
-    }
-    case EngineKind::kBranchM: {
-      Result<std::unique_ptr<BranchMachine>> m =
-          BranchMachine::Create(proc->query_, machine_observer);
-      if (!m.ok()) return m.status();
-      proc->branch_ = std::move(m).value();
-      proc->branch_->set_instrumentation(instr);
-      proc->branch_->set_stream_offset(offset_slot);
-      proc->machine_ = proc->branch_.get();
-      break;
-    }
-    case EngineKind::kAuto:
-    case EngineKind::kTwigM: {
-      Result<std::unique_ptr<TwigMachine>> m =
-          TwigMachine::Create(proc->query_, machine_observer, options.twig);
-      if (!m.ok()) return m.status();
-      proc->engine_kind_ = EngineKind::kTwigM;
-      proc->twig_ = std::move(m).value();
-      proc->twig_->set_instrumentation(instr);
-      proc->twig_->set_stream_offset(offset_slot);
-      proc->machine_ = proc->twig_.get();
-      break;
-    }
-  }
+  Result<std::unique_ptr<StreamingMachine>> machine =
+      CreateMachine(proc->query_, machine_observer, options, offset_slot);
+  if (!machine.ok()) return machine.status();
+  proc->machine_ = std::move(machine).value();
 
+  // In fragment mode the recorder sits between driver and machine.
+  xml::StreamEventSink* head = proc->machine_.get();
   if (fragments) {
-    // Splice the recorder between driver and machine.
-    proc->recorder_->set_machine(proc->machine_);
-    proc->machine_ = proc->recorder_.get();
+    proc->recorder_->set_machine(head);
+    head = proc->recorder_.get();
   }
-  proc->WireStream();
-  return proc;
-}
-
-void XPathStreamProcessor::WireStream() {
-  driver_ = std::make_unique<xml::EventDriver>(machine_);
-  driver_->set_instrumentation(options_.instrumentation);
-  parser_ = std::make_unique<xml::SaxParser>(driver_.get(), options_.sax);
-  parser_->set_offset_slot(options_.instrumentation != nullptr
-                               ? options_.instrumentation->byte_offset_slot()
-                               : &stream_offset_);
-  parser_->set_scan_timer_slot(
-      options_.instrumentation != nullptr
-          ? options_.instrumentation->stage_slot(obs::Stage::kScan)
-          : nullptr);
+  proc->driver_ = std::make_unique<xml::EventDriver>(head);
+  proc->driver_->set_instrumentation(instr);
+  proc->parser_ = std::make_unique<xml::SaxParser>(proc->driver_.get(),
+                                                   options.sax);
+  proc->parser_->set_offset_slot(offset_slot);
+  proc->parser_->set_scan_timer_slot(
+      instr != nullptr ? instr->stage_slot(obs::Stage::kScan) : nullptr);
   // Bind the machine's query labels to this parser's tag dictionary so
   // per-event dispatch runs on SymbolIds (DESIGN.md §10).
-  if (twig_ != nullptr) twig_->BindInterner(parser_->interner());
-  if (path_ != nullptr) path_->BindInterner(parser_->interner());
-  if (branch_ != nullptr) branch_->BindInterner(parser_->interner());
+  proc->machine_->BindInterner(proc->parser_->interner());
+  return proc;
 }
 
 Status XPathStreamProcessor::Consume(const xml::InputChunk& chunk) {
@@ -164,9 +134,7 @@ Status XPathStreamProcessor::Pump(xml::ByteSource* source) {
 }
 
 void XPathStreamProcessor::Reset() {
-  if (twig_ != nullptr) twig_->Reset();
-  if (path_ != nullptr) path_->Reset();
-  if (branch_ != nullptr) branch_->Reset();
+  machine_->Reset();
   if (recorder_ != nullptr) recorder_->Reset();
   stream_offset_ = 0;
   // Rewind the existing parser and driver in place rather than rebuilding
@@ -176,34 +144,9 @@ void XPathStreamProcessor::Reset() {
   driver_->Reset();
 }
 
-const MachineGraph& XPathStreamProcessor::machine_graph() const {
-  switch (engine_kind_) {
-    case EngineKind::kPathM:
-      return path_->graph();
-    case EngineKind::kBranchM:
-      return branch_->graph();
-    default:
-      return twig_->graph();
-  }
-}
-
 void XPathStreamProcessor::InstallDecisionTable(
     std::shared_ptr<const DecisionTable> table) {
-  const EarlyDecisionMode mode = options_.enable_early_decisions;
-  if (twig_ != nullptr) twig_->set_decisions(std::move(table), mode);
-  else if (path_ != nullptr) path_->set_decisions(std::move(table), mode);
-  else if (branch_ != nullptr) branch_->set_decisions(std::move(table), mode);
-}
-
-const EngineStats& XPathStreamProcessor::stats() const {
-  switch (engine_kind_) {
-    case EngineKind::kPathM:
-      return path_->stats();
-    case EngineKind::kBranchM:
-      return branch_->stats();
-    default:
-      return twig_->stats();
-  }
+  machine_->set_decisions(std::move(table), options_.enable_early_decisions);
 }
 
 void XPathStreamProcessor::ExportMetrics(obs::MetricsRegistry* registry) const {
@@ -272,8 +215,7 @@ void XPathStreamProcessor::ExportMetrics(obs::MetricsRegistry* registry) const {
   export_->fragment_peak_buffered_bytes->Set(fragment_peak_buffered_bytes());
   export_->hotpath_interner_symbols->Set(
       parser_ != nullptr ? parser_->interner()->size() : 0);
-  export_->hotpath_pool_entries->Set(twig_ != nullptr ? twig_->pool_entries()
-                                                      : 0);
+  export_->hotpath_pool_entries->Set(machine_->pool_entries());
 }
 
 Result<std::vector<xml::NodeId>> EvaluateToIds(std::string_view query,

@@ -11,10 +11,10 @@
 // at a time with Consume, or pull a whole source with Pump.
 //
 // Everything optional hangs off EvaluatorOptions: engine selection
-// (EngineKind::kAuto follows the paper's structure — linear queries on
-// PathM, child-only queries with predicates on BranchM, everything else on
-// TwigM), fragment capture (an observer whose wants_fragments() returns
-// true, or capture_fragments = true, gets OnFragment deliveries), and
+// (EngineKind::kAuto: linear queries on PathM, everything with predicates
+// or value tests on TwigM — see CreateMachine), fragment capture (an
+// observer whose wants_fragments() returns true, or capture_fragments =
+// true, gets OnFragment deliveries), and
 // observability (instrumentation = an obs::Instrumentation* collects
 // per-stage wall time, registry metrics, per-query-node stack depth peaks
 // and trace events; null — the default — costs one predictable branch per
@@ -29,12 +29,12 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/branch_machine.h"
 #include "core/decision_table.h"
 #include "core/fragment.h"
 #include "core/machine_stats.h"
 #include "core/path_machine.h"
 #include "core/result_sink.h"
+#include "core/streaming_machine.h"
 #include "core/twig_machine.h"
 #include "obs/instrumentation.h"
 #include "xml/byte_source.h"
@@ -43,17 +43,6 @@
 #include "xpath/query_tree.h"
 
 namespace twigm::core {
-
-/// Which machine evaluates the query.
-enum class EngineKind {
-  kAuto,     // pick by query structure
-  kPathM,    // XP{/,//,*} only
-  kBranchM,  // XP{/,[]} only
-  kTwigM,    // full XP{/,//,*,[]}
-};
-
-/// Returns a display name ("TwigM", ...).
-const char* EngineKindToString(EngineKind kind);
 
 struct EvaluatorOptions {
   EngineKind engine = EngineKind::kAuto;
@@ -72,6 +61,16 @@ struct EvaluatorOptions {
   /// and drops candidates at the first certain event (DESIGN.md §13).
   EarlyDecisionMode enable_early_decisions = EarlyDecisionMode::kOff;
 };
+
+/// The one place a query's machine is chosen and built. `options.engine`
+/// kAuto follows the paper's structure: a linear query (no predicates, no
+/// value tests) runs on PathM, which emits at startElement; everything else
+/// runs on TwigM. A forced kind is built as asked (PathM rejects predicates
+/// with NotSupported). The machine reports to `observer`, is attached to
+/// `options.instrumentation` and stamps offsets from `offset_slot`.
+Result<std::unique_ptr<StreamingMachine>> CreateMachine(
+    const xpath::QueryTree& query, MatchObserver* observer,
+    const EvaluatorOptions& options, const uint64_t* offset_slot);
 
 /// A compiled query bound to a match observer, consuming raw XML bytes.
 class XPathStreamProcessor {
@@ -100,13 +99,13 @@ class XPathStreamProcessor {
   /// metrics).
   void Reset();
 
-  const EngineStats& stats() const;
-  EngineKind engine_kind() const { return engine_kind_; }
+  const EngineStats& stats() const { return machine_->stats(); }
+  EngineKind engine_kind() const { return machine_->kind(); }
   const xpath::QueryTree& query() const { return query_; }
 
   /// The compiled machine graph (input to static analysis passes such as
   /// level bounds and decision-table compilation).
-  const MachineGraph& machine_graph() const;
+  const MachineGraph& machine_graph() const { return machine_->graph(); }
 
   /// Installs an earliest-decision table on the machine; it runs in the
   /// mode chosen by EvaluatorOptions::enable_early_decisions (a table
@@ -126,18 +125,10 @@ class XPathStreamProcessor {
  private:
   XPathStreamProcessor();  // out-of-line: ExportHandles is incomplete here
 
-  void WireStream();
-
   xpath::QueryTree query_;
-  EngineKind engine_kind_ = EngineKind::kTwigM;
   EvaluatorOptions options_;
 
-  // Exactly one of these is set, matching engine_kind_.
-  std::unique_ptr<TwigMachine> twig_;
-  std::unique_ptr<PathMachine> path_;
-  std::unique_ptr<BranchMachine> branch_;
-
-  xml::StreamEventSink* machine_ = nullptr;  // the active machine
+  std::unique_ptr<StreamingMachine> machine_;
   std::unique_ptr<FragmentRecorder> recorder_;  // set in fragment mode
   std::unique_ptr<xml::EventDriver> driver_;
   std::unique_ptr<xml::SaxParser> parser_;

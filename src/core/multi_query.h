@@ -3,8 +3,8 @@
 // The paper's related work (section 6) discusses filtering systems
 // (YFilter, XTrie, XPush) that match large query sets against one stream.
 // This module provides that workload shape on top of the TwigM machinery:
-// each query is compiled to its own machine (PathM/BranchM/TwigM by
-// structure) and every modified-SAX event fans out to all of them, so the
+// each query is compiled to its own machine (PathM or TwigM, chosen by
+// CreateMachine) and every modified-SAX event fans out to all of them, so the
 // document is parsed exactly once. Results carry the query index.
 //
 // This is deliberately the simple product construction — per-event cost is
@@ -86,24 +86,33 @@ class MultiQueryProcessor {
 
   size_t query_count() const { return entries_.size(); }
   EngineKind engine_kind(size_t query_index) const {
-    return entries_[query_index].kind;
+    return entries_[query_index].machine->kind();
   }
-  const EngineStats& stats(size_t query_index) const;
+  const EngineStats& stats(size_t query_index) const {
+    return entries_[query_index].machine->stats();
+  }
 
   /// Machine graph of `query_index`'s compiled machine (for static
   /// analysis over the running machines).
-  const MachineGraph& graph(size_t query_index) const;
+  const MachineGraph& graph(size_t query_index) const {
+    return entries_[query_index].machine->graph();
+  }
 
   /// Applies analyzer level windows (indexed by machine-node id, matching
   /// graph(query_index)) to that query's machine; see
-  /// TwigMachine::set_level_bounds for the conservativeness contract.
-  void set_level_bounds(size_t query_index, LevelBounds bounds);
+  /// StreamingMachine::set_level_bounds for the conservativeness contract.
+  void set_level_bounds(size_t query_index, LevelBounds bounds) {
+    entries_[query_index].machine->set_level_bounds(std::move(bounds));
+  }
 
   /// Installs an earliest-decision table on `query_index`'s machine; it
   /// runs in EvaluatorOptions::enable_early_decisions mode (see
   /// XPathStreamProcessor::InstallDecisionTable).
   void set_decision_table(size_t query_index,
-                          std::shared_ptr<const DecisionTable> table);
+                          std::shared_ptr<const DecisionTable> table) {
+    entries_[query_index].machine->set_decisions(
+        std::move(table), options_.enable_early_decisions);
+  }
 
   /// Sum of results across queries so far.
   uint64_t total_results() const { return total_results_; }
@@ -149,12 +158,8 @@ class MultiQueryProcessor {
   };
 
   struct Entry {
-    EngineKind kind = EngineKind::kTwigM;
     std::unique_ptr<TaggingSink> tag_sink;
-    std::unique_ptr<TwigMachine> twig;
-    std::unique_ptr<PathMachine> path;
-    std::unique_ptr<BranchMachine> branch;
-    xml::StreamEventSink* machine = nullptr;
+    std::unique_ptr<StreamingMachine> machine;
   };
 
   MultiQueryProcessor() = default;

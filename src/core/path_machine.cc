@@ -11,8 +11,7 @@ Result<std::unique_ptr<PathMachine>> PathMachine::Create(
   }
   if (query.has_predicates() || query.has_value_tests()) {
     return Status::NotSupported(
-        "PathM evaluates XP{/,//,*} only; use BranchM or TwigM for "
-        "predicates");
+        "PathM evaluates XP{/,//,*} only; use TwigM for predicates");
   }
   Result<MachineGraph> graph = MachineGraph::Build(query);
   if (!graph.ok()) return graph.status();
@@ -21,7 +20,7 @@ Result<std::unique_ptr<PathMachine>> PathMachine::Create(
 }
 
 PathMachine::PathMachine(MachineGraph graph, MatchObserver* observer)
-    : graph_(std::move(graph)), sink_(observer) {
+    : StreamingMachine(EngineKind::kPathM, std::move(graph), observer) {
   // A linear query's machine graph is a chain from the root to the return
   // node.
   const MachineNode* node = graph_.root();
@@ -35,58 +34,19 @@ PathMachine::PathMachine(MachineGraph graph, MatchObserver* observer)
   }
 }
 
-void PathMachine::BindInterner(xml::TagInterner* interner) {
-  for (const auto& node : graph_.nodes()) {
-    if (!node->is_wildcard) node->symbol = interner->Intern(node->label);
-  }
-  postings_.assign(interner->size(), {});
+void PathMachine::BuildPostings(size_t symbol_count) {
+  postings_.assign(symbol_count, {});
   for (size_t i = 0; i < chain_.size(); ++i) {
     if (!chain_[i]->is_wildcard) {
       postings_[chain_[i]->symbol].push_back(i);
     }
   }
-  bound_ = true;
-  interner_ = interner;
-  RebuildSymToElem();
-}
-
-void PathMachine::set_decisions(std::shared_ptr<const DecisionTable> table,
-                                EarlyDecisionMode mode) {
-  decisions_ = std::move(table);
-  decision_mode_ = mode;
-  RebuildSymToElem();
-  RegisterGapHistogram();
-}
-
-void PathMachine::RebuildSymToElem() {
-  sym_to_elem_.clear();
-  if (decisions_ == nullptr || interner_ == nullptr) return;
-  const std::vector<std::string>& names = decisions_->element_names();
-  for (size_t e = 0; e < names.size(); ++e) {
-    const xml::SymbolId s = interner_->Intern(names[e]);
-    if (sym_to_elem_.size() <= s) sym_to_elem_.resize(s + 1, -1);
-    sym_to_elem_[s] = static_cast<int32_t>(e);
-  }
-}
-
-void PathMachine::RegisterGapHistogram() {
-  if (instr_ == nullptr || gap_hist_ != nullptr) return;
-  if (decision_mode_ == EarlyDecisionMode::kOff) return;
-  gap_hist_ = instr_->registry().RegisterHistogram(
-      "engine.emission_gap_bytes", obs::ExponentialBuckets(1, 4, 16));
-}
-
-const NodeDecision* PathMachine::DecisionFor(int node_id) const {
-  if (cur_elem_ < 0 || decisions_ == nullptr) return nullptr;
-  return &decisions_->at(static_cast<size_t>(node_id),
-                         static_cast<size_t>(cur_elem_));
 }
 
 void PathMachine::Reset() {
+  StreamingMachine::Reset();
   for (auto& stack : stacks_) stack.clear();
-  stats_ = EngineStats();
   live_entries_ = 0;
-  cur_elem_ = -1;
 }
 
 // hotpath
@@ -140,8 +100,7 @@ void PathMachine::TryStartPosition(size_t i, int level, xml::NodeId id) {
     ++stats_.results;
     if (decision_mode_ != EarlyDecisionMode::kOff) {
       // Start-event emission is the earliest possible point: gap 0.
-      stats_.NoteGap(0);
-      if (gap_hist_ != nullptr) gap_hist_->Observe(0);
+      NoteGap(0);
     }
     if (instr_ != nullptr) {
       instr_->Trace(obs::TraceEvent::Kind::kCandidate, v->id, level, id, 1);

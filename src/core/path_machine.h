@@ -18,32 +18,25 @@
 #define TWIGM_CORE_PATH_MACHINE_H_
 
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
-#include "core/decision_table.h"
-#include "core/level_bounds.h"
-#include "core/machine_builder.h"
-#include "core/machine_stats.h"
-#include "core/result_sink.h"
-#include "obs/instrumentation.h"
-#include "xml/sax_event.h"
-#include "xml/tag_interner.h"
+#include "core/streaming_machine.h"
 #include "xpath/query_tree.h"
 
 namespace twigm::core {
 
 /// The PathM machine. Only accepts linear queries (no predicates).
-class PathMachine : public xml::StreamEventSink {
+///
+/// Earliest-query-answering (set_decisions): PathM is already fully
+/// incremental — results emit at startElement, so every gap is 0 — but kOn
+/// still uses the table's kUseless facts to skip stack state for subtrees
+/// that cannot reach the return node.
+class PathMachine final : public StreamingMachine {
  public:
   /// Fails with NotSupported if `query` has predicates or value tests.
   static Result<std::unique_ptr<PathMachine>> Create(
       const xpath::QueryTree& query, MatchObserver* observer);
-
-  PathMachine(const PathMachine&) = delete;
-  PathMachine& operator=(const PathMachine&) = delete;
 
   // StreamEventSink:
   void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
@@ -51,64 +44,16 @@ class PathMachine : public xml::StreamEventSink {
   void EndElement(const xml::TagToken& tag, int level) override;
   void EndDocument() override;
 
-  /// Resolves chain labels to SymbolIds in `interner` and builds the
-  /// per-symbol position postings (see TwigMachine::BindInterner).
-  void BindInterner(xml::TagInterner* interner);
-
-  /// Clears runtime state and statistics. Stack capacity is retained.
-  void Reset();
-
-  /// Optional: attaches observability (see TwigMachine). Not owned.
-  void set_instrumentation(obs::Instrumentation* instr) {
-    if (instr != instr_) gap_hist_ = nullptr;
-    instr_ = instr;
-    if (instr_ != nullptr) {
-      instr_->EnsureNodeSlots(graph_.node_count());
-      RegisterGapHistogram();
-    }
-  }
-
-  /// Optional: source of the current stream byte offset (see TwigMachine).
-  void set_stream_offset(const uint64_t* offset) { stream_offset_ = offset; }
-
-  /// Optional: per-node level windows from static analysis, indexed by
-  /// machine-node id (see TwigMachine::set_level_bounds). Empty = no
-  /// pruning.
-  void set_level_bounds(LevelBounds bounds) { level_bounds_ = std::move(bounds); }
-
-  /// Optional: earliest-query-answering (see TwigMachine::set_decisions).
-  /// PathM is already fully incremental — results emit at startElement, so
-  /// every gap is 0 — but kOn still uses the table's kUseless facts to
-  /// skip stack state for subtrees that cannot reach the return node.
-  void set_decisions(std::shared_ptr<const DecisionTable> table,
-                     EarlyDecisionMode mode);
-
-  EarlyDecisionMode decision_mode() const { return decision_mode_; }
-
-  const EngineStats& stats() const { return stats_; }
-  const MachineGraph& graph() const { return graph_; }
+  void Reset() override;
 
  private:
   PathMachine(MachineGraph graph, MatchObserver* observer);
 
-  const NodeDecision* DecisionFor(int node_id) const;
-  void RegisterGapHistogram();
-  void RebuildSymToElem();
+  void BuildPostings(size_t symbol_count) override;
 
   // δs / δe for the node at chain position i.
   void TryStartPosition(size_t i, int level, xml::NodeId id);
   void PopPosition(size_t i, int level);
-
-  uint64_t offset() const {
-    return stream_offset_ != nullptr ? *stream_offset_ : 0;
-  }
-
-  MachineGraph graph_;
-  MatchObserver* sink_;
-  obs::Instrumentation* instr_ = nullptr;
-  const uint64_t* stream_offset_ = nullptr;
-  LevelBounds level_bounds_;
-  EngineStats stats_;
 
   // chain_[i] is the machine node at spine position i (root first);
   // stacks_[i] its stack of levels.
@@ -117,17 +62,8 @@ class PathMachine : public xml::StreamEventSink {
 
   // Symbol dispatch: postings_[s] lists the chain positions whose label has
   // symbol s; wildcard_positions_ is always tried. Built by BindInterner.
-  bool bound_ = false;
   std::vector<std::vector<size_t>> postings_;
   std::vector<size_t> wildcard_positions_;
-
-  // Earliest-decision state (see TwigMachine).
-  std::shared_ptr<const DecisionTable> decisions_;
-  EarlyDecisionMode decision_mode_ = EarlyDecisionMode::kOff;
-  xml::TagInterner* interner_ = nullptr;
-  std::vector<int32_t> sym_to_elem_;
-  int32_t cur_elem_ = -1;
-  obs::Histogram* gap_hist_ = nullptr;
 
   uint64_t live_entries_ = 0;
 };

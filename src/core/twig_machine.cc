@@ -70,7 +70,8 @@ Result<std::unique_ptr<TwigMachine>> TwigMachine::Create(
 
 TwigMachine::TwigMachine(MachineGraph graph, MatchObserver* observer,
                          TwigMachineOptions options)
-    : graph_(std::move(graph)), sink_(observer), options_(options) {
+    : StreamingMachine(EngineKind::kTwigM, std::move(graph), observer),
+      options_(options) {
   stacks_.resize(graph_.node_count());
   for (const auto& node : graph_.nodes()) {
     preorder_.push_back(node->id);
@@ -83,13 +84,9 @@ TwigMachine::TwigMachine(MachineGraph graph, MatchObserver* observer,
   }
 }
 
-void TwigMachine::BindInterner(xml::TagInterner* interner) {
-  interner_ = interner;
-  for (const auto& node : graph_.nodes()) {
-    if (!node->is_wildcard) node->symbol = interner->Intern(node->label);
-  }
-  start_postings_.assign(interner->size(), {});
-  end_postings_.assign(interner->size(), {});
+void TwigMachine::BuildPostings(size_t symbol_count) {
+  start_postings_.assign(symbol_count, {});
+  end_postings_.assign(symbol_count, {});
   for (const auto& node : graph_.nodes()) {
     if (!node->is_wildcard) {
       start_postings_[node->symbol].push_back(node->id);
@@ -103,38 +100,6 @@ void TwigMachine::BindInterner(xml::TagInterner* interner) {
                wildcard_nodes_.begin(), wildcard_nodes_.end(),
                std::back_inserter(end_postings_[s]));
   }
-  bound_ = true;
-  RebuildSymToElem();
-}
-
-void TwigMachine::set_decisions(std::shared_ptr<const DecisionTable> table,
-                                EarlyDecisionMode mode) {
-  decisions_ = std::move(table);
-  decision_mode_ = mode;
-  RebuildSymToElem();
-  RegisterGapHistogram();
-}
-
-void TwigMachine::RebuildSymToElem() {
-  sym_to_elem_.clear();
-  if (decisions_ == nullptr || interner_ == nullptr) return;
-  // Intern every DTD element name so document tags that are no query label
-  // still map to their fact row. Names interned after BindInterner fall
-  // outside the postings vectors, which already means wildcard-only
-  // dispatch — exactly the pre-existing behaviour for non-label tags.
-  const std::vector<std::string>& names = decisions_->element_names();
-  for (size_t e = 0; e < names.size(); ++e) {
-    const xml::SymbolId s = interner_->Intern(names[e]);
-    if (sym_to_elem_.size() <= s) sym_to_elem_.resize(s + 1, -1);
-    sym_to_elem_[s] = static_cast<int32_t>(e);
-  }
-}
-
-void TwigMachine::RegisterGapHistogram() {
-  if (instr_ == nullptr || gap_hist_ != nullptr) return;
-  if (decision_mode_ == EarlyDecisionMode::kOff) return;
-  gap_hist_ = instr_->registry().RegisterHistogram(
-      "engine.emission_gap_bytes", obs::ExponentialBuckets(1, 4, 16));
 }
 
 // hotpath
@@ -182,18 +147,16 @@ void TwigMachine::RecordGap(xml::NodeId id) {
     const uint64_t now = offset();
     gap = now > proved_offset_[id] ? now - proved_offset_[id] : 0;
   }
-  stats_.NoteGap(gap);
-  if (gap_hist_ != nullptr) gap_hist_->Observe(gap);
+  NoteGap(gap);
 }
 
 void TwigMachine::Reset() {
+  StreamingMachine::Reset();
   for (auto& stack : stacks_) stack.clear();
   ClearEmitted();
-  stats_ = EngineStats();
   live_entries_ = 0;
   live_candidates_ = 0;
   live_text_bytes_ = 0;
-  cur_elem_ = -1;
 }
 
 uint64_t TwigMachine::pool_entries() const {
@@ -227,12 +190,6 @@ void TwigMachine::ForEachQualifyingParent(const MachineNode* v, int top_level,
   }
 }
 
-const NodeDecision* TwigMachine::DecisionFor(int node_id) const {
-  if (cur_elem_ < 0 || decisions_ == nullptr) return nullptr;
-  return &decisions_->at(static_cast<size_t>(node_id),
-                         static_cast<size_t>(cur_elem_));
-}
-
 // hotpath
 bool TwigMachine::EntrySatisfiedNow(const MachineNode* v,
                                     const Entry& e) const {
@@ -264,8 +221,7 @@ void TwigMachine::EmitEarly(xml::NodeId id) {
   sink_->OnResult(MatchInfo{id, offset(), return_node});
   ++stats_.results;
   ++stats_.early_emitted;
-  stats_.NoteGap(0);
-  if (gap_hist_ != nullptr) gap_hist_->Observe(0);
+  NoteGap(0);
   if (instr_ != nullptr) {
     instr_->Trace(obs::TraceEvent::Kind::kEmit, return_node, -1, id, 0);
   }

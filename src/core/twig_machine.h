@@ -41,15 +41,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/decision_table.h"
-#include "core/level_bounds.h"
-#include "core/machine_builder.h"
-#include "core/machine_stats.h"
 #include "core/pooled_stack.h"
-#include "core/result_sink.h"
-#include "obs/instrumentation.h"
-#include "xml/sax_event.h"
-#include "xml/tag_interner.h"
+#include "core/streaming_machine.h"
 #include "xpath/query_tree.h"
 
 namespace twigm::core {
@@ -66,16 +59,13 @@ struct TwigMachineOptions {
 /// The TwigM machine. Feed it modified SAX events (via xml::EventDriver or
 /// directly); candidates and results are reported to the MatchObserver
 /// incrementally.
-class TwigMachine : public xml::StreamEventSink {
+class TwigMachine final : public StreamingMachine {
  public:
   /// Builds the machine for `query` (section 4.2 construction). `observer`
   /// must outlive the machine; not owned.
   static Result<std::unique_ptr<TwigMachine>> Create(
       const xpath::QueryTree& query, MatchObserver* observer,
       TwigMachineOptions options = TwigMachineOptions());
-
-  TwigMachine(const TwigMachine&) = delete;
-  TwigMachine& operator=(const TwigMachine&) = delete;
 
   // StreamEventSink:
   void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
@@ -84,34 +74,8 @@ class TwigMachine : public xml::StreamEventSink {
   void Text(std::string_view text, int level) override;
   void EndDocument() override;
 
-  /// Resolves every query label to a SymbolId in `interner` (interning on
-  /// first sight) and builds the per-symbol postings vectors used for
-  /// dispatch. Call once, with the interner of the parser that will feed
-  /// this machine, before streaming. `interner` must outlive the machine;
-  /// not owned. Events carrying symbols from any other interner would
-  /// dispatch incorrectly.
-  void BindInterner(xml::TagInterner* interner);
-
-  /// Clears all runtime state (stacks, emitted set) and statistics so the
-  /// machine can process another document. Pooled stack capacity and the
-  /// interner binding are retained.
-  void Reset();
-
-  /// Optional: attaches observability (metrics, per-node stack depth,
-  /// trace events, emit-stage timing). Null detaches; not owned.
-  void set_instrumentation(obs::Instrumentation* instr) {
-    if (instr != instr_) gap_hist_ = nullptr;
-    instr_ = instr;
-    if (instr_ != nullptr) {
-      instr_->EnsureNodeSlots(graph_.node_count());
-      RegisterGapHistogram();
-    }
-  }
-
-  /// Optional: source of the current stream byte offset (owned by the
-  /// XPathStreamProcessor, written by the parser before each event). Used
-  /// to stamp MatchInfo::byte_offset; null ⇒ offsets are 0.
-  void set_stream_offset(const uint64_t* offset) { stream_offset_ = offset; }
+  /// Also clears the emitted set. Pooled stack capacity is retained.
+  void Reset() override;
 
   /// Optional: anchors the machine's root to an external ancestor stack
   /// instead of the document root. When set, the root node pushes at level l
@@ -124,30 +88,7 @@ class TwigMachine : public xml::StreamEventSink {
     root_context_ = levels;
   }
 
-  /// Optional: per-node document-level windows from static analysis
-  /// (analysis::ComputeMachineLevelBounds); indexed by machine-node id.
-  /// Events outside a node's window skip its push entirely. The windows
-  /// must be conservative for the streamed documents (they are, for
-  /// documents valid w.r.t. the analyzed DTD). Empty = no pruning.
-  void set_level_bounds(LevelBounds bounds) { level_bounds_ = std::move(bounds); }
-
-  /// Optional: earliest-query-answering. `table` carries the static DTD
-  /// facts (analysis::CompileDecisionTable; may be null — the dynamic
-  /// certainty cascade alone still applies) and `mode` selects how the
-  /// machine acts on certainty (see EarlyDecisionMode). Call any time
-  /// before streaming; interacts with BindInterner in either order.
-  void set_decisions(std::shared_ptr<const DecisionTable> table,
-                     EarlyDecisionMode mode);
-
-  EarlyDecisionMode decision_mode() const { return decision_mode_; }
-  const DecisionTable* decisions() const { return decisions_.get(); }
-
-  const EngineStats& stats() const { return stats_; }
-  const MachineGraph& graph() const { return graph_; }
-
-  /// Total stack slots ever allocated across all machine nodes (pool
-  /// high-water mark). Exported as hotpath.pool_entries.
-  uint64_t pool_entries() const;
+  uint64_t pool_entries() const override;
 
  private:
   // One stack entry: <level, branch match, candidates> (+ text buffer for
@@ -172,6 +113,8 @@ class TwigMachine : public xml::StreamEventSink {
   TwigMachine(MachineGraph graph, MatchObserver* observer,
               TwigMachineOptions options);
 
+  void BuildPostings(size_t symbol_count) override;
+
   void UpdateMemoryStats();
 
   // δs for one machine node (the push attempt of Algorithm 1).
@@ -188,9 +131,6 @@ class TwigMachine : public xml::StreamEventSink {
   /// precisely because this set is identical at push time and pop time.
   template <typename Fn>
   void ForEachQualifyingParent(const MachineNode* v, int top_level, Fn&& fn);
-
-  /// Static facts for (node, current start tag); null when unknown.
-  const NodeDecision* DecisionFor(int node_id) const;
 
   /// True when every obligation of `e` is certain *now*: all required
   /// branch bits real or implied, and the value test certain.
@@ -215,32 +155,8 @@ class TwigMachine : public xml::StreamEventSink {
   /// Records the earliest-vs-actual gap for an emission happening now.
   void RecordGap(xml::NodeId id);
 
-  void RegisterGapHistogram();
-  void RebuildSymToElem();
-
-  /// Current stream offset, 0 without a source.
-  uint64_t offset() const {
-    return stream_offset_ != nullptr ? *stream_offset_ : 0;
-  }
-
-  MachineGraph graph_;
-  MatchObserver* sink_;
-  obs::Instrumentation* instr_ = nullptr;
-  const uint64_t* stream_offset_ = nullptr;
   const std::vector<int>* root_context_ = nullptr;
-  LevelBounds level_bounds_;
   TwigMachineOptions options_;
-  EngineStats stats_;
-
-  // Earliest-decision state. sym_to_elem_ maps event SymbolIds to the
-  // table's dense DTD element ids (-1 = no facts); cur_elem_ caches the
-  // mapping for the start tag being dispatched.
-  std::shared_ptr<const DecisionTable> decisions_;
-  EarlyDecisionMode decision_mode_ = EarlyDecisionMode::kOff;
-  xml::TagInterner* interner_ = nullptr;
-  std::vector<int32_t> sym_to_elem_;
-  int32_t cur_elem_ = -1;
-  obs::Histogram* gap_hist_ = nullptr;
 
   // stacks_[node->id] is ξ(v).
   std::vector<PooledStack<Entry>> stacks_;
@@ -270,7 +186,6 @@ class TwigMachine : public xml::StreamEventSink {
   // wildcard nodes alike. Symbols interned after binding (document tags
   // that are no query label) fall outside both vectors: δs tries only
   // wildcards, δe walks wildcard_nodes_ reversed.
-  bool bound_ = false;
   std::vector<std::vector<int>> start_postings_;
   std::vector<std::vector<int>> end_postings_;
 
@@ -300,8 +215,8 @@ class TwigMachine : public xml::StreamEventSink {
 };
 
 /// Merges sorted id vector `src` into sorted `dst` in place (no temporary),
-/// dropping duplicates. Exposed for reuse by BranchM and tests. Returns how
-/// many ids were added.
+/// dropping duplicates. Exposed for tests. Returns how many ids were
+/// added.
 size_t UnionSortedIds(const std::vector<xml::NodeId>& src,
                       std::vector<xml::NodeId>* dst);
 

@@ -85,23 +85,12 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
     tail.sink = std::make_unique<TailSink>(engine.get(), i);
     const std::vector<int>* context =
         plan.anchor >= 0 ? &engine->stacks_[plan.anchor] : nullptr;
-    if (plan.tail_kind == core::EngineKind::kBranchM) {
-      Result<std::unique_ptr<core::BranchMachine>> m =
-          core::BranchMachine::Create(tail_tree.value(), tail.sink.get());
-      if (!m.ok()) return m.status();
-      tail.branch = std::move(m).value();
-      tail.branch->set_root_context(context);
-      tail.branch->set_stream_offset(engine->offset_slot_);
-      tail.machine = tail.branch.get();
-    } else {
-      Result<std::unique_ptr<core::TwigMachine>> m = core::TwigMachine::Create(
-          tail_tree.value(), tail.sink.get(), options.twig);
-      if (!m.ok()) return m.status();
-      tail.twig = std::move(m).value();
-      tail.twig->set_root_context(context);
-      tail.twig->set_stream_offset(engine->offset_slot_);
-      tail.machine = tail.twig.get();
-    }
+    Result<std::unique_ptr<core::TwigMachine>> m = core::TwigMachine::Create(
+        tail_tree.value(), tail.sink.get(), options.twig);
+    if (!m.ok()) return m.status();
+    tail.machine = std::move(m).value();
+    tail.machine->set_root_context(context);
+    tail.machine->set_stream_offset(engine->offset_slot_);
     const int tail_index = static_cast<int>(engine->tails_.size());
     if (plan.anchor >= 0) {
       engine->tails_by_anchor_[plan.anchor].push_back(tail_index);
@@ -133,10 +122,7 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
   // byte-comparing) the whole root fan-out.
   engine->index_.BindInterner(interner);
   engine->interner_ = interner;
-  for (Tail& tail : engine->tails_) {
-    if (tail.twig != nullptr) tail.twig->BindInterner(interner);
-    if (tail.branch != nullptr) tail.branch->BindInterner(interner);
-  }
+  for (Tail& tail : engine->tails_) tail.machine->BindInterner(interner);
   engine->root_postings_.assign(interner->size(), {});
   for (int child : engine->index_.root_children()) {
     const StepTrieNode& c = engine->index_.nodes()[child];
@@ -180,7 +166,7 @@ void FilterEngine::Reset() {
   live_trie_entries_ = 0;
   for (Tail& tail : tails_) {
     tail.engaged = false;
-    tail.ResetMachine();
+    tail.machine->Reset();
   }
   engaged_.clear();
   total_results_ = 0;
@@ -390,7 +376,7 @@ void FilterEngine::OnEndDocument() {
 const core::MachineGraph* FilterEngine::tail_graph(size_t query_index) const {
   for (const Tail& tail : tails_) {
     if (tail.query_index != query_index) continue;
-    return tail.twig != nullptr ? &tail.twig->graph() : &tail.branch->graph();
+    return &tail.machine->graph();
   }
   return nullptr;
 }
@@ -399,11 +385,7 @@ void FilterEngine::set_tail_level_bounds(size_t query_index,
                                          core::LevelBounds bounds) {
   for (Tail& tail : tails_) {
     if (tail.query_index != query_index) continue;
-    if (tail.twig != nullptr) {
-      tail.twig->set_level_bounds(std::move(bounds));
-    } else {
-      tail.branch->set_level_bounds(std::move(bounds));
-    }
+    tail.machine->set_level_bounds(std::move(bounds));
     return;
   }
 }
@@ -418,13 +400,8 @@ void FilterEngine::set_tail_decisions(
     size_t query_index, std::shared_ptr<const core::DecisionTable> table) {
   for (Tail& tail : tails_) {
     if (tail.query_index != query_index) continue;
-    if (tail.twig != nullptr) {
-      tail.twig->set_decisions(std::move(table),
-                               options_.enable_early_decisions);
-    } else {
-      tail.branch->set_decisions(std::move(table),
-                                 options_.enable_early_decisions);
-    }
+    tail.machine->set_decisions(std::move(table),
+                                options_.enable_early_decisions);
     return;
   }
 }
@@ -480,9 +457,7 @@ void FilterEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
   export_->hotpath_interner_symbols->Set(
       parser_ != nullptr ? parser_->interner()->size() : 0);
   uint64_t pool = 0;
-  for (const Tail& tail : tails_) {
-    if (tail.twig != nullptr) pool += tail.twig->pool_entries();
-  }
+  for (const Tail& tail : tails_) pool += tail.machine->pool_entries();
   export_->hotpath_pool_entries->Set(pool);
 }
 

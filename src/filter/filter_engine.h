@@ -12,7 +12,7 @@
 // (query, id) immediately — linear queries keep the earliest-emission
 // property of PathM. On endElement, stacks whose top carries the closing
 // level pop. Queries with predicates demultiplex at their anchor node into
-// a per-query BranchM/TwigM tail machine whose root is attached to the
+// a per-query TwigM tail machine whose root is attached to the
 // anchor's stack (set_root_context); a tail only receives events while it
 // is *engaged* — its anchor stack is non-empty or it still holds live
 // entries — so dormant subscriptions cost nothing per event.
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/branch_machine.h"
 #include "core/evaluator.h"
 #include "core/multi_query.h"
 #include "core/twig_machine.h"
@@ -52,8 +51,9 @@ namespace twigm::filter {
 class FilterEngine {
  public:
   /// Compiles the index and tail machines. `sink` must outlive the engine;
-  /// not owned. `options.engine` is ignored (the plan picks per-query
-  /// machinery); `options.twig` and `options.sax` apply.
+  /// not owned. `options.engine` is ignored (linear queries run in the
+  /// trie, predicate tails on TwigM); `options.twig` and `options.sax`
+  /// apply.
   static Result<std::unique_ptr<FilterEngine>> Create(
       const std::vector<std::string>& queries,
       core::MultiQueryResultSink* sink,
@@ -186,17 +186,10 @@ class FilterEngine {
     int anchor = -1;  // -1: unshared, always receives events
     bool engaged = false;
     std::unique_ptr<TailSink> sink;
-    std::unique_ptr<core::TwigMachine> twig;
-    std::unique_ptr<core::BranchMachine> branch;
-    xml::StreamEventSink* machine = nullptr;
+    std::unique_ptr<core::TwigMachine> machine;
 
     uint64_t live_entries() const {
-      return twig != nullptr ? twig->stats().live_stack_entries
-                             : branch->stats().live_stack_entries;
-    }
-    void ResetMachine() {
-      if (twig != nullptr) twig->Reset();
-      if (branch != nullptr) branch->Reset();
+      return machine->stats().live_stack_entries;
     }
   };
 

@@ -111,10 +111,6 @@ Result<FilterIndex> FilterIndex::Build(
       plan.anchor = node;
       plan.trunk_steps = static_cast<int>(trunk);
       plan.tail = xpath::QueryTree::RenderSubquery(spine[trunk]);
-      plan.tail_kind = !tree.value().has_descendant_axis() &&
-                               !tree.value().has_wildcard()
-                           ? core::EngineKind::kBranchM
-                           : core::EngineKind::kTwigM;
       index.stats_.total_steps += trunk;
       if (node >= 0) {
         ++index.stats_.tail_query_count;

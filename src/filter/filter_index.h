@@ -11,9 +11,8 @@
 // filtering workload) are absorbed entirely: their last step becomes an
 // *accepting* node carrying the query ids to notify. Queries with predicates
 // share their trunk and record a QueryPlan naming the trie node their tail
-// machine anchors to; FilterEngine builds the tail machines (BranchM/TwigM
-// via the existing machine construction) and attaches them with
-// set_root_context. A query whose very first step already carries a
+// machine anchors to; FilterEngine builds the TwigM tail machines (via the
+// existing machine construction) and attaches them with set_root_context. A query whose very first step already carries a
 // predicate has no trunk (anchor = -1) and degenerates to the product
 // construction for that one query.
 
@@ -25,7 +24,6 @@
 
 #include "common/status.h"
 #include "core/edge.h"
-#include "core/evaluator.h"
 #include "filter/filter_stats.h"
 #include "xml/sax_event.h"
 #include "xml/tag_interner.h"
@@ -62,10 +60,6 @@ struct QueryPlan {
   /// keeps the original axis into the tail root, evaluated against the
   /// anchor node's stack.
   std::string tail;
-  /// Machine kind for the tail: kBranchM when the whole query is child-only
-  /// and wildcard-free (so the anchor stack holds at most one level),
-  /// kTwigM otherwise.
-  core::EngineKind tail_kind = core::EngineKind::kTwigM;
 };
 
 /// The compiled index: trie + per-query plans. Structurally immutable once

@@ -90,7 +90,7 @@ class SaxHandler {
 /// Node identifier: position in document order (pre-order), starting at 1.
 using NodeId = uint64_t;
 
-/// The paper's modified SAX event stream. Machines (PathM/BranchM/TwigM) and
+/// The paper's modified SAX event stream. Machines (PathM/TwigM) and
 /// baselines implement this interface.
 class StreamEventSink {
  public:

@@ -105,6 +105,7 @@ void SaxParser::Reset() {
   tag_quote_ = kNoQuote;
   doctype_scanned_ = 0;
   doctype_depth_ = 0;
+  doctype_literal_ = 0;
   tag_values_.clear();
   encoding_ = Encoding::kUnknown;
   sniff_len_ = 0;
@@ -430,6 +431,7 @@ Status SaxParser::ClassifyDeclaration() {
     kind = Construct::kDoctype;
     doctype_scanned_ = kDoctypeOpen.size();
     doctype_depth_ = 0;
+    doctype_literal_ = 0;
   } else if (avail < kDoctypeOpen.size() && kDoctypeOpen.starts_with(view)) {
     return Status::Ok();
   } else if (avail >= kCdataOpen.size()) {
@@ -552,11 +554,37 @@ size_t SaxParser::WalkDoctype() {
   const char* b = buffer_.data();
   const size_t size = buffer_.size();
   int depth = doctype_depth_;
+  char literal = doctype_literal_;
   size_t i = pos_ + doctype_scanned_;
+  // A construct opener or closer split by the chunk end is re-read once
+  // the next chunk arrives: the scan stops in front of it.
+  const auto buffered = [&](size_t n) { return i + n < size; };
   for (; i < size; ++i) {
     const char c = b[i];
     if (c == '\0') break;  // the NUL wall
-    if (c == '[') {
+    if (literal != 0) {
+      if (c != literal) continue;
+      if (literal == '-' || literal == '?') {
+        // A comment ends at "-->", a PI at "?>".
+        const size_t n = literal == '-' ? 2 : 1;
+        if (!buffered(n)) break;
+        if (b[i + n] != '>' || (n == 2 && b[i + 1] != '-')) continue;
+        i += n;
+      }
+      literal = 0;
+    } else if (c == '"' || c == '\'') {
+      literal = c;
+    } else if (c == '<' && depth > 0) {
+      // Comments and PIs of the internal subset may hold any byte.
+      if (!buffered(3)) break;
+      if (b[i + 1] == '?') {
+        literal = '?';
+        ++i;
+      } else if (b[i + 1] == '!' && b[i + 2] == '-' && b[i + 3] == '-') {
+        literal = '-';
+        i += 3;
+      }
+    } else if (c == '[') {
       ++depth;
     } else if (c == ']') {
       --depth;
@@ -572,6 +600,7 @@ size_t SaxParser::WalkDoctype() {
   }
   doctype_scanned_ = i - pos_;
   doctype_depth_ = depth;
+  doctype_literal_ = literal;
   return StructuralIndex::npos;
 }
 

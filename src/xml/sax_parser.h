@@ -275,11 +275,15 @@ class SaxParser {
   // kNoQuote between values.
   static constexpr uint8_t kNoQuote = 0xFF;
   uint8_t tag_quote_ = kNoQuote;
-  // kDoctype: bytes already scanned (offset from pos_) and the '[' ']'
-  // nesting depth there. DOCTYPE brackets are not marks, so this walk is
-  // over bytes; keeping its offset makes it linear across chunks too.
+  // kDoctype: bytes already scanned (offset from pos_), the '[' ']'
+  // nesting depth there, and the literal the scan is inside: the open
+  // quote ('"' or '\''), '-' inside a "<!-- -->" comment, '?' inside a
+  // "<? ?>" PI, or 0 outside any (brackets and '>' inside a literal are
+  // not structure). DOCTYPE brackets are not marks, so this walk is over
+  // bytes; keeping its offset makes it linear across chunks too.
   size_t doctype_scanned_ = 0;
   int doctype_depth_ = 0;
+  char doctype_literal_ = 0;
   // kStartTag: the quoted values passed so far, as offsets from pos_, with
   // whether each holds a '<' (an error) or an '&' (needs decoding). The
   // attribute parser takes them in order instead of re-walking the marks.

@@ -336,6 +336,11 @@ TEST(ConformanceSplit, ErrorsAreChunkInvariantToo) {
       "<a>&bogus;</a>",       // unknown entity
       "<a><b x=y></b></a>",   // unquoted attribute
       "<a/><b/>",             // multiple roots
+      // An unclosed DOCTYPE literal swallows the rest of the input.
+      "<!DOCTYPE a [ <!ENTITY e \"]> ]><a/>",
+      "<!DOCTYPE a SYSTEM 'x><a/>",
+      "<!DOCTYPE a [ <!-- ]><a/>",
+      "<!DOCTYPE a [ <?pi ]><a/>",
   };
   for (const char* doc : corpus) {
     const ParseOutcome whole = Parse(doc);
@@ -345,6 +350,58 @@ TEST(ConformanceSplit, ErrorsAreChunkInvariantToo) {
       EXPECT_EQ(split.status.message(), whole.status.message())
           << doc << " chunk=" << chunk;
       EXPECT_EQ(split.trace, whole.trace) << doc << " chunk=" << chunk;
+    }
+  }
+}
+
+// --- DOCTYPE literals --------------------------------------------------------
+
+// Parses `doc` as two chunks split at byte `at`.
+ParseOutcome ParseSplitAt(std::string_view doc, size_t at) {
+  OffsetTraceHandler handler;
+  SaxParser parser(&handler);
+  parser.set_offset_slot(handler.offset_slot());
+  ParseOutcome out;
+  out.status = parser.Consume({doc.substr(0, at), false});
+  if (out.status.ok()) out.status = parser.Consume({doc.substr(at), true});
+  out.trace = handler.trace();
+  return out;
+}
+
+TEST(ConformanceDoctype, LiteralsHideBracketsAndGt) {
+  // '[', ']' and '>' inside a quoted literal, a comment or a PI are not
+  // DOCTYPE structure: the declaration ends at the real '>', so the root
+  // starts right after it — whole, at every two-chunk split point, and at
+  // small chunk sizes.
+  const char* corpus[] = {
+      "<!DOCTYPE a [ <!ENTITY e \"[\"> ]><a/>",
+      "<!DOCTYPE a [ <!ENTITY e ']'> ]><a/>",
+      "<!DOCTYPE a [ <!ENTITY e \"x>y]>\"> ]><a/>",
+      "<!DOCTYPE a [ <!ENTITY e '\"[>'> <!ENTITY f \"'>]\"> ]><a/>",
+      "<!DOCTYPE a SYSTEM \"x>y[.dtd\"><a/>",
+      "<!DOCTYPE a PUBLIC 'p]>' 's>'><a/>",
+      "<!DOCTYPE a [ <!-- ] > [ ' \" - -- --> <!ELEMENT a ANY> ]><a/>",
+      "<!DOCTYPE a [ <!----> <!---]>--> ]><a/>",
+      "<!DOCTYPE a [ <?pi ] > ' \" ? ?> <!ATTLIST a x CDATA \"[\"> ]><a/>",
+  };
+  for (const char* doc : corpus) {
+    const std::string_view view(doc);
+    const std::string expected =
+        "@0D+ @" + std::to_string(view.rfind("<a/>")) + "<a @" +
+        std::to_string(view.rfind("<a/>")) + "</a> @" +
+        std::to_string(view.size()) + "D- ";
+    const ParseOutcome whole = Parse(doc);
+    ASSERT_TRUE(whole.status.ok()) << doc << ": " << whole.status.message();
+    EXPECT_EQ(whole.trace, expected) << doc;
+    for (size_t at = 0; at <= view.size(); ++at) {
+      const ParseOutcome split = ParseSplitAt(doc, at);
+      EXPECT_TRUE(split.status.ok()) << doc << " at=" << at;
+      EXPECT_EQ(split.trace, expected) << doc << " at=" << at;
+    }
+    for (size_t chunk = 1; chunk <= 7; ++chunk) {
+      const ParseOutcome split = Parse(doc, chunk);
+      EXPECT_TRUE(split.status.ok()) << doc << " chunk=" << chunk;
+      EXPECT_EQ(split.trace, expected) << doc << " chunk=" << chunk;
     }
   }
 }

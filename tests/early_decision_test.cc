@@ -41,7 +41,8 @@ using core::MatchInfo;
 
 // Predicate-heavy Book queries: every class of static fact fires on at
 // least one of them (implied branches, attribute tests, value tests,
-// useless-subtree pruning, wildcard binding).
+// useless-subtree pruning, wildcard binding). The last one is child-only
+// (the paper's XP{/,[]} class): a '/' trunk with a predicate tail.
 const char* const kQueries[] = {
     "//section[title]/figure",
     "//section[@id]//figure",
@@ -51,6 +52,7 @@ const char* const kQueries[] = {
     "//section[figure[image]][@id]//section[p]/title",
     "//book[author]//section[title]",
     "//section[p][figure]/title",
+    "/book/section[figure]/section[title]/p",
 };
 
 std::string BookDtdText() {
@@ -262,6 +264,8 @@ TEST(EarlyDecisionDifferential, FilterEngineMatchesProduct) {
   queries.push_back("//book[author][author]//p");   // implied duplicate
   queries.push_back("//figure/image");
   queries.push_back("//book/title");
+  // Child-only trunk /collection/book anchoring a predicate tail.
+  queries.push_back("/collection/book/section[figure]/title");
 
   const analysis::DtdStructure& dtds = BookStructure();
   for (uint64_t seed = 1; seed <= 20; ++seed) {

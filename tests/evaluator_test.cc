@@ -26,11 +26,14 @@ TEST(EvaluatorTest, AutoSelectsPathMForLinearQueries) {
   EXPECT_EQ(proc.value()->engine_kind(), EngineKind::kPathM);
 }
 
-TEST(EvaluatorTest, AutoSelectsBranchMForChildOnlyPredicates) {
+TEST(EvaluatorTest, AutoSelectsTwigMForChildOnlyPredicates) {
+  // XP{/,[]} (the paper's BranchM class, section 3.2) runs on TwigM: with
+  // only '/' edges each TwigM stack holds at most one live entry, which is
+  // exactly BranchM's single state.
   VectorResultSink sink;
   auto proc = XPathStreamProcessor::Create("/a/b[c]", &sink);
   ASSERT_TRUE(proc.ok());
-  EXPECT_EQ(proc.value()->engine_kind(), EngineKind::kBranchM);
+  EXPECT_EQ(proc.value()->engine_kind(), EngineKind::kTwigM);
 }
 
 TEST(EvaluatorTest, AutoSelectsTwigMForTheRest) {
@@ -57,7 +60,7 @@ TEST(EvaluatorTest, AllEnginesAgreeWhereApplicable) {
       "<a><b><c/></b><b><c/><d/></b></a>";  // a=1 b=2 c=3 b=4 c=5 d=6
   EXPECT_EQ(MustEvaluate("//a//c", doc, EngineKind::kPathM),
             MustEvaluate("//a//c", doc, EngineKind::kTwigM));
-  EXPECT_EQ(MustEvaluate("/a/b[d]/c", doc, EngineKind::kBranchM),
+  EXPECT_EQ(MustEvaluate("/a/b[d]/c", doc, EngineKind::kAuto),
             MustEvaluate("/a/b[d]/c", doc, EngineKind::kTwigM));
 }
 
@@ -141,7 +144,6 @@ TEST(EvaluatorTest, NullSinkRejected) {
 TEST(EvaluatorTest, EngineKindNames) {
   EXPECT_STREQ(EngineKindToString(EngineKind::kAuto), "auto");
   EXPECT_STREQ(EngineKindToString(EngineKind::kPathM), "PathM");
-  EXPECT_STREQ(EngineKindToString(EngineKind::kBranchM), "BranchM");
   EXPECT_STREQ(EngineKindToString(EngineKind::kTwigM), "TwigM");
 }
 

@@ -80,16 +80,20 @@ TEST(FilterIndexTest, PlansClassifyQueries) {
   // //a/b[c]/d shares trunk //a, tail rooted at b.
   EXPECT_FALSE(engine.value()->plan(1).linear);
   EXPECT_EQ(engine.value()->plan(1).trunk_steps, 1);
-  EXPECT_EQ(engine.value()->plan(1).tail_kind, EngineKind::kTwigM);
-  // Child-only, wildcard-free: BranchM tail.
+  EXPECT_NE(engine.value()->tail_graph(1), nullptr);
+  // Child-only, wildcard-free: a TwigM tail like every other predicate
+  // query, anchored below the /a trunk.
+  EXPECT_FALSE(engine.value()->plan(2).linear);
   EXPECT_EQ(engine.value()->plan(2).trunk_steps, 1);
-  EXPECT_EQ(engine.value()->plan(2).tail_kind, EngineKind::kBranchM);
+  EXPECT_NE(engine.value()->tail_graph(2), nullptr);
   // Predicate on the first step: no trunk.
   EXPECT_EQ(engine.value()->plan(3).trunk_steps, 0);
   EXPECT_EQ(engine.value()->plan(3).anchor, -1);
   // Wildcard tail root still shares the //a trunk.
   EXPECT_EQ(engine.value()->plan(4).trunk_steps, 1);
-  EXPECT_EQ(engine.value()->plan(4).tail_kind, EngineKind::kTwigM);
+  EXPECT_NE(engine.value()->tail_graph(4), nullptr);
+  // Linear queries run entirely in the trie: no tail machine.
+  EXPECT_EQ(engine.value()->tail_graph(0), nullptr);
 }
 
 TEST(FilterEngineTest, DuplicateQueriesEachGetResults) {
@@ -283,6 +287,11 @@ TEST(FilterEngineDifferentialTest, MatchesIndependentProcessorsAndProduct) {
         queries.push_back(RandomQuery(&rng));
       }
     }
+    // Every set also holds one child-only query whose predicate tail
+    // anchors below a '/'-only trunk (the paper's XP{/,[]} class).
+    static const char* const kChildOnly[] = {
+        "/a/b[c]", "/a/b/c[d]/e", "/a/d[b][c]", "/a/c[@x]/d", "/a/b[c/d][e]"};
+    queries.push_back(kChildOnly[trial % 5]);
 
     const auto filtered = RunFilter(queries, doc);
 

@@ -66,7 +66,7 @@ TEST(MultiQueryTest, EnginesPickedPerQuery) {
       {"//a//b", "/a/b[c]", "//a[b]//c"}, &sink);
   ASSERT_TRUE(proc.ok());
   EXPECT_EQ(proc.value()->engine_kind(0), EngineKind::kPathM);
-  EXPECT_EQ(proc.value()->engine_kind(1), EngineKind::kBranchM);
+  EXPECT_EQ(proc.value()->engine_kind(1), EngineKind::kTwigM);
   EXPECT_EQ(proc.value()->engine_kind(2), EngineKind::kTwigM);
 }
 

@@ -201,9 +201,9 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(std::string("//a//c"),
                         static_cast<int>(EngineKind::kTwigM)),
         std::make_tuple(std::string("/a/b"),
-                        static_cast<int>(EngineKind::kBranchM)),
+                        static_cast<int>(EngineKind::kTwigM)),
         std::make_tuple(std::string("/a/b[c]"),
-                        static_cast<int>(EngineKind::kBranchM)),
+                        static_cast<int>(EngineKind::kTwigM)),
         std::make_tuple(std::string("/a/b[c][d]"),
                         static_cast<int>(EngineKind::kTwigM)),
         std::make_tuple(std::string("//a[b/c]//c"),

@@ -35,7 +35,7 @@ const char* const kNames[] = {"book",    "title", "author", "section",
 std::string RandomStep(Rng* rng) {
   std::string out =
       rng->Chance(0.12) ? "*" : kNames[rng->Below(std::size(kNames))];
-  // Occasional predicate tails exercise the BranchM/TwigM demux path.
+  // Occasional predicate tails exercise the TwigM tail demux path.
   if (rng->Chance(0.25)) {
     out += "[";
     if (rng->Chance(0.3)) out += "//";

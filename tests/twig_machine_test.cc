@@ -299,5 +299,66 @@ TEST(TwigMachineTest, ResultsEmittedIncrementally) {
   EXPECT_EQ(MustEvaluate("//r[x]//c", doc), Ids({4, 6}));
 }
 
+// XP{/,[]} — child axes and predicates, no '//' or '*' — is the query class
+// of the paper's single-state BranchM (section 3.2). TwigM evaluates it
+// directly: with only '/' edges each stack holds at most one live entry.
+// Each case runs forced onto TwigM and under kAuto (which sends the linear
+// ones to PathM).
+void ExpectChildOnly(const std::string& query, const std::string& doc,
+                     const std::vector<xml::NodeId>& expected) {
+  EXPECT_EQ(MustEvaluate(query, doc, EngineKind::kTwigM), expected) << query;
+  EXPECT_EQ(MustEvaluate(query, doc, EngineKind::kAuto), expected) << query;
+}
+
+TEST(ChildOnlyPredicateTest, ChildOnlyPredicates) {
+  const std::string doc =
+      "<a><b><d/></b><b/><c/></a>";  // a=1 b=2 d=3 b=4 c=5
+  ExpectChildOnly("/a/b[d]", doc, Ids({2}));
+  ExpectChildOnly("/a[c]/b", doc, Ids({2, 4}));
+  ExpectChildOnly("/a[b][c]", doc, Ids({1}));
+  ExpectChildOnly("/a[x]/b", doc, Ids({}));
+}
+
+TEST(ChildOnlyPredicateTest, PaperFigure3Example) {
+  // Q3 ≈ /a[d]/b[e]/c: candidate c buffered until both predicates resolve.
+  const std::string doc =
+      "<a><b><c/><e/></b><d/></a>";  // a=1 b=2 c=3 e=4 d=5
+  ExpectChildOnly("/a[d]/b[e]/c", doc, Ids({3}));
+  ExpectChildOnly("/a[d]/b[x]/c", doc, Ids({}));
+}
+
+TEST(ChildOnlyPredicateTest, SiblingCandidatesAccumulate) {
+  const std::string doc =
+      "<a><b><c/><c/></b><b><c/></b><d/></a>";  // c ids 3,4,6
+  ExpectChildOnly("/a[d]/b/c", doc, Ids({3, 4, 6}));
+}
+
+TEST(ChildOnlyPredicateTest, AttributeAndValueTests) {
+  const std::string doc =
+      "<a><b id=\"1\"><t>x</t></b><b><t>y</t></b></a>";  // a=1 b=2 t=3 b=4 t=5
+  ExpectChildOnly("/a/b[@id]", doc, Ids({2}));
+  ExpectChildOnly("/a/b[t=\"y\"]", doc, Ids({4}));
+  ExpectChildOnly("/a/b[.!=\"\"]", doc, Ids({}));  // b has no direct text
+}
+
+TEST(ChildOnlyPredicateTest, NestedPredicates) {
+  const std::string doc = "<a><b><c><d/></c></b><b><c/></b></a>";
+  ExpectChildOnly("/a/b[c[d]]", doc, Ids({2}));
+}
+
+TEST(ChildOnlyPredicateTest, RepeatedTagAtDifferentLevels) {
+  // The same tag appears at several query depths.
+  const std::string doc = "<a><a><a/></a></a>";
+  ExpectChildOnly("/a/a/a", doc, Ids({3}));
+  ExpectChildOnly("/a/a[a]", doc, Ids({2}));
+}
+
+TEST(ChildOnlyPredicateTest, StateResetBetweenSiblings) {
+  // The first b satisfies [d]; the second must not inherit its match.
+  const std::string doc = "<a><b><d/><c/></b><b><c/></b></a>";
+  // ids: a=1 b=2 d=3 c=4 b=5 c=6
+  ExpectChildOnly("/a/b[d]/c", doc, Ids({4}));
+}
+
 }  // namespace
 }  // namespace twigm
