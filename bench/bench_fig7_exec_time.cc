@@ -70,8 +70,10 @@ void RunCell(benchmark::State& state, const DatasetRef& dataset,
 
 // ---------------------------------------------------------------------------
 // Instrumentation-overhead pair. Three variants stream the same Book query:
-//   handwired  — parser -> driver -> TwigMachine, no processor wrapper (the
-//                shape the engine had before the observability layer);
+//   handwired  — parser -> driver -> TwigMachine bound to the parser's
+//                interner, no processor wrapper (the shape the engine had
+//                before the observability layer, on the same symbol
+//                dispatch every processor runs);
 //   obs_off    — XPathStreamProcessor with instrumentation == nullptr;
 //   obs_on     — processor with a live Instrumentation (for reference only).
 // scripts/check_obs_overhead.py compares obs_off against handwired and fails
@@ -108,6 +110,7 @@ void BM_OverheadHandwired(benchmark::State& state) {
     }
     xml::EventDriver driver(machine.value().get());
     xml::SaxParser parser(&driver);
+    machine.value()->BindInterner(parser.interner());
     Stopwatch sw;
     Status s = parser.Consume({doc, false});
     if (s.ok()) s = parser.Consume({std::string_view(), true});

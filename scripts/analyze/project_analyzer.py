@@ -44,10 +44,9 @@ Checks (`--list-checks` prints this table):
   symbol-compare   Tag comparisons in machine transition functions
                    (StartElement/EndElement/TryStartNode/CloseNode/... in
                    src/core and src/filter) must use interned SymbolId
-                   equality, not string equality on tag.text/.label —
-                   unless the comparison is on a code path that already
-                   tested symbol availability (tag.symbol == kNoSymbol
-                   fallback paths are legal and required).
+                   equality: every string equality on tag.text/.label
+                   there is a finding. Machines dispatch on symbols only;
+                   there is no byte-comparing fallback path to exempt.
   atomic-order     Every std::atomic load/store/RMW/compare-exchange must
                    pass an explicit std::memory_order, and declared atomic
                    variables must not be touched through implicitly-seq_cst
@@ -625,22 +624,19 @@ def always_exits(stmts):
     return False
 
 
-def walk(stmts, dom, seen, visit):
+def walk(stmts, dom, visit):
     """Depth-first walk carrying dominating conditions.
 
     dom:  list of (condition-text, negated) dominating the current point.
-    seen: list of every condition text encountered so far on the walk
-          (used for the lenient symbol-compare context test).
     """
     extra = []
     for s in stmts:
         here = dom + extra
-        visit(s, here, seen)
+        visit(s, here)
         if s.kind == "if":
             c = cond_text(s)
-            seen.append(c)
-            walk(s.children, here + [(c, False)], seen, visit)
-            walk(s.orelse, here + [(c, True)], seen, visit)
+            walk(s.children, here + [(c, False)], visit)
+            walk(s.orelse, here + [(c, True)], visit)
             if not s.orelse and always_exits(s.children):
                 extra = extra + [(c, True)]
             elif s.orelse and always_exits(s.orelse) \
@@ -648,12 +644,9 @@ def walk(stmts, dom, seen, visit):
                 extra = extra + [(c, False)]
         elif s.kind == "loop":
             c = cond_text(s)
-            if c:
-                seen.append(c)
-            walk(s.children, here + ([(c, False)] if c else []), seen,
-                 visit)
+            walk(s.children, here + ([(c, False)] if c else []), visit)
         elif s.kind == "block":
-            walk(s.children, here, seen, visit)
+            walk(s.children, here, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +672,7 @@ EVENT_FNS = {"StartElement", "EndElement", "Text", "EndDocument",
 TRANSITION_FNS = {"StartElement", "EndElement", "Text", "OnStartElement",
                   "OnEndElement", "OnText", "TryStartNode",
                   "TryStartPosition", "PopNode", "PopPosition", "CloseNode",
-                  "ConsiderChild", "MatchesTag"}
+                  "ConsiderChild"}
 INSTR_IDENTS = ("instr", "instr_", "instrumentation_")
 
 ATOMIC_OPS = {"load", "store", "exchange", "fetch_add", "fetch_sub",
@@ -1023,13 +1016,13 @@ class Analyzer:
     def _hotpath(self, fa, fn, body):
         where = f"`// hotpath` function {fn.qualname}"
 
-        def visit(s, dom, seen):
+        def visit(s, dom):
             if s.kind == "simple":
                 self._alloc_scan(fa, s.tokens, where)
             elif s.kind in ("if", "loop"):
                 self._alloc_scan(fa, s.cond, where)
 
-        walk(body, [], [], visit)
+        walk(body, [], visit)
 
     @staticmethod
     def _null_guard_in(text, ident, want_nonnull):
@@ -1057,7 +1050,7 @@ class Analyzer:
                     return True
             return False
 
-        def visit(s, dom, seen):
+        def visit(s, dom):
             texts = []
             if s.kind == "simple":
                 texts.append(stmt_text(s))
@@ -1073,10 +1066,10 @@ class Analyzer:
                             f"`{ident} != nullptr` branch (instrumentation "
                             "is optional on every hot path)")
 
-        walk(body, [], [], visit)
+        walk(body, [], visit)
 
     def _sv_string(self, fa, fn, body):
-        def visit(s, dom, seen):
+        def visit(s, dom):
             tokens = s.tokens if s.kind == "simple" else s.cond
             for k, t in enumerate(tokens):
                 if t.kind == "id" and t.text == "string" and k > 0 \
@@ -1106,31 +1099,24 @@ class Analyzer:
                             "keep the view or assign into a pooled "
                             "buffer")
 
-        walk(body, [], [], visit)
+        walk(body, [], visit)
 
     CMP_RE = re.compile(
         r"(==|!=)\s*(\w+\s*\.\s*)?(text|label)\b|"
         r"\b(tag\s*\.\s*text|\w+\s*\.\s*label)\s*(==|!=)")
 
     def _symbol_compare(self, fa, fn, body):
-        def visit(s, dom, seen):
+        def visit(s, dom):
             text = stmt_text(s) if s.kind == "simple" else cond_text(s)
-            if not text:
-                return
-            m = self.CMP_RE.search(text)
-            if not m:
-                return
-            hay = [text] + [c for c, _ in dom] + list(seen)
-            if any("symbol" in h.lower() for h in hay):
+            if not text or not self.CMP_RE.search(text):
                 return
             self.report(
                 fa.display, s.line, "symbol-compare",
                 f"string equality on tag text in transition function "
-                f"{fn.qualname} with no symbol-availability test on the "
-                "path; compare interned SymbolIds (one integer compare) "
-                "and fall back to bytes only when tag.symbol == kNoSymbol")
+                f"{fn.qualname}; compare interned SymbolIds (one integer "
+                "compare) — machines have no byte-comparing path")
 
-        walk(body, [], [], visit)
+        walk(body, [], visit)
 
 
 # ---------------------------------------------------------------------------

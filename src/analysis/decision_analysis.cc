@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/evaluator.h"
-#include "core/multi_query.h"
 #include "core/value_test.h"
 #include "dtd/dtd_model.h"
 
@@ -274,35 +273,22 @@ class Compiler {
 }  // namespace
 
 core::DecisionTable CompileDecisionTable(const core::MachineGraph& graph,
-                                         const DtdStructure& dtd,
-                                         const DecisionCompileOptions& options) {
+                                         const DtdStructure& dtd) {
   std::vector<std::string> names;
   names.reserve(dtd.element_count());
   for (size_t e = 0; e < dtd.element_count(); ++e) {
     names.push_back(dtd.info(static_cast<int>(e)).name);
   }
   core::DecisionTable table(graph.node_count(), std::move(names));
-  if (!options.assume_valid) return table;  // zero facts: dynamic-only mode
   Compiler compiler(graph, dtd);
   compiler.Fill(&table);
   return table;
 }
 
 void EnableEarlyDecisions(core::XPathStreamProcessor* processor,
-                          const DtdStructure& dtd,
-                          const DecisionCompileOptions& options) {
+                          const DtdStructure& dtd) {
   processor->InstallDecisionTable(std::make_shared<core::DecisionTable>(
-      CompileDecisionTable(processor->machine_graph(), dtd, options)));
-}
-
-void EnableEarlyDecisions(core::MultiQueryProcessor* processor,
-                          const DtdStructure& dtd,
-                          const DecisionCompileOptions& options) {
-  for (size_t q = 0; q < processor->query_count(); ++q) {
-    processor->set_decision_table(
-        q, std::make_shared<core::DecisionTable>(
-               CompileDecisionTable(processor->graph(q), dtd, options)));
-  }
+      CompileDecisionTable(processor->machine_graph(), dtd)));
 }
 
 }  // namespace twigm::analysis

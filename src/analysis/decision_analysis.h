@@ -21,9 +21,10 @@
 //     v would exist only to be discarded.
 //
 // Facts trust the DTD exactly as level bounds do: sound on valid
-// documents, advisory otherwise. `assume_valid = false` compiles a
-// zero-fact table — machines then fall back to the purely dynamic
-// certainty cascade, which is exact on any well-formed input.
+// documents, advisory otherwise. Where validity cannot be assumed, install
+// no table (InstallDecisionTable(nullptr)) under kOn/kObserve: machines
+// then run the purely dynamic certainty cascade, which is exact on any
+// well-formed input.
 
 #ifndef TWIGM_ANALYSIS_DECISION_ANALYSIS_H_
 #define TWIGM_ANALYSIS_DECISION_ANALYSIS_H_
@@ -34,36 +35,21 @@
 
 namespace twigm::core {
 class XPathStreamProcessor;
-class MultiQueryProcessor;
 }  // namespace twigm::core
 
 namespace twigm::analysis {
 
-struct DecisionCompileOptions {
-  /// Trust the DTD: derive implied/refuted/useless facts that hold on every
-  /// valid document. False compiles an empty table (no static facts), which
-  /// keeps early-decision modes exact on arbitrary well-formed documents.
-  bool assume_valid = true;
-};
-
 /// Compiles the per-(machine-node, element) decision table for `graph`
 /// against `dtd`. The table indexes elements by the DtdStructure's dense
 /// ids; machines map tag symbols onto them via the table's element names.
-core::DecisionTable CompileDecisionTable(
-    const core::MachineGraph& graph, const DtdStructure& dtd,
-    const DecisionCompileOptions& options = {});
+core::DecisionTable CompileDecisionTable(const core::MachineGraph& graph,
+                                         const DtdStructure& dtd);
 
 /// Compiles a table for `processor`'s machine graph and installs it. The
 /// machine runs in the mode chosen by the processor's
 /// EvaluatorOptions::enable_early_decisions.
 void EnableEarlyDecisions(core::XPathStreamProcessor* processor,
-                          const DtdStructure& dtd,
-                          const DecisionCompileOptions& options = {});
-
-/// Per-query variant: compiles and installs one table per compiled query.
-void EnableEarlyDecisions(core::MultiQueryProcessor* processor,
-                          const DtdStructure& dtd,
-                          const DecisionCompileOptions& options = {});
+                          const DtdStructure& dtd);
 
 }  // namespace twigm::analysis
 

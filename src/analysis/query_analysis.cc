@@ -358,7 +358,7 @@ QueryAnalysis AnalyzeQuery(const QueryTree& query,
                            const AnalyzerOptions& options) {
   QueryAnalysis out;
   std::unique_ptr<QueryNode> root = CloneNode(query.root(), nullptr);
-  if (options.minimize) out.branches_removed = MinimizeNode(root.get());
+  out.branches_removed = MinimizeNode(root.get());
   CanonicalSort(root.get());
   out.minimized = QueryTree::RenderSubquery(root.get());
   if (options.dtd != nullptr) {
@@ -399,7 +399,6 @@ Result<QuerySetAnalysis> AnalyzeQuerySet(
       ++out.unsatisfiable;
       continue;
     }
-    if (!options.detect_equivalent) continue;
 
     auto [canon_it, inserted] = canon_to_rep.emplace(a.minimized, i);
     if (!inserted) {

@@ -45,11 +45,6 @@ struct AnalyzerOptions {
   /// DTD summary; null skips satisfiability and level-bound derivation.
   /// Not owned; must outlive any use of the analysis results.
   const DtdStructure* dtd = nullptr;
-  /// Run tree-pattern minimization (pass 1).
-  bool minimize = true;
-  /// Detect equivalent queries via mutual containment (pass 3; query-set
-  /// analysis only).
-  bool detect_equivalent = true;
 };
 
 /// Result of analyzing one query.

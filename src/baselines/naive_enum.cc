@@ -47,7 +47,7 @@ void NaiveEnumEngine::StartElement(const xml::TagToken& tag, int level,
 
   for (const auto& node : graph_.nodes()) {
     const core::MachineNode* v = node.get();
-    if (!v->MatchesTag(tag)) continue;
+    if (!v->is_wildcard && v->label != tag.text) continue;
 
     // Attribute tests gate assignment: a pattern match through an element
     // failing them can never exist.

@@ -17,10 +17,10 @@
 // src/analysis/decision_analysis.h. The same advisory contract as level
 // bounds applies: facts are conservative for documents valid w.r.t. the
 // analyzed DTD. On invalid documents kOn may emit early matches the pop
-// rule would have rejected (or miss skipped ones); compile with
-// DecisionCompileOptions::assume_valid = false to get an empty (zero-fact)
-// table, which degrades every mode to the purely dynamic cascade — exact on
-// any well-formed document.
+// rule would have rejected (or miss skipped ones). Where validity cannot be
+// assumed, install no table (null): a machine treats it like a zero-fact
+// table, which degrades every mode to the purely dynamic cascade — exact
+// on any well-formed document.
 
 #ifndef TWIGM_CORE_DECISION_TABLE_H_
 #define TWIGM_CORE_DECISION_TABLE_H_

@@ -36,36 +36,6 @@ Result<std::unique_ptr<StreamingMachine>> CreateMachine(
   return machine;
 }
 
-// Registered-once export instruments; values are refreshed per call.
-struct XPathStreamProcessor::ExportHandles {
-  obs::MetricsRegistry* registry = nullptr;
-  size_t registered_count = 0;  // registry size right after registration
-  obs::Counter* start_events = nullptr;
-  obs::Counter* end_events = nullptr;
-  obs::Counter* pushes = nullptr;
-  obs::Counter* pops = nullptr;
-  obs::Counter* results = nullptr;
-  obs::Counter* predicate_checks = nullptr;
-  obs::Counter* candidate_unions = nullptr;
-  obs::Counter* live_stack_entries = nullptr;
-  obs::Counter* peak_stack_entries = nullptr;
-  obs::Counter* live_candidates = nullptr;
-  obs::Counter* peak_candidates = nullptr;
-  obs::Counter* peak_state_bytes = nullptr;
-  obs::Counter* early_emitted = nullptr;
-  obs::Counter* early_dropped = nullptr;
-  obs::Counter* states_skipped = nullptr;
-  obs::Counter* gap_sum_bytes = nullptr;
-  obs::Counter* gap_count = nullptr;
-  obs::Counter* gap_max_bytes = nullptr;
-  obs::Counter* fragment_peak_buffered_bytes = nullptr;
-  obs::Counter* hotpath_interner_symbols = nullptr;
-  obs::Counter* hotpath_pool_entries = nullptr;
-};
-
-XPathStreamProcessor::XPathStreamProcessor() = default;
-XPathStreamProcessor::~XPathStreamProcessor() = default;
-
 Result<std::unique_ptr<XPathStreamProcessor>> XPathStreamProcessor::Create(
     std::string_view query_text, MatchObserver* observer,
     EvaluatorOptions options) {
@@ -80,8 +50,7 @@ Result<std::unique_ptr<XPathStreamProcessor>> XPathStreamProcessor::Create(
       std::unique_ptr<XPathStreamProcessor>(new XPathStreamProcessor());
   proc->query_ = std::move(query).value();
   proc->options_ = options;
-  const bool fragments =
-      options.capture_fragments || observer->wants_fragments();
+  const bool fragments = observer->wants_fragments();
   MatchObserver* machine_observer = observer;
   if (fragments) {
     proc->recorder_ = std::make_unique<FragmentRecorder>(observer);
@@ -150,72 +119,29 @@ void XPathStreamProcessor::InstallDecisionTable(
 }
 
 void XPathStreamProcessor::ExportMetrics(obs::MetricsRegistry* registry) const {
-  // Re-register when given a different registry — or one whose instrument
-  // count shrank below what we registered (a fresh registry re-created at
-  // the same address; pointer equality alone would mistake it for the old).
-  if (export_ == nullptr || export_->registry != registry ||
-      registry->instrument_count() < export_->registered_count) {
-    export_ = std::make_unique<ExportHandles>();
-    export_->registry = registry;
-    export_->start_events = registry->RegisterCounter("engine.start_events");
-    export_->end_events = registry->RegisterCounter("engine.end_events");
-    export_->pushes = registry->RegisterCounter("engine.pushes");
-    export_->pops = registry->RegisterCounter("engine.pops");
-    export_->results = registry->RegisterCounter("engine.results");
-    export_->predicate_checks =
-        registry->RegisterCounter("engine.predicate_checks");
-    export_->candidate_unions =
-        registry->RegisterCounter("engine.candidate_unions");
-    export_->live_stack_entries =
-        registry->RegisterCounter("engine.live_stack_entries");
-    export_->peak_stack_entries =
-        registry->RegisterCounter("engine.peak_stack_entries");
-    export_->live_candidates =
-        registry->RegisterCounter("engine.live_candidates");
-    export_->peak_candidates =
-        registry->RegisterCounter("engine.peak_candidates");
-    export_->peak_state_bytes =
-        registry->RegisterCounter("engine.peak_state_bytes");
-    export_->early_emitted = registry->RegisterCounter("engine.early_emitted");
-    export_->early_dropped = registry->RegisterCounter("engine.early_dropped");
-    export_->states_skipped =
-        registry->RegisterCounter("engine.states_skipped");
-    export_->gap_sum_bytes =
-        registry->RegisterCounter("engine.gap_sum_bytes");
-    export_->gap_count = registry->RegisterCounter("engine.gap_count");
-    export_->gap_max_bytes =
-        registry->RegisterCounter("engine.gap_max_bytes");
-    export_->fragment_peak_buffered_bytes =
-        registry->RegisterCounter("fragment.peak_buffered_bytes");
-    export_->hotpath_interner_symbols =
-        registry->RegisterCounter("hotpath.interner_symbols");
-    export_->hotpath_pool_entries =
-        registry->RegisterCounter("hotpath.pool_entries");
-    export_->registered_count = registry->instrument_count();
-  }
   const EngineStats& s = stats();
-  export_->start_events->Set(s.start_events);
-  export_->end_events->Set(s.end_events);
-  export_->pushes->Set(s.pushes);
-  export_->pops->Set(s.pops);
-  export_->results->Set(s.results);
-  export_->predicate_checks->Set(s.predicate_checks);
-  export_->candidate_unions->Set(s.candidate_unions);
-  export_->live_stack_entries->Set(s.live_stack_entries);
-  export_->peak_stack_entries->Set(s.peak_stack_entries);
-  export_->live_candidates->Set(s.live_candidates);
-  export_->peak_candidates->Set(s.peak_candidates);
-  export_->peak_state_bytes->Set(s.peak_state_bytes);
-  export_->early_emitted->Set(s.early_emitted);
-  export_->early_dropped->Set(s.early_dropped);
-  export_->states_skipped->Set(s.states_skipped);
-  export_->gap_sum_bytes->Set(s.gap_sum_bytes);
-  export_->gap_count->Set(s.gap_count);
-  export_->gap_max_bytes->Set(s.gap_max_bytes);
-  export_->fragment_peak_buffered_bytes->Set(fragment_peak_buffered_bytes());
-  export_->hotpath_interner_symbols->Set(
-      parser_ != nullptr ? parser_->interner()->size() : 0);
-  export_->hotpath_pool_entries->Set(machine_->pool_entries());
+  registry->SetCounter("engine.start_events", s.start_events);
+  registry->SetCounter("engine.end_events", s.end_events);
+  registry->SetCounter("engine.pushes", s.pushes);
+  registry->SetCounter("engine.pops", s.pops);
+  registry->SetCounter("engine.results", s.results);
+  registry->SetCounter("engine.predicate_checks", s.predicate_checks);
+  registry->SetCounter("engine.candidate_unions", s.candidate_unions);
+  registry->SetCounter("engine.live_stack_entries", s.live_stack_entries);
+  registry->SetCounter("engine.peak_stack_entries", s.peak_stack_entries);
+  registry->SetCounter("engine.live_candidates", s.live_candidates);
+  registry->SetCounter("engine.peak_candidates", s.peak_candidates);
+  registry->SetCounter("engine.peak_state_bytes", s.peak_state_bytes);
+  registry->SetCounter("engine.early_emitted", s.early_emitted);
+  registry->SetCounter("engine.early_dropped", s.early_dropped);
+  registry->SetCounter("engine.states_skipped", s.states_skipped);
+  registry->SetCounter("engine.gap_sum_bytes", s.gap_sum_bytes);
+  registry->SetCounter("engine.gap_count", s.gap_count);
+  registry->SetCounter("engine.gap_max_bytes", s.gap_max_bytes);
+  registry->SetCounter("fragment.peak_buffered_bytes",
+                       fragment_peak_buffered_bytes());
+  registry->SetCounter("hotpath.interner_symbols", parser_->interner()->size());
+  registry->SetCounter("hotpath.pool_entries", machine_->pool_entries());
 }
 
 Result<std::vector<xml::NodeId>> EvaluateToIds(std::string_view query,

@@ -7,14 +7,15 @@
 //   proc.value()->Consume({{}, /*last=*/true});
 //   // sink.ids() holds the pre-order ids of all result elements.
 //
+// An observer whose wants_fragments() returns true also gets OnFragment
+// deliveries: the serialized subtree of every result.
+//
 // Bytes enter through the unified xml::ByteSource API: push one InputChunk
 // at a time with Consume, or pull a whole source with Pump.
 //
 // Everything optional hangs off EvaluatorOptions: engine selection
 // (EngineKind::kAuto: linear queries on PathM, everything with predicates
-// or value tests on TwigM — see CreateMachine), fragment capture (an
-// observer whose wants_fragments() returns true, or capture_fragments =
-// true, gets OnFragment deliveries), and
+// or value tests on TwigM — see CreateMachine) and
 // observability (instrumentation = an obs::Instrumentation* collects
 // per-stage wall time, registry metrics, per-query-node stack depth peaks
 // and trace events; null — the default — costs one predictable branch per
@@ -48,9 +49,6 @@ struct EvaluatorOptions {
   EngineKind engine = EngineKind::kAuto;
   TwigMachineOptions twig;
   xml::SaxParserOptions sax;
-  /// Force fragment capture even if the observer's wants_fragments() is
-  /// false (capture is always on when it is true).
-  bool capture_fragments = false;
   /// Observability hook; may be null (near-zero overhead). Not owned; must
   /// outlive the processor.
   obs::Instrumentation* instrumentation = nullptr;
@@ -76,15 +74,15 @@ Result<std::unique_ptr<StreamingMachine>> CreateMachine(
 class XPathStreamProcessor {
  public:
   /// Compiles `query` and builds the machine. `observer` must outlive the
-  /// processor; not owned. Fragment capture and instrumentation are
-  /// configured through `options` (see EvaluatorOptions).
+  /// processor; not owned. Fragment capture follows
+  /// observer->wants_fragments(); instrumentation is configured through
+  /// `options` (see EvaluatorOptions).
   static Result<std::unique_ptr<XPathStreamProcessor>> Create(
       std::string_view query, MatchObserver* observer,
       EvaluatorOptions options = EvaluatorOptions());
 
   XPathStreamProcessor(const XPathStreamProcessor&) = delete;
   XPathStreamProcessor& operator=(const XPathStreamProcessor&) = delete;
-  ~XPathStreamProcessor();  // out-of-line: ExportHandles is incomplete here
 
   /// Consumes one chunk of the XML document (chunk.last declares end of
   /// input). Results are emitted to the observer as soon as they are proven.
@@ -117,13 +115,13 @@ class XPathStreamProcessor {
   }
 
   /// Exports the engine's accounting into `registry` (prefix "engine.",
-  /// plus "fragment.peak_buffered_bytes" in fragment mode). Registers the
-  /// instruments on first call and refreshes their values on subsequent
-  /// calls, so snapshots can be taken per document.
+  /// plus "fragment.peak_buffered_bytes" and "hotpath.*") by counter name:
+  /// the first call registers the counters, later calls refresh them, so
+  /// snapshots can be taken per document.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
-  XPathStreamProcessor();  // out-of-line: ExportHandles is incomplete here
+  XPathStreamProcessor() = default;
 
   xpath::QueryTree query_;
   EvaluatorOptions options_;
@@ -136,10 +134,6 @@ class XPathStreamProcessor {
   // Shared stream position: written by the parser before each construct,
   // read by the machines when emitting (MatchInfo::byte_offset).
   uint64_t stream_offset_ = 0;
-
-  // Lazily-registered export handles (see ExportMetrics).
-  struct ExportHandles;
-  mutable std::unique_ptr<ExportHandles> export_;
 };
 
 /// One-shot convenience: evaluates `query` over `document`, returning result

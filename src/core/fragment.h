@@ -12,8 +12,7 @@
 // proven).
 //
 // Fragment capture is enabled per processor: XPathStreamProcessor::Create
-// inserts a recorder when the observer's wants_fragments() returns true (or
-// EvaluatorOptions::capture_fragments is set).
+// inserts a recorder when the observer's wants_fragments() returns true.
 //
 // Memory note: buffering undecided candidates is inherent to returning
 // fragments from a stream (every fragment-producing engine pays it); the

@@ -72,16 +72,6 @@ struct MachineNode {
   /// Interned id of `label`, stamped by the machine's BindInterner().
   /// kNoSymbol until bound (and always for wildcards).
   xml::SymbolId symbol = xml::kNoSymbol;
-
-  /// Tag match: symbol comparison when both sides carry one (one integer
-  /// compare), byte comparison otherwise.
-  bool MatchesTag(const xml::TagToken& tag) const {
-    if (is_wildcard) return true;
-    if (symbol != xml::kNoSymbol && tag.symbol != xml::kNoSymbol) {
-      return symbol == tag.symbol;
-    }
-    return label == tag.text;
-  }
 };
 
 /// The machine-node graph for one query.

@@ -23,9 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/decision_table.h"
 #include "core/evaluator.h"
-#include "core/level_bounds.h"
 #include "core/machine_stats.h"
 #include "core/result_sink.h"
 #include "xml/byte_source.h"
@@ -90,28 +88,6 @@ class MultiQueryProcessor {
   }
   const EngineStats& stats(size_t query_index) const {
     return entries_[query_index].machine->stats();
-  }
-
-  /// Machine graph of `query_index`'s compiled machine (for static
-  /// analysis over the running machines).
-  const MachineGraph& graph(size_t query_index) const {
-    return entries_[query_index].machine->graph();
-  }
-
-  /// Applies analyzer level windows (indexed by machine-node id, matching
-  /// graph(query_index)) to that query's machine; see
-  /// StreamingMachine::set_level_bounds for the conservativeness contract.
-  void set_level_bounds(size_t query_index, LevelBounds bounds) {
-    entries_[query_index].machine->set_level_bounds(std::move(bounds));
-  }
-
-  /// Installs an earliest-decision table on `query_index`'s machine; it
-  /// runs in EvaluatorOptions::enable_early_decisions mode (see
-  /// XPathStreamProcessor::InstallDecisionTable).
-  void set_decision_table(size_t query_index,
-                          std::shared_ptr<const DecisionTable> table) {
-    entries_[query_index].machine->set_decisions(
-        std::move(table), options_.enable_early_decisions);
   }
 
   /// Sum of results across queries so far.

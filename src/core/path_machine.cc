@@ -115,21 +115,20 @@ void PathMachine::StartElement(const xml::TagToken& tag, int level,
                                const std::vector<xml::Attribute>& attrs) {
   (void)attrs;
   ++stats_.start_events;
+  TWIGM_INVARIANT(interner_ != nullptr,
+                  "start event on a PathM never bound to an interner",
+                  offset());
   cur_elem_ = -1;
   if (decisions_ != nullptr && decision_mode_ != EarlyDecisionMode::kOff &&
-      tag.symbol != xml::kNoSymbol && tag.symbol < sym_to_elem_.size()) {
+      tag.symbol < sym_to_elem_.size()) {
     cur_elem_ = sym_to_elem_[tag.symbol];
   }
-  if (bound_ && tag.symbol != xml::kNoSymbol) {
-    if (tag.symbol < postings_.size()) {
-      for (size_t i : postings_[tag.symbol]) TryStartPosition(i, level, id);
-    }
-    for (size_t i : wildcard_positions_) TryStartPosition(i, level, id);
-  } else {
-    for (size_t i = 0; i < chain_.size(); ++i) {
-      if (chain_[i]->MatchesTag(tag)) TryStartPosition(i, level, id);
-    }
+  // A symbol past the bound range names a tag no query label mentions:
+  // only wildcard positions can match it.
+  if (tag.symbol < postings_.size()) {
+    for (size_t i : postings_[tag.symbol]) TryStartPosition(i, level, id);
   }
+  for (size_t i : wildcard_positions_) TryStartPosition(i, level, id);
   stats_.NoteEntries(live_entries_);
   stats_.NoteBytes(live_entries_ * sizeof(int));
 }
@@ -153,16 +152,10 @@ void PathMachine::EndElement(const xml::TagToken& tag, int level) {
   ++stats_.end_events;
   // Pops at different positions are independent (no propagation in PathM),
   // so dispatch order does not matter.
-  if (bound_ && tag.symbol != xml::kNoSymbol) {
-    if (tag.symbol < postings_.size()) {
-      for (size_t i : postings_[tag.symbol]) PopPosition(i, level);
-    }
-    for (size_t i : wildcard_positions_) PopPosition(i, level);
-  } else {
-    for (size_t i = 0; i < chain_.size(); ++i) {
-      if (chain_[i]->MatchesTag(tag)) PopPosition(i, level);
-    }
+  if (tag.symbol < postings_.size()) {
+    for (size_t i : postings_[tag.symbol]) PopPosition(i, level);
   }
+  for (size_t i : wildcard_positions_) PopPosition(i, level);
   stats_.NoteEntries(live_entries_);
 }
 

@@ -8,11 +8,10 @@
 // point possible (fully incremental, unlike TwigM which must wait for
 // predicate resolution).
 //
-// After BindInterner(), events dispatch through per-symbol postings of
-// chain positions (wildcard positions are always tried); kNoSymbol tokens
-// fall back to byte comparison. Same-event pushes cannot enable each other
-// (edge distances are ≥ 1), so the split dispatch order is equivalent to
-// the chain scan.
+// Events dispatch through per-symbol postings of chain positions built by
+// BindInterner(); wildcard positions are always tried. Same-event pushes
+// cannot enable each other (edge distances are ≥ 1), so trying the label
+// group before the wildcard group is equivalent to one chain-order scan.
 
 #ifndef TWIGM_CORE_PATH_MACHINE_H_
 #define TWIGM_CORE_PATH_MACHINE_H_

@@ -21,7 +21,6 @@ void StreamingMachine::BindInterner(xml::TagInterner* interner) {
     if (!node->is_wildcard) node->symbol = interner->Intern(node->label);
   }
   BuildPostings(interner->size());
-  bound_ = true;
   RebuildSymToElem();
 }
 

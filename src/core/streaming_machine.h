@@ -53,10 +53,13 @@ class StreamingMachine : public xml::StreamEventSink {
 
   /// Resolves every query label to a SymbolId in `interner` (interning on
   /// first sight) and builds the machine's per-symbol dispatch postings.
-  /// Call once, with the interner of the parser that will feed this
-  /// machine, before streaming. `interner` must outlive the machine; not
-  /// owned. Events carrying symbols from any other interner would dispatch
-  /// incorrectly; kNoSymbol events take the byte-comparing path.
+  /// Required: call once, with the interner of the parser that will feed
+  /// this machine, before streaming (the processors do this; hand-wired
+  /// machines pass parser.interner()). `interner` must outlive the
+  /// machine; not owned. Dispatch is by symbol only, so events carrying
+  /// symbols from any other interner would dispatch incorrectly, and an
+  /// unbound machine would match wildcards only — under
+  /// TWIGM_CHECK_INVARIANTS its first start event aborts instead.
   void BindInterner(xml::TagInterner* interner);
 
   /// Clears runtime state and statistics so the machine can process
@@ -133,15 +136,12 @@ class StreamingMachine : public xml::StreamEventSink {
   LevelBounds level_bounds_;
   EngineStats stats_;
 
-  // Symbol dispatch is live once BindInterner has run.
-  bool bound_ = false;
-
   // Earliest-decision state. sym_to_elem_ maps event SymbolIds to the
   // table's dense DTD element ids (-1 = no facts); cur_elem_ caches the
   // mapping for the start tag being dispatched.
   std::shared_ptr<const DecisionTable> decisions_;
   EarlyDecisionMode decision_mode_ = EarlyDecisionMode::kOff;
-  xml::TagInterner* interner_ = nullptr;
+  xml::TagInterner* interner_ = nullptr;  // set by BindInterner
   std::vector<int32_t> sym_to_elem_;
   int32_t cur_elem_ = -1;
 

@@ -74,12 +74,7 @@ TwigMachine::TwigMachine(MachineGraph graph, MatchObserver* observer,
       options_(options) {
   stacks_.resize(graph_.node_count());
   for (const auto& node : graph_.nodes()) {
-    preorder_.push_back(node->id);
-    if (node->is_wildcard) {
-      wildcard_nodes_.push_back(node->id);
-    } else {
-      label_index_[node->label].push_back(node->id);
-    }
+    if (node->is_wildcard) wildcard_nodes_.push_back(node->id);
     if (node->has_value_test) value_test_nodes_.push_back(node->id);
   }
 }
@@ -410,12 +405,15 @@ void TwigMachine::StartElement(const xml::TagToken& tag, int level,
                                xml::NodeId id,
                                const std::vector<xml::Attribute>& attrs) {
   ++stats_.start_events;
-  // Map the tag onto the decision table's element ids once per event.
-  // kNoSymbol events (interning off) carry no static facts — the dynamic
+  TWIGM_INVARIANT(interner_ != nullptr,
+                  "start event on a TwigM never bound to an interner",
+                  offset());
+  // Map the tag onto the decision table's element ids once per event. A
+  // tag the table does not name carries no static facts — the dynamic
   // cascade still runs, which is the sound degrade.
   cur_elem_ = -1;
   if (decisions_ != nullptr && decision_mode_ != EarlyDecisionMode::kOff &&
-      tag.symbol != xml::kNoSymbol && tag.symbol < sym_to_elem_.size()) {
+      tag.symbol < sym_to_elem_.size()) {
     cur_elem_ = sym_to_elem_[tag.symbol];
   }
   // δs: try every machine node whose label matches the tag, parents first
@@ -423,18 +421,11 @@ void TwigMachine::StartElement(const xml::TagToken& tag, int level,
   // enable each other (ζ distances are ≥ 1, so a just-pushed entry at
   // `level` never qualifies another node at `level`), so dispatching the
   // label group and the wildcard group separately is order-independent.
-  if (bound_ && tag.symbol != xml::kNoSymbol) {
-    if (tag.symbol < start_postings_.size()) {
-      for (int node_id : start_postings_[tag.symbol]) {
-        TryStartNode(node_id, level, id, attrs);
-      }
-    }
-    // Symbols past the bound range are document tags that are no query
-    // label: only wildcards can match.
-  } else {
-    auto it = label_index_.find(tag.text);
-    if (it != label_index_.end()) {
-      for (int node_id : it->second) TryStartNode(node_id, level, id, attrs);
+  // Symbols past the bound range are document tags that are no query
+  // label: only wildcards can match.
+  if (tag.symbol < start_postings_.size()) {
+    for (int node_id : start_postings_[tag.symbol]) {
+      TryStartNode(node_id, level, id, attrs);
     }
   }
   for (int node_id : wildcard_nodes_) TryStartNode(node_id, level, id, attrs);
@@ -575,18 +566,11 @@ void TwigMachine::EndElement(const xml::TagToken& tag, int level) {
   // The per-symbol end postings merge label and wildcard nodes into one
   // pre-order list precisely so this reverse walk stays child-before-parent
   // across both kinds.
-  if (bound_ && tag.symbol != xml::kNoSymbol) {
-    const std::vector<int>& list = tag.symbol < end_postings_.size()
-                                       ? end_postings_[tag.symbol]
-                                       : wildcard_nodes_;
-    for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
-      PopNode(*rit, level);
-    }
-  } else {
-    for (auto rit = preorder_.rbegin(); rit != preorder_.rend(); ++rit) {
-      if (!graph_.nodes()[*rit]->MatchesTag(tag)) continue;
-      PopNode(*rit, level);
-    }
+  const std::vector<int>& list = tag.symbol < end_postings_.size()
+                                     ? end_postings_[tag.symbol]
+                                     : wildcard_nodes_;
+  for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
+    PopNode(*rit, level);
   }
   UpdateMemoryStats();
 }

@@ -23,13 +23,11 @@
 //    A top with an F bit is simply discarded — pruning, without enumeration,
 //    every pattern match it participated in.
 //
-// Hot path: after BindInterner() the machine resolves its query labels to
-// the parser's SymbolIds once, and per-event dispatch indexes a per-symbol
-// postings vector instead of hashing the tag bytes. Stack entries live in
+// Hot path: BindInterner() resolves the query labels to the parser's
+// SymbolIds once, and per-event dispatch indexes a per-symbol postings
+// vector — no tag bytes are hashed or compared. Stack entries live in
 // PooledStacks and candidate sets merge in place, so the steady state per
-// event performs zero heap allocations (DESIGN.md §10). Events whose
-// TagToken carries kNoSymbol (interning off, or a hand-fed machine) take
-// the legacy byte-comparing path and produce identical results.
+// event performs zero heap allocations (DESIGN.md §10).
 
 #ifndef TWIGM_CORE_TWIG_MACHINE_H_
 #define TWIGM_CORE_TWIG_MACHINE_H_
@@ -37,7 +35,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -161,23 +158,8 @@ class TwigMachine final : public StreamingMachine {
   // stacks_[node->id] is ξ(v).
   std::vector<PooledStack<Entry>> stacks_;
 
-  // Heterogeneous string hashing so event tags (string_view) probe the
-  // label index without allocating. Legacy dispatch path, used only for
-  // kNoSymbol tokens.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  // Label index: tag -> machine-node ids with that label, in pre-order.
-  std::unordered_map<std::string, std::vector<int>, StringHash,
-                     std::equal_to<>>
-      label_index_;
   std::vector<int> wildcard_nodes_;   // '*' machine-node ids, pre-order
   std::vector<int> value_test_nodes_; // nodes that accumulate text
-  // Pre-order list of ids used for δe (processed in reverse: leaves first).
-  std::vector<int> preorder_;
 
   // Symbol dispatch (built by BindInterner). start_postings_[s] holds the
   // label nodes for symbol s in pre-order; end_postings_[s] additionally

@@ -2,25 +2,9 @@
 
 #include <utility>
 
-#include "analysis/decision_analysis.h"
 #include "filter/early_decisions.h"
 
 namespace twigm::filter {
-
-struct AnalyzedEngine::ExportHandles {
-  obs::MetricsRegistry* registry = nullptr;
-  size_t registered_count = 0;
-  obs::Counter* queries_total = nullptr;
-  obs::Counter* queries_unsatisfiable = nullptr;
-  obs::Counter* queries_forwarded = nullptr;
-  obs::Counter* queries_pruned = nullptr;
-  obs::Counter* branches_minimized = nullptr;
-  obs::Counter* bounded_trie_nodes = nullptr;
-  obs::Counter* bounded_machine_nodes = nullptr;
-  obs::Counter* decision_facts = nullptr;
-};
-
-AnalyzedEngine::~AnalyzedEngine() = default;
 
 namespace {
 
@@ -41,12 +25,8 @@ Result<std::unique_ptr<AnalyzedEngine>> AnalyzedEngine::Create(
     return Status::InvalidArgument("AnalyzedEngine requires a result sink");
   }
 
-  analysis::AnalyzerOptions aopts;
-  aopts.dtd = options.dtd;
-  aopts.minimize = options.minimize;
-  aopts.detect_equivalent = options.detect_equivalent;
   Result<analysis::QuerySetAnalysis> analyzed =
-      analysis::AnalyzeQuerySet(queries, aopts);
+      analysis::AnalyzeQuerySet(queries, {.dtd = options.dtd});
   if (!analyzed.ok()) return analyzed.status();
 
   auto engine = std::unique_ptr<AnalyzedEngine>(new AnalyzedEngine());
@@ -76,39 +56,16 @@ Result<std::unique_ptr<AnalyzedEngine>> AnalyzedEngine::Create(
   if (run_texts.empty()) return engine;  // everything pruned: nothing streams
 
   engine->remap_ = std::make_unique<RemapSink>(engine.get());
-  if (options.backend == Backend::kFilter) {
-    Result<std::unique_ptr<FilterEngine>> inner = FilterEngine::Create(
-        run_texts, engine->remap_.get(), options.evaluator);
-    if (!inner.ok()) return inner.status();
-    engine->filter_ = std::move(inner).value();
-    if (options.dtd != nullptr && options.level_bounds) {
-      engine->InstallFilterBounds(*options.dtd);
-    }
-    if (options.dtd != nullptr &&
-        options.evaluator.enable_early_decisions !=
-            core::EarlyDecisionMode::kOff) {
+  Result<std::unique_ptr<FilterEngine>> inner = FilterEngine::Create(
+      run_texts, engine->remap_.get(), options.evaluator);
+  if (!inner.ok()) return inner.status();
+  engine->filter_ = std::move(inner).value();
+  if (options.dtd != nullptr) {
+    engine->InstallFilterBounds(*options.dtd);
+    if (options.evaluator.enable_early_decisions !=
+        core::EarlyDecisionMode::kOff) {
       engine->stats_.decision_facts =
           InstallEarlyDecisions(engine->filter_.get(), *options.dtd);
-    }
-  } else {
-    Result<std::unique_ptr<core::MultiQueryProcessor>> inner =
-        core::MultiQueryProcessor::Create(run_texts, engine->remap_.get(),
-                                          options.evaluator);
-    if (!inner.ok()) return inner.status();
-    engine->product_ = std::move(inner).value();
-    if (options.dtd != nullptr && options.level_bounds) {
-      engine->InstallProductBounds(*options.dtd);
-    }
-    if (options.dtd != nullptr &&
-        options.evaluator.enable_early_decisions !=
-            core::EarlyDecisionMode::kOff) {
-      for (size_t q = 0; q < engine->product_->query_count(); ++q) {
-        auto table = std::make_shared<core::DecisionTable>(
-            analysis::CompileDecisionTable(engine->product_->graph(q),
-                                           *options.dtd));
-        engine->stats_.decision_facts += table->facts();
-        engine->product_->set_decision_table(q, std::move(table));
-      }
     }
   }
   return engine;
@@ -168,18 +125,8 @@ void AnalyzedEngine::InstallFilterBounds(const analysis::DtdStructure& dtd) {
   filter_->set_trie_level_bounds(std::move(trie_bounds));
 }
 
-void AnalyzedEngine::InstallProductBounds(const analysis::DtdStructure& dtd) {
-  for (size_t q = 0; q < product_->query_count(); ++q) {
-    core::LevelBounds bounds =
-        analysis::ComputeMachineLevelBounds(product_->graph(q), dtd);
-    stats_.bounded_machine_nodes += CountConstraining(bounds);
-    product_->set_level_bounds(q, std::move(bounds));
-  }
-}
-
 Status AnalyzedEngine::Consume(const xml::InputChunk& chunk) {
   if (filter_ != nullptr) return filter_->Consume(chunk);
-  if (product_ != nullptr) return product_->Consume(chunk);
   return Status::Ok();
 }
 
@@ -193,41 +140,22 @@ Status AnalyzedEngine::Pump(xml::ByteSource* source) {
 
 void AnalyzedEngine::Reset() {
   if (filter_ != nullptr) filter_->Reset();
-  if (product_ != nullptr) product_->Reset();
   total_results_ = 0;
 }
 
 void AnalyzedEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
-  // See XPathStreamProcessor::ExportMetrics for the re-registration guard.
-  if (export_ == nullptr || export_->registry != registry ||
-      registry->instrument_count() < export_->registered_count) {
-    export_ = std::make_unique<ExportHandles>();
-    export_->registry = registry;
-    export_->queries_total = registry->RegisterCounter("analysis.queries_total");
-    export_->queries_unsatisfiable =
-        registry->RegisterCounter("analysis.queries_unsatisfiable");
-    export_->queries_forwarded =
-        registry->RegisterCounter("analysis.queries_forwarded");
-    export_->queries_pruned =
-        registry->RegisterCounter("analysis.queries_pruned");
-    export_->branches_minimized =
-        registry->RegisterCounter("analysis.branches_minimized");
-    export_->bounded_trie_nodes =
-        registry->RegisterCounter("analysis.bounded_trie_nodes");
-    export_->bounded_machine_nodes =
-        registry->RegisterCounter("analysis.bounded_machine_nodes");
-    export_->decision_facts =
-        registry->RegisterCounter("analysis.decision_facts");
-    export_->registered_count = registry->instrument_count();
-  }
-  export_->queries_total->Set(stats_.queries_total);
-  export_->queries_unsatisfiable->Set(stats_.queries_unsatisfiable);
-  export_->queries_forwarded->Set(stats_.queries_forwarded);
-  export_->queries_pruned->Set(stats_.queries_pruned());
-  export_->branches_minimized->Set(stats_.branches_minimized);
-  export_->bounded_trie_nodes->Set(stats_.bounded_trie_nodes);
-  export_->bounded_machine_nodes->Set(stats_.bounded_machine_nodes);
-  export_->decision_facts->Set(stats_.decision_facts);
+  registry->SetCounter("analysis.queries_total", stats_.queries_total);
+  registry->SetCounter("analysis.queries_unsatisfiable",
+                       stats_.queries_unsatisfiable);
+  registry->SetCounter("analysis.queries_forwarded", stats_.queries_forwarded);
+  registry->SetCounter("analysis.queries_pruned", stats_.queries_pruned());
+  registry->SetCounter("analysis.branches_minimized",
+                       stats_.branches_minimized);
+  registry->SetCounter("analysis.bounded_trie_nodes",
+                       stats_.bounded_trie_nodes);
+  registry->SetCounter("analysis.bounded_machine_nodes",
+                       stats_.bounded_machine_nodes);
+  registry->SetCounter("analysis.decision_facts", stats_.decision_facts);
   if (filter_ != nullptr) filter_->ExportMetrics(registry);
 }
 

@@ -1,9 +1,9 @@
 // Analyzed multi-query evaluation: run the static analyzer (src/analysis/)
 // over a query set, then stream only what survives.
 //
-// AnalyzedEngine is a front end over FilterEngine (shared-prefix trie) or
-// MultiQueryProcessor (product construction) that applies the analyzer's
-// three passes before any byte of the document is parsed:
+// AnalyzedEngine is a front end over FilterEngine (shared-prefix trie) that
+// applies the analyzer's three passes before any byte of the document is
+// parsed:
 //
 //   * unsatisfiable queries (DTD proof) are dropped — they cost nothing per
 //     event and simply never produce results;
@@ -13,8 +13,8 @@
 //     original query index;
 //   * minimized query texts replace the originals (fewer machine nodes,
 //     same results), and — given a DTD — per-node level windows are pushed
-//     into the trie and the tail/product machines so structurally
-//     impossible pushes are skipped.
+//     into the trie and the tail machines so structurally impossible
+//     pushes are skipped.
 //
 // Correctness contract: on any document valid w.r.t. the analyzed DTD, the
 // engine emits exactly the same (query_index, id) result set as an
@@ -37,29 +37,18 @@
 #include "analysis/query_analysis.h"
 #include "common/status.h"
 #include "core/evaluator.h"
-#include "core/multi_query.h"
 #include "filter/filter_engine.h"
 
 namespace twigm::filter {
 
 class AnalyzedEngine {
  public:
-  /// Which runtime evaluates the surviving queries.
-  enum class Backend {
-    kFilter,   // shared-prefix FilterEngine (default)
-    kProduct,  // one machine per query (MultiQueryProcessor)
-  };
-
   struct Options {
-    /// DTD summary for satisfiability + level bounds; null skips both (the
-    /// rewrite passes still run). Not owned; must outlive the engine.
+    /// DTD summary for satisfiability, level windows and (when
+    /// evaluator.enable_early_decisions is on) decision tables; null skips
+    /// them all (the rewrite passes still run). Not owned; must outlive
+    /// the engine.
     const analysis::DtdStructure* dtd = nullptr;
-    Backend backend = Backend::kFilter;
-    /// Individual analyzer passes (see AnalyzerOptions).
-    bool minimize = true;
-    bool detect_equivalent = true;
-    /// Derive level windows and install them into the runtime (needs dtd).
-    bool level_bounds = true;
     /// Forwarded to the inner engine.
     core::EvaluatorOptions evaluator;
   };
@@ -98,7 +87,6 @@ class AnalyzedEngine {
 
   AnalyzedEngine(const AnalyzedEngine&) = delete;
   AnalyzedEngine& operator=(const AnalyzedEngine&) = delete;
-  ~AnalyzedEngine();  // out-of-line: ExportHandles is incomplete here
 
   /// Consumes one chunk (chunk.last declares end of input).
   Status Consume(const xml::InputChunk& chunk);
@@ -117,13 +105,12 @@ class AnalyzedEngine {
   const AnalysisStats& analysis_stats() const { return stats_; }
 
   /// The inner runtime actually streaming; null when every query was
-  /// pruned (or for the respectively other backend).
+  /// pruned.
   const FilterEngine* filter_engine() const { return filter_.get(); }
-  const core::MultiQueryProcessor* product() const { return product_.get(); }
 
-  /// Exports the analysis accounting (prefix "analysis.") and, for the
-  /// filter backend, the inner engine's runtime counters into `registry`
-  /// (same re-registration contract as FilterEngine::ExportMetrics).
+  /// Exports the analysis accounting (prefix "analysis.") and the inner
+  /// engine's runtime counters into `registry` (same contract as
+  /// FilterEngine::ExportMetrics).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
@@ -146,7 +133,6 @@ class AnalyzedEngine {
   AnalyzedEngine() = default;
 
   void InstallFilterBounds(const analysis::DtdStructure& dtd);
-  void InstallProductBounds(const analysis::DtdStructure& dtd);
 
   core::MultiQueryResultSink* sink_ = nullptr;
   analysis::QuerySetAnalysis analysis_;
@@ -156,11 +142,7 @@ class AnalyzedEngine {
   std::vector<std::vector<size_t>> fanout_;
   std::unique_ptr<RemapSink> remap_;
   std::unique_ptr<FilterEngine> filter_;
-  std::unique_ptr<core::MultiQueryProcessor> product_;
   uint64_t total_results_ = 0;
-
-  struct ExportHandles;
-  mutable std::unique_ptr<ExportHandles> export_;
 };
 
 }  // namespace twigm::filter

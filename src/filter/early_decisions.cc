@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/decision_analysis.h"
 #include "filter/filter_engine.h"
 
 namespace twigm::filter {
@@ -78,16 +79,14 @@ class TrieUsefulness {
 
 }  // namespace
 
-core::DecisionTable CompileTrieDecisions(
-    const FilterIndex& index, const analysis::DtdStructure& dtd,
-    const analysis::DecisionCompileOptions& options) {
+core::DecisionTable CompileTrieDecisions(const FilterIndex& index,
+                                         const analysis::DtdStructure& dtd) {
   std::vector<std::string> names;
   names.reserve(dtd.element_count());
   for (size_t e = 0; e < dtd.element_count(); ++e) {
     names.push_back(dtd.info(static_cast<int>(e)).name);
   }
   core::DecisionTable table(index.nodes().size(), std::move(names));
-  if (!options.assume_valid) return table;
 
   std::vector<bool> anchors(index.nodes().size(), false);
   for (const QueryPlan& plan : index.plans()) {
@@ -107,18 +106,17 @@ core::DecisionTable CompileTrieDecisions(
 }
 
 size_t InstallEarlyDecisions(FilterEngine* engine,
-                             const analysis::DtdStructure& dtd,
-                             const analysis::DecisionCompileOptions& options) {
+                             const analysis::DtdStructure& dtd) {
   size_t facts = 0;
   auto trie = std::make_shared<core::DecisionTable>(
-      CompileTrieDecisions(engine->index(), dtd, options));
+      CompileTrieDecisions(engine->index(), dtd));
   facts += trie->facts();
   engine->set_trie_decisions(std::move(trie));
   for (size_t q = 0; q < engine->query_count(); ++q) {
     const core::MachineGraph* graph = engine->tail_graph(q);
     if (graph == nullptr) continue;  // linear: fully absorbed by the trie
     auto table = std::make_shared<core::DecisionTable>(
-        analysis::CompileDecisionTable(*graph, dtd, options));
+        analysis::CompileDecisionTable(*graph, dtd));
     facts += table->facts();
     engine->set_tail_decisions(q, std::move(table));
   }

@@ -19,7 +19,6 @@
 #ifndef TWIGM_FILTER_EARLY_DECISIONS_H_
 #define TWIGM_FILTER_EARLY_DECISIONS_H_
 
-#include "analysis/decision_analysis.h"
 #include "analysis/dtd_structure.h"
 #include "core/decision_table.h"
 #include "filter/filter_index.h"
@@ -30,17 +29,15 @@ class FilterEngine;
 
 /// Compiles the per-(trie-node, element) table for `index` against `dtd`.
 /// Only the kUseless flag is populated; rows are indexed by trie node id.
-core::DecisionTable CompileTrieDecisions(
-    const FilterIndex& index, const analysis::DtdStructure& dtd,
-    const analysis::DecisionCompileOptions& options = {});
+core::DecisionTable CompileTrieDecisions(const FilterIndex& index,
+                                         const analysis::DtdStructure& dtd);
 
 /// Compiles and installs the trie table plus one machine table per
 /// predicate tail. The engine acts on them in the mode chosen by its
 /// EvaluatorOptions::enable_early_decisions. Returns the total number of
 /// non-default facts installed (for AnalysisStats reporting).
 size_t InstallEarlyDecisions(FilterEngine* engine,
-                             const analysis::DtdStructure& dtd,
-                             const analysis::DecisionCompileOptions& options = {});
+                             const analysis::DtdStructure& dtd);
 
 }  // namespace twigm::filter
 

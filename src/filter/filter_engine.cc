@@ -6,28 +6,6 @@
 
 namespace twigm::filter {
 
-// Registered-once export instruments; values are refreshed per call.
-struct FilterEngine::ExportHandles {
-  obs::MetricsRegistry* registry = nullptr;
-  size_t registered_count = 0;  // registry size right after registration
-  obs::Counter* start_events = nullptr;
-  obs::Counter* end_events = nullptr;
-  obs::Counter* trie_pushes = nullptr;
-  obs::Counter* trie_pops = nullptr;
-  obs::Counter* results = nullptr;
-  obs::Counter* sum_active_nodes = nullptr;
-  obs::Counter* peak_active_nodes = nullptr;
-  obs::Counter* peak_trie_entries = nullptr;
-  obs::Counter* peak_engaged_tails = nullptr;
-  obs::Counter* trie_pushes_skipped = nullptr;
-  obs::Counter* hotpath_interner_symbols = nullptr;
-  obs::Counter* hotpath_pool_entries = nullptr;
-};
-
-FilterEngine::FilterEngine(FilterIndex index) : index_(std::move(index)) {}
-
-FilterEngine::~FilterEngine() = default;
-
 Result<std::unique_ptr<FilterEngine>> FilterEngine::Create(
     const std::vector<std::string>& queries, core::MultiQueryResultSink* sink,
     core::EvaluatorOptions options) {
@@ -118,8 +96,8 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
 
   // Bind every trie label and tail machine to the stream's tag dictionary,
   // then build the root-children postings so each start event resolves its
-  // candidate first steps by one indexed lookup instead of scanning (and
-  // byte-comparing) the whole root fan-out.
+  // candidate first steps by one indexed lookup instead of scanning the
+  // whole root fan-out.
   engine->index_.BindInterner(interner);
   engine->interner_ = interner;
   for (Tail& tail : engine->tails_) tail.machine->BindInterner(interner);
@@ -132,7 +110,6 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
       engine->root_postings_[c.symbol].push_back(child);
     }
   }
-  engine->trie_bound_ = true;
 
   if (engine->instr_ != nullptr) {
     engine->instr_->EnsureNodeSlots(node_count);
@@ -244,8 +221,7 @@ void FilterEngine::OnStartElement(const xml::TagToken& tag, int level,
                                   const std::vector<xml::Attribute>& attrs) {
   ++rstats_.start_events;
   cur_elem_ = -1;
-  if (trie_decisions_ != nullptr && tag.symbol != xml::kNoSymbol &&
-      tag.symbol < sym_to_elem_.size()) {
+  if (trie_decisions_ != nullptr && tag.symbol < sym_to_elem_.size()) {
     cur_elem_ = sym_to_elem_[tag.symbol];
   }
   const std::vector<StepTrieNode>& nodes = index_.nodes();
@@ -254,32 +230,19 @@ void FilterEngine::OnStartElement(const xml::TagToken& tag, int level,
   // never enable another push at the same level (edge distances are ≥ 1),
   // and deferring keeps the active list stable while we scan it.
   scratch_.clear();
-  const bool have_symbol = trie_bound_ && tag.symbol != xml::kNoSymbol;
-  if (have_symbol) {
-    // Postings dispatch: a symbol past the bind-time range names a tag no
-    // query mentions, so only wildcard first steps can match it.
-    if (tag.symbol < root_postings_.size()) {
-      for (int child : root_postings_[tag.symbol]) {
-        ConsiderChild(child, nullptr, level);
-      }
-    }
-    for (int child : root_wildcards_) ConsiderChild(child, nullptr, level);
-  } else {
-    for (int child : index_.root_children()) {
-      const StepTrieNode& c = nodes[child];
-      if (!c.is_wildcard && c.label != tag.text) continue;
+  // Postings dispatch: a symbol past the bind-time range names a tag no
+  // query mentions, so only wildcard first steps can match it.
+  if (tag.symbol < root_postings_.size()) {
+    for (int child : root_postings_[tag.symbol]) {
       ConsiderChild(child, nullptr, level);
     }
   }
+  for (int child : root_wildcards_) ConsiderChild(child, nullptr, level);
   for (int n : active_) {
     const std::vector<int>& stack = stacks_[n];
     for (int child : nodes[n].children) {
       const StepTrieNode& c = nodes[child];
-      if (!c.is_wildcard) {
-        if (have_symbol ? c.symbol != tag.symbol : c.label != tag.text) {
-          continue;
-        }
-      }
+      if (!c.is_wildcard && c.symbol != tag.symbol) continue;
       ConsiderChild(child, &stack, level);
     }
   }
@@ -418,47 +381,23 @@ void FilterEngine::RebuildSymToElem() {
 }
 
 void FilterEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
-  // See XPathStreamProcessor::ExportMetrics for the re-registration guard.
-  if (export_ == nullptr || export_->registry != registry ||
-      registry->instrument_count() < export_->registered_count) {
-    export_ = std::make_unique<ExportHandles>();
-    export_->registry = registry;
-    export_->start_events = registry->RegisterCounter("filter.start_events");
-    export_->end_events = registry->RegisterCounter("filter.end_events");
-    export_->trie_pushes = registry->RegisterCounter("filter.trie_pushes");
-    export_->trie_pops = registry->RegisterCounter("filter.trie_pops");
-    export_->results = registry->RegisterCounter("filter.results");
-    export_->sum_active_nodes =
-        registry->RegisterCounter("filter.sum_active_nodes");
-    export_->peak_active_nodes =
-        registry->RegisterCounter("filter.peak_active_nodes");
-    export_->peak_trie_entries =
-        registry->RegisterCounter("filter.peak_trie_entries");
-    export_->peak_engaged_tails =
-        registry->RegisterCounter("filter.peak_engaged_tails");
-    export_->trie_pushes_skipped =
-        registry->RegisterCounter("filter.trie_pushes_skipped");
-    export_->hotpath_interner_symbols =
-        registry->RegisterCounter("hotpath.interner_symbols");
-    export_->hotpath_pool_entries =
-        registry->RegisterCounter("hotpath.pool_entries");
-    export_->registered_count = registry->instrument_count();
-  }
-  export_->start_events->Set(rstats_.start_events);
-  export_->end_events->Set(rstats_.end_events);
-  export_->trie_pushes->Set(rstats_.trie_pushes);
-  export_->trie_pops->Set(rstats_.trie_pops);
-  export_->results->Set(rstats_.results);
-  export_->sum_active_nodes->Set(rstats_.sum_active_nodes);
-  export_->peak_active_nodes->Set(rstats_.peak_active_nodes);
-  export_->peak_trie_entries->Set(rstats_.peak_trie_entries);
-  export_->peak_engaged_tails->Set(rstats_.peak_engaged_tails);
-  export_->trie_pushes_skipped->Set(rstats_.trie_pushes_skipped);
-  export_->hotpath_interner_symbols->Set(
-      parser_ != nullptr ? parser_->interner()->size() : 0);
+  registry->SetCounter("filter.start_events", rstats_.start_events);
+  registry->SetCounter("filter.end_events", rstats_.end_events);
+  registry->SetCounter("filter.trie_pushes", rstats_.trie_pushes);
+  registry->SetCounter("filter.trie_pops", rstats_.trie_pops);
+  registry->SetCounter("filter.results", rstats_.results);
+  registry->SetCounter("filter.sum_active_nodes", rstats_.sum_active_nodes);
+  registry->SetCounter("filter.peak_active_nodes", rstats_.peak_active_nodes);
+  registry->SetCounter("filter.peak_trie_entries", rstats_.peak_trie_entries);
+  registry->SetCounter("filter.peak_engaged_tails",
+                       rstats_.peak_engaged_tails);
+  registry->SetCounter("filter.trie_pushes_skipped",
+                       rstats_.trie_pushes_skipped);
+  registry->SetCounter("hotpath.interner_symbols",
+                       parser_ != nullptr ? parser_->interner()->size() : 0);
   uint64_t pool = 0;
   for (const Tail& tail : tails_) pool += tail.machine->pool_entries();
-  export_->hotpath_pool_entries->Set(pool);
+  registry->SetCounter("hotpath.pool_entries", pool);
 }
 
 }  // namespace twigm::filter

@@ -74,7 +74,6 @@ class FilterEngine {
 
   FilterEngine(const FilterEngine&) = delete;
   FilterEngine& operator=(const FilterEngine&) = delete;
-  ~FilterEngine();  // out-of-line: ExportHandles is incomplete here
 
   /// Consumes one chunk of the document (chunk.last declares end of input);
   /// results fan out to the sink tagged by query index, as soon as each
@@ -107,9 +106,9 @@ class FilterEngine {
   }
   const FilterRuntimeStats& runtime_stats() const { return rstats_; }
 
-  /// Exports the runtime accounting into `registry` (prefix "filter.").
-  /// Registers instruments on first call, refreshes values on later calls
-  /// (same contract as XPathStreamProcessor::ExportMetrics).
+  /// Exports the runtime accounting into `registry` (prefix "filter.",
+  /// plus "hotpath.*") by counter name (same contract as
+  /// XPathStreamProcessor::ExportMetrics).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
   /// Optional: per-trie-node level windows from static analysis, indexed by
@@ -193,7 +192,7 @@ class FilterEngine {
     }
   };
 
-  explicit FilterEngine(FilterIndex index);  // out-of-line, see ~FilterEngine
+  explicit FilterEngine(FilterIndex index) : index_(std::move(index)) {}
 
   // Shared construction. `external_interner` null => build and own a
   // parser/driver; non-null => event-fed mode bound to that interner.
@@ -227,8 +226,7 @@ class FilterEngine {
   // labeled root children for that symbol (a tag interned later — i.e. one
   // appearing in no query — indexes past the vector and matches only
   // wildcards); root_wildcards_ is scanned on every event. Deeper children
-  // match by SymbolId compare. trie_bound_ false ⇒ byte-compare fallback.
-  bool trie_bound_ = false;
+  // match by SymbolId compare.
   std::vector<std::vector<int>> root_postings_;
   std::vector<int> root_wildcards_;
 
@@ -270,10 +268,6 @@ class FilterEngine {
   // offset_slot_ points at the instrumentation's slot when attached.
   uint64_t stream_offset_ = 0;
   uint64_t* offset_slot_ = &stream_offset_;
-
-  // Lazily-registered export handles (see ExportMetrics).
-  struct ExportHandles;
-  mutable std::unique_ptr<ExportHandles> export_;
 };
 
 }  // namespace twigm::filter

@@ -42,8 +42,8 @@ struct StepTrieNode {
   /// Linear queries whose last step is this node: a push here is a result.
   std::vector<size_t> accept;
   /// `label` interned in the bound parser's tag dictionary (kNoSymbol for
-  /// wildcards or before FilterIndex::BindInterner runs). Lets the engine
-  /// match children by integer compare instead of byte compare.
+  /// wildcards or before FilterIndex::BindInterner runs). The engine
+  /// matches children by this integer alone.
   xml::SymbolId symbol = xml::kNoSymbol;
 };
 

@@ -62,11 +62,8 @@ void IndexBuilder::OnStart(const xml::TagToken& tag,
   const uint32_t pre = static_cast<uint32_t>(post_.size()) + 1;
   post_.push_back(0);  // patched at OnEnd
   level_.push_back(static_cast<uint32_t>(open_.size()) + 1);
-  // The parser interns every element name; a kNoSymbol token would mean
-  // interning was disabled, which the builder's own parser never does.
-  symbol_.push_back(tag.symbol != xml::kNoSymbol
-                        ? tag.symbol
-                        : parser_->interner()->Intern(tag.text));
+  // The parser interned the name: its symbol is the corpus tag id.
+  symbol_.push_back(tag.symbol);
   offset_.push_back(construct_offset_);
 
   for (const xml::Attribute& attr : attrs) {

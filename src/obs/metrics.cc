@@ -19,7 +19,15 @@ std::vector<uint64_t> ExponentialBuckets(uint64_t start, uint64_t factor,
 Counter* MetricsRegistry::RegisterCounter(std::string_view name) {
   counters_.emplace_back();
   order_.push_back({std::string(name), counters_.size() - 1, Named::kCounter});
+  counter_by_name_.emplace(name, &counters_.back());
   return &counters_.back();
+}
+
+void MetricsRegistry::SetCounter(std::string_view name, uint64_t value) {
+  auto it = counter_by_name_.find(name);
+  Counter* c = it != counter_by_name_.end() ? it->second
+                                            : RegisterCounter(name);
+  c->Set(value);
 }
 
 Gauge* MetricsRegistry::RegisterGauge(std::string_view name) {

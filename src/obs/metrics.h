@@ -5,7 +5,9 @@
 //   * registration (naming, bucket layout) happens at setup time and may
 //     allocate; Inc/Set/Observe never allocate and are header-inline;
 //   * handles returned by Register* are stable for the registry's lifetime
-//     (instruments live in a deque), so engines cache raw pointers;
+//     (instruments live in a deque), so the hot path caches raw pointers;
+//     setup-time exporters (ExportMetrics) write by name through
+//     SetCounter instead, so no handle can outlive its registry;
 //   * a snapshot is an ordered name -> value list, cheap to diff — the
 //     Reset()-reuse tests compare snapshot deltas, and benches inline them
 //     into `--json` records.
@@ -15,6 +17,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,7 +122,8 @@ using MetricsSnapshot = std::vector<MetricValue>;
 
 /// Owns instruments; names are not required to be unique (a second
 /// registration with the same name is a distinct instrument — callers that
-/// re-export per-document should Reset instead of re-registering).
+/// re-export per-document use SetCounter, which reuses the first counter of
+/// that name).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -129,6 +134,10 @@ class MetricsRegistry {
   Gauge* RegisterGauge(std::string_view name);
   Histogram* RegisterHistogram(std::string_view name,
                                std::vector<uint64_t> bounds);
+
+  /// Sets the counter called `name` to `value`, registering it on first
+  /// use. Repeated calls refresh the same counter.
+  void SetCounter(std::string_view name, uint64_t value);
 
   /// Flattens every instrument into (name, value) pairs, in registration
   /// order. Gauges contribute name and name.peak.
@@ -149,6 +158,7 @@ class MetricsRegistry {
   };
 
   std::vector<Named> order_;
+  std::map<std::string, Counter*, std::less<>> counter_by_name_;  // first wins
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;

@@ -14,12 +14,7 @@ ServerStream::ServerStream(SubscriptionServer* server, uint64_t stream_id)
     : server_(server),
       stream_id_(stream_id),
       driver_(this),
-      parser_(&driver_, [&] {
-        // The router needs symbols on every token for its mask cache.
-        xml::SaxParserOptions sax = server->options_.engine_options.sax;
-        sax.intern_tags = true;
-        return sax;
-      }()) {
+      parser_(&driver_, server->options_.engine_options.sax) {
   parser_.set_offset_slot(&offset_);
   channels_.reserve(server_->shards_.size());
   for (std::unique_ptr<Shard>& shard : server_->shards_) {
@@ -106,10 +101,6 @@ void ServerStream::BeginDocument() {
 }
 
 uint64_t ServerStream::MaskFor(const xml::TagToken& tag) {
-  if (tag.symbol == xml::kNoSymbol) {
-    return take_all_mask_ |
-           server_->registry_.MaskForTag(tag.text, route_epoch_);
-  }
   if (mask_cache_.size() <= tag.symbol) {
     mask_cache_.resize(tag.symbol + 1);
   }
@@ -257,106 +248,50 @@ size_t SubscriptionServer::Poll(std::vector<Notification>* out) {
   return n;
 }
 
-// Registered-once export instruments; values refreshed per call.
-struct SubscriptionServer::ExportHandles {
-  obs::MetricsRegistry* registry = nullptr;
-  size_t registered_count = 0;
-  obs::Counter* subscribes = nullptr;
-  obs::Counter* unsubscribes = nullptr;
-  obs::Counter* active = nullptr;
-  obs::Counter* streams_opened = nullptr;
-  struct PerShard {
-    obs::Counter* events = nullptr;
-    obs::Counter* start_events = nullptr;
-    obs::Counter* matches = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* rebuilds = nullptr;
-    obs::Counter* documents = nullptr;
-    obs::Counter* ring_depth_peak = nullptr;
-  };
-  std::vector<PerShard> shards;
-  struct Hist {
-    obs::Counter* count = nullptr;
-    obs::Counter* sum = nullptr;
-    obs::Counter* max = nullptr;
-    std::vector<obs::Counter*> buckets;
-  };
-  Hist batch_size;
-  Hist latency;
+namespace {
 
-  static void RegisterHist(obs::MetricsRegistry* registry,
-                           const std::string& prefix,
-                           const AtomicHistogram& hist, Hist* out) {
-    out->count = registry->RegisterCounter(prefix + ".count");
-    out->sum = registry->RegisterCounter(prefix + ".sum");
-    out->max = registry->RegisterCounter(prefix + ".max");
-    out->buckets.clear();
-    for (uint64_t bound : hist.bounds()) {
-      out->buckets.push_back(
-          registry->RegisterCounter(prefix + ".le." + std::to_string(bound)));
-    }
-    out->buckets.push_back(registry->RegisterCounter(prefix + ".le.inf"));
+void ExportHistogram(obs::MetricsRegistry* registry, const std::string& prefix,
+                     const AtomicHistogram& hist) {
+  registry->SetCounter(prefix + ".count", hist.count());
+  registry->SetCounter(prefix + ".sum", hist.sum());
+  registry->SetCounter(prefix + ".max", hist.max());
+  const std::vector<uint64_t>& bounds = hist.bounds();
+  for (size_t i = 0; i <= bounds.size(); ++i) {
+    registry->SetCounter(
+        prefix + ".le." +
+            (i < bounds.size() ? std::to_string(bounds[i]) : "inf"),
+        hist.bucket(i));
   }
+}
 
-  static void RefreshHist(const AtomicHistogram& hist, Hist* out) {
-    out->count->Set(hist.count());
-    out->sum->Set(hist.sum());
-    out->max->Set(hist.max());
-    for (size_t i = 0; i < out->buckets.size(); ++i) {
-      out->buckets[i]->Set(hist.bucket(i));
-    }
-  }
-};
+}  // namespace
 
 void SubscriptionServer::ExportMetrics(obs::MetricsRegistry* registry) const {
-  if (export_ == nullptr || export_->registry != registry ||
-      registry->instrument_count() < export_->registered_count) {
-    export_ = std::make_unique<ExportHandles>();
-    export_->registry = registry;
-    export_->subscribes = registry->RegisterCounter("serve.subscribes");
-    export_->unsubscribes = registry->RegisterCounter("serve.unsubscribes");
-    export_->active = registry->RegisterCounter("serve.active_subscriptions");
-    export_->streams_opened =
-        registry->RegisterCounter("serve.streams_opened");
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const std::string prefix = "serve.shard" + std::to_string(i);
-      ExportHandles::PerShard handles;
-      handles.events = registry->RegisterCounter(prefix + ".events");
-      handles.start_events =
-          registry->RegisterCounter(prefix + ".start_events");
-      handles.matches = registry->RegisterCounter(prefix + ".matches");
-      handles.batches = registry->RegisterCounter(prefix + ".batches");
-      handles.rebuilds =
-          registry->RegisterCounter(prefix + ".engine_rebuilds");
-      handles.documents = registry->RegisterCounter(prefix + ".documents");
-      handles.ring_depth_peak =
-          registry->RegisterCounter(prefix + ".ring_depth_peak");
-      export_->shards.push_back(handles);
-    }
-    ExportHandles::RegisterHist(registry, "serve.batch_size", hub_.batch_size,
-                                &export_->batch_size);
-    ExportHandles::RegisterHist(registry, "serve.notify_latency_us",
-                                hub_.notify_latency_us, &export_->latency);
-    export_->registered_count = registry->instrument_count();
-  }
-  export_->subscribes->Set(registry_.subscribe_count());
-  export_->unsubscribes->Set(registry_.unsubscribe_count());
-  export_->active->Set(registry_.active_count());
-  export_->streams_opened->Set(
-      streams_opened_.load(std::memory_order_relaxed));
+  registry->SetCounter("serve.subscribes", registry_.subscribe_count());
+  registry->SetCounter("serve.unsubscribes", registry_.unsubscribe_count());
+  registry->SetCounter("serve.active_subscriptions", registry_.active_count());
+  registry->SetCounter("serve.streams_opened",
+                       streams_opened_.load(std::memory_order_relaxed));
   for (size_t i = 0; i < shards_.size(); ++i) {
     const ShardCounters& c = shards_[i]->counters();
-    ExportHandles::PerShard& h = export_->shards[i];
-    h.events->Set(c.events.load(std::memory_order_relaxed));
-    h.start_events->Set(c.start_events.load(std::memory_order_relaxed));
-    h.matches->Set(c.matches.load(std::memory_order_relaxed));
-    h.batches->Set(c.batches.load(std::memory_order_relaxed));
-    h.rebuilds->Set(c.engine_rebuilds.load(std::memory_order_relaxed));
-    h.documents->Set(c.documents.load(std::memory_order_relaxed));
-    h.ring_depth_peak->Set(c.ring_depth_peak.load(std::memory_order_relaxed));
+    const std::string prefix = "serve.shard" + std::to_string(i);
+    registry->SetCounter(prefix + ".events",
+                         c.events.load(std::memory_order_relaxed));
+    registry->SetCounter(prefix + ".start_events",
+                         c.start_events.load(std::memory_order_relaxed));
+    registry->SetCounter(prefix + ".matches",
+                         c.matches.load(std::memory_order_relaxed));
+    registry->SetCounter(prefix + ".batches",
+                         c.batches.load(std::memory_order_relaxed));
+    registry->SetCounter(prefix + ".engine_rebuilds",
+                         c.engine_rebuilds.load(std::memory_order_relaxed));
+    registry->SetCounter(prefix + ".documents",
+                         c.documents.load(std::memory_order_relaxed));
+    registry->SetCounter(prefix + ".ring_depth_peak",
+                         c.ring_depth_peak.load(std::memory_order_relaxed));
   }
-  ExportHandles::RefreshHist(hub_.batch_size, &export_->batch_size);
-  ExportHandles::RefreshHist(hub_.notify_latency_us, &export_->latency);
+  ExportHistogram(registry, "serve.batch_size", hub_.batch_size);
+  ExportHistogram(registry, "serve.notify_latency_us", hub_.notify_latency_us);
 }
 
 }  // namespace twigm::serve

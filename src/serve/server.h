@@ -176,7 +176,7 @@ class SubscriptionServer {
 
   /// Exports service metrics into `registry` (prefix "serve."): per-shard
   /// event/match/rebuild/document counters and ring-depth peaks, plus
-  /// batch-size and notification-latency histograms. Same registered-once
+  /// batch-size and notification-latency histograms. Same by-name
   /// contract as FilterEngine::ExportMetrics.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
@@ -195,9 +195,6 @@ class SubscriptionServer {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> next_stream_id_{1};
   std::atomic<uint64_t> streams_opened_{0};
-
-  struct ExportHandles;
-  mutable std::unique_ptr<ExportHandles> export_;
 };
 
 }  // namespace twigm::serve

@@ -155,17 +155,11 @@ void Shard::Dispatch(SessionState& state, EventRecord& rec) {
       counters_.start_events.fetch_add(1, std::memory_order_relaxed);
       if (engine == nullptr) break;
       *engine->offset_slot() = rec.byte_offset;
-      xml::SymbolId local = xml::kNoSymbol;
-      if (rec.symbol != xml::kNoSymbol) {
-        if (state.sym_map.size() <= rec.symbol) {
-          state.sym_map.resize(rec.symbol + 1, xml::kNoSymbol);
-        }
-        local = state.sym_map[rec.symbol];
-        if (local == xml::kNoSymbol) {
-          local = state.interner.Intern(rec.tag);
-          state.sym_map[rec.symbol] = local;
-        }
+      if (state.sym_map.size() <= rec.symbol) {
+        state.sym_map.resize(rec.symbol + 1, xml::kNoSymbol);
       }
+      xml::SymbolId& local = state.sym_map[rec.symbol];
+      if (local == xml::kNoSymbol) local = state.interner.Intern(rec.tag);
       state.attr_scratch.clear();
       for (size_t i = 0; i < rec.attr_count; ++i) {
         state.attr_scratch.push_back(
@@ -179,11 +173,9 @@ void Shard::Dispatch(SessionState& state, EventRecord& rec) {
     case EventRecord::Kind::kEndElement: {
       if (engine == nullptr) break;
       *engine->offset_slot() = rec.byte_offset;
-      xml::SymbolId local = xml::kNoSymbol;
-      if (rec.symbol != xml::kNoSymbol &&
-          rec.symbol < state.sym_map.size()) {
-        local = state.sym_map[rec.symbol];
-      }
+      const xml::SymbolId local = rec.symbol < state.sym_map.size()
+                                      ? state.sym_map[rec.symbol]
+                                      : xml::kNoSymbol;
       engine->event_input()->EndElement(xml::TagToken(rec.tag, local),
                                         rec.level);
       break;

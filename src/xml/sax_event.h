@@ -11,10 +11,9 @@
 //     query machines consume this layer.
 //
 // Tags travel as `TagToken`: the tag bytes plus the dense `SymbolId` the
-// parser's TagInterner assigned to that tag name (kNoSymbol when interning
-// is off). Machines that bound their query labels to the same interner
-// dispatch on the symbol — one integer compare or postings-vector lookup
-// per event instead of hashing the tag bytes (see DESIGN.md §10).
+// parser's TagInterner assigned to that tag name. Machines bind their query
+// labels to the same interner and dispatch on the symbol alone — one
+// postings-vector lookup per event, never a byte compare (DESIGN.md §10).
 
 #ifndef TWIGM_XML_SAX_EVENT_H_
 #define TWIGM_XML_SAX_EVENT_H_
@@ -32,24 +31,18 @@ namespace twigm::xml {
 /// interner's lifetime: the same tag bytes always map to the same symbol.
 using SymbolId = uint32_t;
 
-/// "No symbol attached": the event producer did not intern this name.
+/// "No symbol": a name the interner never saw (TagInterner::Find), or a
+/// symbol slot not yet filled.
 inline constexpr SymbolId kNoSymbol = ~SymbolId{0};
 
 /// A tag name as it travels through the event layer: the bytes plus the
-/// producer's interned symbol. Implicitly constructible from the plain
-/// string types so call sites that only have bytes keep working (they
-/// produce kNoSymbol tokens, which consumers treat as "compare by bytes").
+/// producer's interned symbol. Machines match on `symbol` only; `text` is
+/// for consumers that keep names (DOM, index, routing).
 struct TagToken {
   std::string_view text;
   SymbolId symbol = kNoSymbol;
 
   constexpr TagToken() = default;
-  // NOLINTBEGIN(google-explicit-constructor): implicit conversion from the
-  // string types is the API — byte-only call sites produce kNoSymbol tokens.
-  constexpr TagToken(std::string_view t) : text(t) {}
-  constexpr TagToken(const char* t) : text(t) {}
-  TagToken(const std::string& t) : text(t) {}
-  // NOLINTEND(google-explicit-constructor)
   constexpr TagToken(std::string_view t, SymbolId s) : text(t), symbol(s) {}
 };
 

@@ -627,16 +627,12 @@ inline Status SaxParser::EmitText(size_t lt, bool has_amp) {
     } else if (!has_amp) {
       // Fast path: no entity references, so the raw bytes are the decoded
       // text — emit the buffer view directly, no copy.
-      if (options_.emit_whitespace_text || !IsAllWhitespace(raw)) {
-        handler_->OnCharacters(raw);
-      }
+      handler_->OnCharacters(raw);
     } else {
       text_scratch_.clear();
       TWIGM_RETURN_IF_ERROR(
           DecodeEntities(raw, "character data", &text_scratch_));
-      if (options_.emit_whitespace_text || !IsAllWhitespace(text_scratch_)) {
-        handler_->OnCharacters(text_scratch_);
-      }
+      handler_->OnCharacters(text_scratch_);
     }
   }
   Advance(lt);
@@ -789,7 +785,7 @@ Status SaxParser::ConsumeStartTag(size_t gt) {
 
   seen_root_ = true;
   const SymbolId sym = interner_.Intern(name);
-  const TagToken tag(name, options_.intern_tags ? sym : kNoSymbol);
+  const TagToken tag(name, sym);
   handler_->OnStartElement(tag, attr_scratch_);
   if (self_closing) {
     handler_->OnEndElement(tag);
@@ -816,8 +812,7 @@ inline Status SaxParser::ConsumeEndTag(size_t gt) {
       if (i == gt) {
         open_tags_.pop_back();
         handler_->OnEndElement(
-            TagToken(std::string_view(b + name_begin, open.size()),
-                     options_.intern_tags ? sym : kNoSymbol));
+            TagToken(std::string_view(b + name_begin, open.size()), sym));
         Advance(gt + 1);
         return Status::Ok();
       }

@@ -61,10 +61,6 @@ namespace twigm::xml {
 struct SaxParserOptions {
   /// Maximum element nesting depth before the parser reports an error.
   int max_depth = 20000;
-  /// When true, character data consisting only of whitespace between
-  /// elements is still delivered via OnCharacters. Query machines ignore it
-  /// either way; tests may want it suppressed.
-  bool emit_whitespace_text = true;
   /// Maximum bytes the parser may buffer for a single incomplete construct
   /// (unterminated tag, CDATA section, comment, text run). A malicious or
   /// broken stream that never closes a construct would otherwise grow the
@@ -74,12 +70,6 @@ struct SaxParserOptions {
   /// transcoding, which can expand input by up to 1.5× — so a transcoded
   /// stream cannot smuggle past the cap. 0 disables the limit.
   uint64_t max_buffer_bytes = uint64_t{1} << 30;  // 1 GiB
-  /// When true (default), emitted TagTokens carry the SymbolId assigned by
-  /// this parser's TagInterner. When false, tokens carry kNoSymbol and
-  /// consumers fall back to byte comparison (the parser still interns
-  /// internally for its own open-tag bookkeeping). Exists so differential
-  /// tests can exercise the legacy dispatch path.
-  bool intern_tags = true;
   /// When true, structural scanning uses the one-byte-at-a-time reference
   /// loop instead of the build-selected SIMD/SWAR kernel. The two must be
   /// indistinguishable through the event stream (asserted by the

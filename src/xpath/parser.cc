@@ -1,5 +1,6 @@
 #include "xpath/parser.h"
 
+#include <string>
 #include <vector>
 
 #include "xpath/lexer.h"
@@ -173,11 +174,48 @@ class ParserImpl {
   size_t pos_ = 0;
 };
 
+// Measures the query tree's depth on the flat token list, without
+// recursion: each step ('name', '*', '@name') goes one level deeper, '['
+// remembers the depth of the step it qualifies and ']' returns to it.
+Status CheckDepth(const std::vector<Token>& tokens) {
+  std::vector<int> open;  // step depth at each unclosed '['
+  int depth = 0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    switch (tokens[i].kind) {
+      case TokenKind::kName:
+        if (i > 0 && tokens[i - 1].kind == TokenKind::kAt) break;
+        [[fallthrough]];
+      case TokenKind::kStar:
+      case TokenKind::kAt:
+        if (++depth > kMaxQueryDepth) {
+          return Status::ParseError(
+              "query is deeper than the limit of " +
+              std::to_string(kMaxQueryDepth) + " steps (kMaxQueryDepth) at "
+              "offset " + std::to_string(tokens[i].offset));
+        }
+        break;
+      case TokenKind::kLBracket:
+        open.push_back(depth);
+        break;
+      case TokenKind::kRBracket:
+        if (!open.empty()) {
+          depth = open.back();
+          open.pop_back();
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<PathExpr> ParseQuery(std::string_view query) {
   Result<std::vector<Token>> tokens = Tokenize(query);
   if (!tokens.ok()) return tokens.status();
+  TWIGM_RETURN_IF_ERROR(CheckDepth(tokens.value()));
   ParserImpl impl(query, std::move(tokens).value());
   return impl.ParseTopLevel();
 }

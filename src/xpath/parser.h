@@ -10,8 +10,15 @@
 
 namespace twigm::xpath {
 
+/// Longest root-to-leaf chain of steps a query may have. Every predicate
+/// nesting level adds at least one step, so this also caps nesting.
+/// Compilation, rendering and analysis recurse along such chains; the cap
+/// keeps a hostile query (say a subscription) from exhausting the stack.
+inline constexpr int kMaxQueryDepth = 256;
+
 /// Parses a top-level query in XP{/,//,*,[]} (plus attribute and value
-/// tests). The query must start with '/' or '//'.
+/// tests). The query must start with '/' or '//'. A query deeper than
+/// kMaxQueryDepth is a ParseError, found before any recursive descent.
 Result<PathExpr> ParseQuery(std::string_view query);
 
 }  // namespace twigm::xpath

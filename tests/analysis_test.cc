@@ -403,6 +403,7 @@ TEST(LevelBoundsTest, PreservesResultsWithFewerPushes) {
       }
       xml::EventDriver driver(machine.value().get());
       xml::SaxParser parser(&driver);
+      machine.value()->BindInterner(parser.interner());
       EXPECT_TRUE(parser.ParseAll(doc.value()).ok());
       *pushes = machine.value()->stats().pushes;
       std::vector<xml::NodeId> ids = sink.TakeIds();

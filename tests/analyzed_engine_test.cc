@@ -1,5 +1,5 @@
 // Differential tests for AnalyzedEngine: on random DTD-generated documents
-// the analyzed-and-pruned engine (both backends) must emit exactly the same
+// the analyzed-and-pruned engine must emit exactly the same
 // (query, id) sets as an unanalyzed MultiQueryProcessor over the original
 // query texts — the soundness proof-by-execution for all three analyzer
 // passes plus the level-bound pruning.
@@ -105,21 +105,15 @@ TEST(AnalyzedEngineTest, DifferentialOnRandomBooks) {
     const std::vector<std::vector<xml::NodeId>> expected =
         RunBaseline(queries, doc.value());
 
-    for (AnalyzedEngine::Backend backend :
-         {AnalyzedEngine::Backend::kFilter,
-          AnalyzedEngine::Backend::kProduct}) {
-      AnalyzedEngine::Options options;
-      options.dtd = &structure.value();
-      options.backend = backend;
-      AnalyzedEngine::AnalysisStats stats;
-      const std::vector<std::vector<xml::NodeId>> got =
-          RunAnalyzed(queries, doc.value(), options, &stats);
-      EXPECT_EQ(got, expected) << "seed " << seed << " backend "
-                               << static_cast<int>(backend);
-      EXPECT_EQ(stats.queries_unsatisfiable, 3u);
-      EXPECT_GE(stats.queries_forwarded, 2u);  // equivalent pair + duplicate
-      EXPECT_GE(stats.branches_minimized, 2u);
-    }
+    AnalyzedEngine::Options options;
+    options.dtd = &structure.value();
+    AnalyzedEngine::AnalysisStats stats;
+    const std::vector<std::vector<xml::NodeId>> got =
+        RunAnalyzed(queries, doc.value(), options, &stats);
+    EXPECT_EQ(got, expected) << "seed " << seed;
+    EXPECT_EQ(stats.queries_unsatisfiable, 3u);
+    EXPECT_GE(stats.queries_forwarded, 2u);  // equivalent pair + duplicate
+    EXPECT_GE(stats.branches_minimized, 2u);
   }
 }
 
@@ -135,12 +129,7 @@ TEST(AnalyzedEngineTest, DifferentialWithoutDtd) {
   };
   const std::vector<std::vector<xml::NodeId>> expected =
       RunBaseline(queries, doc);
-  for (AnalyzedEngine::Backend backend :
-       {AnalyzedEngine::Backend::kFilter, AnalyzedEngine::Backend::kProduct}) {
-    AnalyzedEngine::Options options;
-    options.backend = backend;
-    EXPECT_EQ(RunAnalyzed(queries, doc, options), expected);
-  }
+  EXPECT_EQ(RunAnalyzed(queries, doc, AnalyzedEngine::Options()), expected);
 }
 
 TEST(AnalyzedEngineTest, RandomDtdDocuments) {
@@ -175,15 +164,10 @@ TEST(AnalyzedEngineTest, RandomDtdDocuments) {
 
     const std::vector<std::vector<xml::NodeId>> expected =
         RunBaseline(queries, doc.value());
-    for (AnalyzedEngine::Backend backend :
-         {AnalyzedEngine::Backend::kFilter,
-          AnalyzedEngine::Backend::kProduct}) {
-      AnalyzedEngine::Options options;
-      options.dtd = &structure.value();
-      options.backend = backend;
-      EXPECT_EQ(RunAnalyzed(queries, doc.value(), options), expected)
-          << "seed " << seed;
-    }
+    AnalyzedEngine::Options options;
+    options.dtd = &structure.value();
+    EXPECT_EQ(RunAnalyzed(queries, doc.value(), options), expected)
+        << "seed " << seed;
   }
 }
 

@@ -1,17 +1,21 @@
-// Fixture: string equality on tag text in a transition function with no
-// symbol-availability test anywhere on the path.
+// Fixture: string equality on tag text in transition functions. A prior
+// symbol test on the path does not excuse it: machines have no
+// byte-comparing fallback.
 #include <string>
 #include <string_view>
 
 namespace fixture {
 
+inline constexpr unsigned kNoSym = ~0u;
+
 struct TagTok {
   std::string_view text;
-  unsigned id_field;
+  unsigned symbol = kNoSym;
 };
 
 struct NodeMachine {
   std::string label_;
+  unsigned symbol_ = kNoSym;
 
   bool StartElement(const TagTok& tag) {
     return tag.text == label_;  // expect: symbol-compare
@@ -23,6 +27,18 @@ struct NodeMachine {
       return false;
     }
     return true;
+  }
+
+  bool EndElement(const TagTok& tag) {
+    if (tag.symbol != kNoSym) {
+      return tag.symbol == symbol_;
+    }
+    return tag.text == label_;  // expect: symbol-compare
+  }
+
+  bool TryStartNode(const TagTok& tag) {
+    const bool sym = tag.symbol != kNoSym;
+    return sym ? tag.symbol == symbol_ : tag.text == label_;  // expect: symbol-compare
   }
 };
 

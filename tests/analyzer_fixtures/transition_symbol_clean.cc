@@ -1,33 +1,23 @@
-// Fixture: the legal byte-compare fallbacks — paths that already tested
-// symbol availability (kNoSymbol test, have_symbol ternary), and
-// comparisons outside transition functions.
+// Fixture: transition functions that dispatch on interned symbols only,
+// and a byte comparison outside any transition function.
 #include <string>
 #include <string_view>
 
 namespace fixture {
 
-inline constexpr unsigned kNoSym = ~0u;
-
 struct SymTagTok {
   std::string_view text;
-  unsigned symbol = kNoSym;
+  unsigned symbol = 0;
 };
 
 struct SymNodeMachine {
   std::string label_;
-  unsigned symbol_ = kNoSym;
-  bool bound_ = false;
+  unsigned symbol_ = 0;
 
-  bool StartElement(const SymTagTok& tag) {
-    if (bound_ && tag.symbol != kNoSym) {
-      return tag.symbol == symbol_;
-    }
-    return tag.text == label_;  // fallback: symbol availability was tested
-  }
+  bool StartElement(const SymTagTok& tag) { return tag.symbol == symbol_; }
 
-  bool ConsiderChild(const SymTagTok& tag) {
-    const bool have_symbol = tag.symbol != kNoSym;
-    return have_symbol ? tag.symbol == symbol_ : tag.text == label_;
+  bool ConsiderChild(const SymTagTok& tag, bool wildcard) {
+    return wildcard || tag.symbol == symbol_;
   }
 
   bool DescribeMatches(const SymTagTok& tag) const {

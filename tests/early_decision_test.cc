@@ -7,9 +7,9 @@
 //   * kOn emits the same (id) result multiset as kOff, never later
 //     (per-result byte offsets can only shrink), and agrees with the
 //     DomEvaluator oracle;
-//   * adversarial DTDs (absent / partial / contradicting) with
-//     assume_valid = false leave the engine exact on any well-formed
-//     document — the zero-fact table disables static proofs and the
+//   * with a DTD the documents cannot be trusted to follow (absent /
+//     partial / contradicting), the null decision table leaves the engine
+//     exact on any well-formed document — no static proofs, and the
 //     dynamic certainty cascade alone stays sound;
 //   * the shared-prefix FilterEngine backend with decision tables agrees
 //     per query with an unanalyzed MultiQueryProcessor.
@@ -91,10 +91,12 @@ std::string GeneratedDoc(uint64_t seed, const char* root = "book") {
 }
 
 // Streams `doc` through one single-query processor in `mode`; `dtds`
-// (when given) installs a decision table compiled with `assume_valid`.
+// (when given) installs its compiled decision table, which `drop_table`
+// then replaces with the null table — the route for a DTD the documents
+// cannot be trusted to follow.
 std::vector<MatchInfo> RunStream(const std::string& query, std::string_view doc,
                            const analysis::DtdStructure* dtds,
-                           EarlyDecisionMode mode, bool assume_valid = true) {
+                           EarlyDecisionMode mode, bool drop_table = false) {
   core::VectorResultSink sink;
   core::EvaluatorOptions options;
   options.enable_early_decisions = mode;
@@ -102,8 +104,8 @@ std::vector<MatchInfo> RunStream(const std::string& query, std::string_view doc,
   EXPECT_TRUE(proc.ok()) << query << ": " << proc.status().ToString();
   if (!proc.ok()) return {};
   if (dtds != nullptr && mode != EarlyDecisionMode::kOff) {
-    analysis::EnableEarlyDecisions(proc.value().get(), *dtds,
-                                   {.assume_valid = assume_valid});
+    analysis::EnableEarlyDecisions(proc.value().get(), *dtds);
+    if (drop_table) proc.value()->InstallDecisionTable(nullptr);
   }
   // Two chunks: early emission must be insensitive to chunk boundaries.
   const size_t half = doc.size() / 2;
@@ -177,9 +179,9 @@ TEST(EarlyDecisionDifferential, ObserveIsByteExactAndOnAgreesWithDom) {
 }
 
 TEST(EarlyDecisionDifferential, AdversarialDtdsStayExact) {
-  // Documents are valid for the *Book* DTD; the installed tables describe
-  // something else entirely. assume_valid = false must compile zero-fact
-  // tables, leaving only the (input-agnostic) dynamic certainty cascade.
+  // Documents are valid for the *Book* DTD; the adversarial DTDs describe
+  // something else entirely. Replacing their tables with the null table
+  // must leave only the (input-agnostic) dynamic certainty cascade.
   const char* const kAdversarialDtds[] = {
       // Partial: most elements undeclared.
       "<!ELEMENT figure (title, image)>\n"
@@ -221,12 +223,12 @@ TEST(EarlyDecisionDifferential, AdversarialDtdsStayExact) {
         ExpectSameIdsNeverLater(
             off,
             RunStream(query, doc, &structures[d], EarlyDecisionMode::kOn,
-                /*assume_valid=*/false),
+                      /*drop_table=*/true),
             which);
-        // Observe with a zero-fact table stays byte-exact too.
+        // Observe with the null table stays byte-exact too.
         const std::vector<MatchInfo> observe =
             RunStream(query, doc, &structures[d], EarlyDecisionMode::kObserve,
-                /*assume_valid=*/false);
+                      /*drop_table=*/true);
         ASSERT_EQ(off.size(), observe.size()) << which;
         for (size_t i = 0; i < off.size(); ++i) {
           EXPECT_EQ(off[i].byte_offset, observe[i].byte_offset) << which;
@@ -281,7 +283,6 @@ TEST(EarlyDecisionDifferential, FilterEngineMatchesProduct) {
 
     filter::AnalyzedEngine::Options options;
     options.dtd = &dtds;
-    options.backend = filter::AnalyzedEngine::Backend::kFilter;
     options.evaluator.enable_early_decisions = EarlyDecisionMode::kOn;
     PerQuerySink early_sink;
     auto early = filter::AnalyzedEngine::Create(queries, &early_sink, options);

@@ -173,25 +173,34 @@ TEST(FragmentTest, NullObserverRejected) {
 }
 
 TEST(FragmentTest, CaptureForcedByOption) {
-  // An observer without wants_fragments() still gets OnFragment when the
-  // option forces capture on.
+  // The observer's wants_fragments() is the one capture switch: the same
+  // observer class gets OnFragment only when it opts in.
   class Capture : public core::MatchObserver {
    public:
+    explicit Capture(bool wants) : wants_(wants) {}
+    bool wants_fragments() const override { return wants_; }
     void OnResult(const core::MatchInfo&) override {}
     void OnFragment(xml::NodeId, std::string_view xml) override {
       fragments.emplace_back(xml);
     }
     std::vector<std::string> fragments;
+
+   private:
+    bool wants_;
   };
-  Capture capture;
-  EvaluatorOptions options;
-  options.capture_fragments = true;
-  auto proc = XPathStreamProcessor::Create("//b", &capture, options);
-  ASSERT_TRUE(proc.ok());
-  ASSERT_TRUE(proc.value()->Consume({"<a><b>x</b></a>", false}).ok());
-  ASSERT_TRUE(proc.value()->Consume({std::string_view(), true}).ok());
-  ASSERT_EQ(capture.fragments.size(), 1u);
-  EXPECT_EQ(capture.fragments[0], "<b>x</b>");
+  for (bool wants : {false, true}) {
+    Capture capture(wants);
+    auto proc = XPathStreamProcessor::Create("//b", &capture);
+    ASSERT_TRUE(proc.ok());
+    ASSERT_TRUE(proc.value()->Consume({"<a><b>x</b></a>", false}).ok());
+    ASSERT_TRUE(proc.value()->Consume({std::string_view(), true}).ok());
+    if (!wants) {
+      EXPECT_TRUE(capture.fragments.empty());
+      continue;
+    }
+    ASSERT_EQ(capture.fragments.size(), 1u);
+    EXPECT_EQ(capture.fragments[0], "<b>x</b>");
+  }
 }
 
 TEST(FragmentTest, DeepRecursiveCandidates) {

@@ -1,10 +1,14 @@
-// Differential test for the interned-tag dispatch path: every engine must
-// produce the identical match set — (query, node id, proof byte offset)
-// triples — whether events carry SymbolIds (postings-vector dispatch) or
-// kNoSymbol (legacy byte-comparing dispatch, SaxParserOptions::intern_tags
-// = false). Documents are randomized recursive instances generated from a
-// DTD, so the same tag appears at many levels and the dedup/propagation
-// machinery is exercised, not just simple matches.
+// Differential test for the interned-tag dispatch path (DESIGN.md §10):
+// every engine dispatches on SymbolIds through per-symbol postings, and
+// must agree with an oracle that shares none of that dispatch code. The
+// single-query TwigM run is checked id-for-id against the DOM evaluator;
+// MultiQueryProcessor, FilterEngine and Reset-reuse are checked against
+// one XPathStreamProcessor per query on (query, node id, proof byte
+// offset) triples. Documents are randomized recursive instances generated
+// from a DTD, so the same tag appears at many levels and the
+// dedup/propagation machinery is exercised, not just simple matches. (The
+// test names predate the removal of the byte-comparing dispatch they were
+// first compared against.)
 
 #include <algorithm>
 #include <memory>
@@ -12,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "baselines/dom_eval.h"
 #include "core/evaluator.h"
 #include "core/multi_query.h"
 #include "core/result_sink.h"
@@ -19,6 +24,7 @@
 #include "dtd/dtd_parser.h"
 #include "filter/filter_engine.h"
 #include "gtest/gtest.h"
+#include "xpath/query_tree.h"
 
 namespace twigm {
 namespace {
@@ -57,9 +63,8 @@ std::vector<std::string> GenerateDocuments() {
 }
 
 // (query index, node id, proof byte offset) — sorted before comparison
-// because dispatch order within one event may differ between the symbol
-// and legacy paths (label vs wildcard interleaving) without changing the
-// match set.
+// because emission order across queries differs between the engines
+// without changing the match set.
 using Hit = std::tuple<size_t, xml::NodeId, uint64_t>;
 
 class CollectingMultiSink : public core::MultiQueryResultSink {
@@ -95,40 +100,53 @@ const std::vector<std::string>& TwigQueries() {
   return *queries;
 }
 
-std::vector<Hit> RunSingleQuery(const std::string& query,
-                                const std::string& doc, bool intern) {
-  CollectingObserver observer;
-  core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
-  options.sax.intern_tags = intern;
-  Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
-      core::XPathStreamProcessor::Create(query, &observer, options);
-  EXPECT_TRUE(proc.ok()) << query << ": " << proc.status().ToString();
-  Status s = proc.value()->Consume({doc, false});
-  if (s.ok()) s = proc.value()->Consume({std::string_view(), true});
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  return Sorted(std::move(observer.hits));
+// One XPathStreamProcessor per query: the per-query reference the
+// multi-query engines must reproduce.
+std::vector<Hit> RunPerQuery(const std::vector<std::string>& queries,
+                             const std::string& doc) {
+  std::vector<Hit> hits;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    CollectingObserver observer;
+    Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
+        core::XPathStreamProcessor::Create(queries[q], &observer);
+    EXPECT_TRUE(proc.ok()) << queries[q] << ": " << proc.status().ToString();
+    Status s = proc.value()->Consume({doc, false});
+    if (s.ok()) s = proc.value()->Consume({std::string_view(), true});
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    for (const Hit& h : observer.hits) {
+      hits.push_back({q, std::get<1>(h), std::get<2>(h)});
+    }
+  }
+  return Sorted(std::move(hits));
 }
 
 TEST(HotpathDifferentialTest, TwigMachineMatchesLegacyDispatch) {
   const std::vector<std::string> docs = GenerateDocuments();
+  core::EvaluatorOptions options;
+  options.engine = core::EngineKind::kTwigM;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (const std::string& query : TwigQueries()) {
-      const std::vector<Hit> interned = RunSingleQuery(query, docs[d], true);
-      const std::vector<Hit> legacy = RunSingleQuery(query, docs[d], false);
-      ASSERT_EQ(interned, legacy) << "doc seed " << (1000 + d) << " query "
-                                  << query;
+      Result<std::vector<xml::NodeId>> streamed =
+          core::EvaluateToIds(query, docs[d], options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      std::vector<xml::NodeId> ids = std::move(streamed).value();
+      std::sort(ids.begin(), ids.end());
+      Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
+      ASSERT_TRUE(tree.ok());
+      Result<std::vector<xml::NodeId>> oracle =
+          baselines::EvaluateOnDom(tree.value(), docs[d]);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      ASSERT_EQ(ids, oracle.value()) << "doc seed " << (1000 + d)
+                                     << " query " << query;
     }
   }
 }
 
 std::vector<Hit> RunMultiQuery(const std::vector<std::string>& queries,
-                               const std::string& doc, bool intern) {
+                               const std::string& doc) {
   CollectingMultiSink sink;
-  core::EvaluatorOptions options;
-  options.sax.intern_tags = intern;
   Result<std::unique_ptr<core::MultiQueryProcessor>> proc =
-      core::MultiQueryProcessor::Create(queries, &sink, options);
+      core::MultiQueryProcessor::Create(queries, &sink);
   EXPECT_TRUE(proc.ok()) << proc.status().ToString();
   Status s = proc.value()->Consume({doc, false});
   if (s.ok()) s = proc.value()->Consume({std::string_view(), true});
@@ -139,21 +157,17 @@ std::vector<Hit> RunMultiQuery(const std::vector<std::string>& queries,
 TEST(HotpathDifferentialTest, MultiQueryProcessorMatchesLegacyDispatch) {
   const std::vector<std::string> docs = GenerateDocuments();
   for (size_t d = 0; d < docs.size(); ++d) {
-    const std::vector<Hit> interned = RunMultiQuery(TwigQueries(), docs[d],
-                                                    true);
-    const std::vector<Hit> legacy = RunMultiQuery(TwigQueries(), docs[d],
-                                                  false);
-    ASSERT_EQ(interned, legacy) << "doc seed " << (1000 + d);
+    ASSERT_EQ(RunMultiQuery(TwigQueries(), docs[d]),
+              RunPerQuery(TwigQueries(), docs[d]))
+        << "doc seed " << (1000 + d);
   }
 }
 
 std::vector<Hit> RunFilter(const std::vector<std::string>& queries,
-                           const std::string& doc, bool intern) {
+                           const std::string& doc) {
   CollectingMultiSink sink;
-  core::EvaluatorOptions options;
-  options.sax.intern_tags = intern;
   Result<std::unique_ptr<filter::FilterEngine>> engine =
-      filter::FilterEngine::Create(queries, &sink, options);
+      filter::FilterEngine::Create(queries, &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   Status s = engine.value()->Consume({doc, false});
   if (s.ok()) s = engine.value()->Consume({std::string_view(), true});
@@ -176,14 +190,14 @@ TEST(HotpathDifferentialTest, FilterEngineMatchesLegacyDispatch) {
   };
   const std::vector<std::string> docs = GenerateDocuments();
   for (size_t d = 0; d < docs.size(); ++d) {
-    const std::vector<Hit> interned = RunFilter(queries, docs[d], true);
-    const std::vector<Hit> legacy = RunFilter(queries, docs[d], false);
-    ASSERT_EQ(interned, legacy) << "doc seed " << (1000 + d);
+    ASSERT_EQ(RunFilter(queries, docs[d]), RunPerQuery(queries, docs[d]))
+        << "doc seed " << (1000 + d);
   }
 }
 
-// Reset + re-stream with interning on must also agree with a fresh legacy
-// run: pooled state from the previous document must not leak into results.
+// Reset + re-stream must also agree with fresh per-query processors:
+// pooled state and interned symbols from the previous document must not
+// leak into results.
 TEST(HotpathDifferentialTest, ResetReuseMatchesLegacyDispatch) {
   const std::vector<std::string> docs = GenerateDocuments();
   CollectingMultiSink sink;
@@ -198,9 +212,8 @@ TEST(HotpathDifferentialTest, ResetReuseMatchesLegacyDispatch) {
     if (s.ok()) s = proc.value()->Consume({std::string_view(), true});
     ASSERT_TRUE(s.ok()) << s.ToString();
     const std::vector<Hit> reused = Sorted(sink.hits);
-    const std::vector<Hit> fresh = RunMultiQuery(TwigQueries(), docs[d],
-                                                 false);
-    ASSERT_EQ(reused, fresh) << "doc seed " << (1000 + d);
+    ASSERT_EQ(reused, RunPerQuery(TwigQueries(), docs[d]))
+        << "doc seed " << (1000 + d);
   }
 }
 

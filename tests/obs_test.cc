@@ -7,14 +7,20 @@
 
 #include "obs/instrumentation.h"
 
+#include <functional>
 #include <map>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/multi_query.h"
+#include "filter/analyzed_engine.h"
+#include "filter/filter_engine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 
 namespace twigm {
 namespace {
@@ -312,6 +318,80 @@ TEST(ResetReuseTest, MatchInfoOffsetsIdenticalAcrossReset) {
   EXPECT_EQ(sink.offsets, first_run);
   ASSERT_FALSE(first_run.empty());
   for (uint64_t off : first_run) EXPECT_GT(off, 0u);
+}
+
+// --- ExportMetrics into a re-created registry ----------------------------
+
+TEST(MetricsTest, SetCounterRegistersOnceThenRefreshes) {
+  MetricsRegistry reg;
+  Counter* c = reg.RegisterCounter("c");
+  reg.SetCounter("c", 4);
+  EXPECT_EQ(c->value(), 4u);
+  reg.SetCounter("d", 9);
+  reg.SetCounter("d", 10);
+  EXPECT_EQ(reg.instrument_count(), 2u);
+  std::map<std::string, double> by_name;
+  for (const obs::MetricValue& v : reg.Snapshot()) by_name[v.name] = v.value;
+  EXPECT_EQ(by_name.at("d"), 10);
+}
+
+// Exports into a registry, destroys it, builds a second registry in the
+// same storage (same address) holding at least as many instruments, and
+// exports again. Every exported counter must land in the live registry:
+// `name` must read `expected` there.
+void ExpectExportLandsInReusedRegistry(
+    const std::function<void(MetricsRegistry*)>& export_metrics,
+    const std::string& name, double expected) {
+  alignas(MetricsRegistry) unsigned char storage[sizeof(MetricsRegistry)];
+  auto* first = new (storage) MetricsRegistry();
+  export_metrics(first);
+  const size_t exported = first->instrument_count();
+  first->~MetricsRegistry();
+
+  auto* second = new (storage) MetricsRegistry();
+  for (size_t i = 0; i < exported; ++i) {
+    second->RegisterCounter("other." + std::to_string(i));
+  }
+  export_metrics(second);
+  std::map<std::string, double> by_name;
+  for (const obs::MetricValue& v : second->Snapshot()) by_name[v.name] = v.value;
+  second->~MetricsRegistry();
+  ASSERT_TRUE(by_name.count(name)) << name << " missing from the new registry";
+  EXPECT_EQ(by_name.at(name), expected) << name;
+}
+
+TEST(ExportMetricsTest, ReusedRegistryStorageGetsFreshCounters) {
+  VectorResultSink sink;
+  auto proc = XPathStreamProcessor::Create("//b[c]", &sink);
+  ASSERT_TRUE(proc.ok());
+  ASSERT_TRUE(proc.value()->Consume({kDoc, true}).ok());
+  ExpectExportLandsInReusedRegistry(
+      [&](MetricsRegistry* r) { proc.value()->ExportMetrics(r); },
+      "engine.results", 2);
+
+  core::VectorMultiQuerySink multi_sink;
+  auto filter = filter::FilterEngine::Create({"//b[c]", "//d"}, &multi_sink);
+  ASSERT_TRUE(filter.ok());
+  ASSERT_TRUE(filter.value()->Consume({kDoc, true}).ok());
+  ExpectExportLandsInReusedRegistry(
+      [&](MetricsRegistry* r) { filter.value()->ExportMetrics(r); },
+      "filter.results", 3);
+
+  auto analyzed = filter::AnalyzedEngine::Create({"//b", "//b", "//d"},
+                                                 &multi_sink);
+  ASSERT_TRUE(analyzed.ok());
+  ExpectExportLandsInReusedRegistry(
+      [&](MetricsRegistry* r) { analyzed.value()->ExportMetrics(r); },
+      "analysis.queries_forwarded", 1);
+
+  serve::SubscriptionServer::Options options;
+  options.num_shards = 1;
+  auto server = serve::SubscriptionServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.value()->Subscribe("//b").ok());
+  ExpectExportLandsInReusedRegistry(
+      [&](MetricsRegistry* r) { server.value()->ExportMetrics(r); },
+      "serve.subscribes", 1);
 }
 
 }  // namespace

@@ -159,6 +159,7 @@ TEST_P(AdversarialScalingTest, OneResultAndLinearState) {
   ASSERT_TRUE(machine.ok());
   xml::EventDriver driver(machine.value().get());
   xml::SaxParser parser(&driver);
+  machine.value()->BindInterner(parser.interner());
   ASSERT_TRUE(parser.ParseAll(doc).ok());
 
   ASSERT_EQ(sink.ids().size(), 1u);

@@ -60,6 +60,7 @@ TEST(PathMachineTest, EmitsAtStartElement) {
   ASSERT_TRUE(machine.ok());
   xml::EventDriver driver(machine.value().get());
   xml::SaxParser parser(&driver);
+  machine.value()->BindInterner(parser.interner());
   ASSERT_TRUE(parser.Consume({"<a><b>", false}).ok());
   EXPECT_EQ(sink.ids().size(), 1u);  // already emitted, stream still open
   ASSERT_TRUE(parser.Consume({"</b></a>", false}).ok());
@@ -76,6 +77,7 @@ TEST(PathMachineTest, StatsTrackStackDepth) {
   ASSERT_TRUE(machine.ok());
   xml::EventDriver driver(machine.value().get());
   xml::SaxParser parser(&driver);
+  machine.value()->BindInterner(parser.interner());
   ASSERT_TRUE(parser.ParseAll("<a><a><a/></a></a>").ok());
   EXPECT_EQ(machine.value()->stats().results, 2u);
   // Stacks: node0 holds 3 a's, node1 holds 2 => peak 5.

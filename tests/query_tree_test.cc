@@ -1,7 +1,10 @@
 #include "xpath/query_tree.h"
 
+#include <string>
+
 #include "core/machine_builder.h"
 #include "gtest/gtest.h"
+#include "xpath/parser.h"
 
 namespace twigm {
 namespace {
@@ -14,6 +17,37 @@ QueryTree MustParse(std::string_view query) {
   Result<QueryTree> result = QueryTree::Parse(query);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+// A query whose deepest step chain is `depth` steps long, built by
+// nesting predicates ("//a[b[b...]]") or by chaining steps ("//a/a/...").
+std::string NestedQuery(int depth) {
+  std::string q = "//a";
+  for (int i = 1; i < depth; ++i) q += "[b";
+  return q + std::string(static_cast<size_t>(depth - 1), ']');
+}
+std::string ChainQuery(int depth) {
+  std::string q = "//a";
+  for (int i = 1; i < depth; ++i) q += "/a";
+  return q;
+}
+
+TEST(QueryTreeTest, DepthCapIsAParseErrorNotACrash) {
+  // The cap is checked on the flat token list before any recursive
+  // descent, so 100000 levels come back as a ParseError naming the limit.
+  EXPECT_TRUE(QueryTree::Parse(NestedQuery(xpath::kMaxQueryDepth)).ok());
+  EXPECT_TRUE(QueryTree::Parse(ChainQuery(xpath::kMaxQueryDepth)).ok());
+  for (int depth : {xpath::kMaxQueryDepth + 1, 100000}) {
+    for (const std::string& query : {NestedQuery(depth), ChainQuery(depth)}) {
+      Result<QueryTree> tree = QueryTree::Parse(query);
+      ASSERT_FALSE(tree.ok()) << "depth " << depth;
+      EXPECT_EQ(tree.status().code(), StatusCode::kParseError);
+      EXPECT_NE(tree.status().message().find(
+                    std::to_string(xpath::kMaxQueryDepth)),
+                std::string::npos)
+          << tree.status().ToString();
+    }
+  }
 }
 
 TEST(QueryTreeTest, LinearQueryShape) {

@@ -247,19 +247,6 @@ std::vector<Case> Cases() {
        "<a x='1'y='2'/>"});
   {
     SaxParserOptions o;
-    o.emit_whitespace_text = false;
-    add("ok_no_whitespace_text",
-        {"<a> <b>\n</b>x <c/>\t</a>", "<a> &#32; </a>",
-         "<a><![CDATA[  ]]></a>"},
-        o);
-  }
-  {
-    SaxParserOptions o;
-    o.intern_tags = false;
-    add("ok_uninterned", {"<a><b/><b x='1'>t</b></a>"}, o);
-  }
-  {
-    SaxParserOptions o;
     o.force_scalar_scan = true;
     add("ok_scalar_scan", {kKitchenSink, "<a b='\"'>&amp;</a>"}, o);
   }
@@ -399,12 +386,6 @@ constexpr Golden kGolden[] = {
     {"ok_constructs",
      {0xd64618fc254bbc4bull, 0x65a787ed009eb5fbull,
       0xeaece680c98fea5bull, 0xdb7f7bb92b3f49f9ull}},
-    {"ok_no_whitespace_text",
-     {0x20a807e16086167dull, 0x2f62a2598e69b3ceull,
-      0x87948cd4cc3aa78dull, 0xdda67a7f93e4c224ull}},
-    {"ok_uninterned",
-     {0xbac559d49c931c4bull, 0x2a1a0d79ca278216ull,
-      0xa37d8b88587dd890ull, 0x6abccdde8c9b1c53ull}},
     {"ok_scalar_scan",
      {0xf20074bee8ab8668ull, 0xafd6c777c60aac82ull,
       0xf55355689bfee48bull, 0xce7db3cf040c3641ull}},

@@ -24,6 +24,7 @@
 #include "serve/spsc_ring.h"
 #include "serve/subscription_registry.h"
 #include "xml/tag_interner.h"
+#include "xpath/parser.h"
 
 namespace twigm {
 namespace {
@@ -411,6 +412,28 @@ TEST(SubscriptionServerTest, RejectsBadOptionsAndQueries) {
   ASSERT_TRUE(server.ok());
   EXPECT_FALSE(server.value()->Subscribe("//a[").ok());
   EXPECT_EQ(server.value()->active_subscriptions(), 0u);
+}
+
+TEST(SubscriptionServerTest, RejectsQueriesDeeperThanTheCap) {
+  // Subscriber text is hostile input: a query nested past
+  // xpath::kMaxQueryDepth is refused with a ParseError, never a crash, and
+  // the server keeps serving.
+  auto nested = [](int depth) {
+    std::string q = "//a";
+    for (int i = 1; i < depth; ++i) q += "[b";
+    return q + std::string(static_cast<size_t>(depth - 1), ']');
+  };
+  auto server = SubscriptionServer::Create();
+  ASSERT_TRUE(server.ok());
+  EXPECT_TRUE(server.value()->Subscribe(nested(xpath::kMaxQueryDepth)).ok());
+  for (int depth : {xpath::kMaxQueryDepth + 1, 100000}) {
+    Result<SubscriptionId> sub = server.value()->Subscribe(nested(depth));
+    ASSERT_FALSE(sub.ok()) << "depth " << depth;
+    EXPECT_EQ(sub.status().code(), StatusCode::kParseError);
+  }
+  EXPECT_EQ(server.value()->active_subscriptions(), 1u);
+  auto stream = server.value()->OpenStream();
+  EXPECT_TRUE(stream->FeedDocument("<a><b/></a>").ok());
 }
 
 TEST(SubscriptionServerTest, ExportMetricsCoversEveryStage) {

@@ -288,25 +288,5 @@ TEST(TagInternerPersistTest, ReingestAfterLoadKeepsSymbolsStable) {
   }
 }
 
-TEST(TagInternerChunkFuzzTest, InternTagsOffEmitsNoSymbol) {
-  SaxParserOptions options;
-  options.intern_tags = false;
-  class Check : public SaxHandler {
-   public:
-    void OnStartElement(const TagToken& tag,
-                        const std::vector<Attribute>&) override {
-      EXPECT_EQ(tag.symbol, kNoSymbol);
-    }
-    void OnEndElement(const TagToken& tag) override {
-      EXPECT_EQ(tag.symbol, kNoSymbol);
-    }
-    void OnCharacters(std::string_view) override {}
-    void OnEndDocument() override {}
-  };
-  Check check;
-  SaxParser parser(&check, options);
-  EXPECT_TRUE(parser.ParseAll("<a><b>t</b></a>").ok());
-}
-
 }  // namespace
 }  // namespace twigm::xml

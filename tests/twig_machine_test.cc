@@ -37,6 +37,7 @@ TwigRun RunTwig(std::string_view query, std::string_view document,
   EXPECT_TRUE(machine.ok()) << machine.status().ToString();
   xml::EventDriver driver(machine.value().get());
   xml::SaxParser parser(&driver);
+  machine.value()->BindInterner(parser.interner());
   EXPECT_TRUE(parser.ParseAll(document).ok());
   TwigRun run;
   run.ids = sink.TakeIds();
@@ -278,10 +279,13 @@ TEST(TwigMachineTest, ResetAllowsReuse) {
   Result<std::unique_ptr<TwigMachine>> machine =
       TwigMachine::Create(tree.value(), &sink);
   ASSERT_TRUE(machine.ok());
+  xml::EventDriver driver(machine.value().get());
+  xml::SaxParser parser(&driver);
+  machine.value()->BindInterner(parser.interner());
   for (int round = 0; round < 2; ++round) {
     machine.value()->Reset();
-    xml::EventDriver driver(machine.value().get());
-    xml::SaxParser parser(&driver);
+    parser.Reset();
+    driver.Reset();
     ASSERT_TRUE(parser.ParseAll("<a><b/></a>").ok());
   }
   EXPECT_EQ(sink.ids().size(), 2u);  // one result per round
@@ -359,6 +363,23 @@ TEST(ChildOnlyPredicateTest, StateResetBetweenSiblings) {
   // ids: a=1 b=2 d=3 c=4 b=5 c=6
   ExpectChildOnly("/a/b[d]/c", doc, Ids({4}));
 }
+
+#if defined(TWIGM_CHECK_INVARIANTS)
+// Dispatch is by symbol only, so a machine never bound to its parser's
+// interner would silently match wildcards only; the invariant build aborts
+// on its first start event instead.
+TEST(TwigMachineDeathTest, UnboundMachineTripsInvariant) {
+  Result<xpath::QueryTree> tree = xpath::QueryTree::Parse("//a[b]");
+  ASSERT_TRUE(tree.ok());
+  VectorResultSink sink;
+  Result<std::unique_ptr<TwigMachine>> machine =
+      TwigMachine::Create(tree.value(), &sink);
+  ASSERT_TRUE(machine.ok());
+  xml::EventDriver driver(machine.value().get());
+  xml::SaxParser parser(&driver);
+  EXPECT_DEATH((void)parser.ParseAll("<a><b/></a>"), "never bound");
+}
+#endif
 
 }  // namespace
 }  // namespace twigm
