@@ -69,105 +69,104 @@ void RunCell(benchmark::State& state, const DatasetRef& dataset,
 }
 
 // ---------------------------------------------------------------------------
-// Instrumentation-overhead pair. Three variants stream the same Book query:
+// Instrumentation overhead. Three variants stream the same Book query:
 //   handwired  — parser -> driver -> TwigMachine bound to the parser's
 //                interner, no processor wrapper (the shape the engine had
 //                before the observability layer, on the same symbol
 //                dispatch every processor runs);
 //   obs_off    — XPathStreamProcessor with instrumentation == nullptr;
 //   obs_on     — processor with a live Instrumentation (for reference only).
-// scripts/check_obs_overhead.py compares obs_off against handwired and fails
-// if the null-instrumentation path regresses by more than 5%.
+// Every iteration runs all three, each iteration starting from the next
+// variant in turn, and records the three times together, so a host phase
+// change lands on all variants alike. scripts/bench_gate.py takes the
+// median of the per-iteration obs_off/handwired ratios and fails if the
+// null-instrumentation path costs more than 5%.
 
 constexpr char kOverheadQuery[] = "//section[title]//figure";
+constexpr int kOverheadIterations = 11;
 
-void AddOverheadRecord(const char* variant, double wall_ms, uint64_t results,
-                       size_t doc_bytes) {
-  BenchRecord record;
-  record.bench = "fig7_exec_time";
-  record.params = {
-      {"group", "overhead"}, {"dataset", "Book"}, {"variant", variant}};
-  record.wall_ms = wall_ms;
-  record.metrics = {{"results", static_cast<double>(results)},
-                    {"doc_bytes", static_cast<double>(doc_bytes)}};
-  BenchJson::Get().Add(std::move(record));
+enum Variant { kHandwired, kObsOff, kObsOn, kVariantCount };
+constexpr const char* kVariantNames[] = {"handwired", "obs_off", "obs_on"};
+
+// Streams `doc` once through `variant`; only the Consume calls are timed.
+Status TimeVariant(int variant, const xpath::QueryTree& tree,
+                   const std::string& doc, double* wall_ms,
+                   uint64_t* results) {
+  core::CountingResultSink sink;
+  auto stream = [&](auto& consumer) {
+    Stopwatch sw;
+    Status s = consumer.Consume({doc, false});
+    if (s.ok()) s = consumer.Consume({std::string_view(), true});
+    *wall_ms = sw.ElapsedSeconds() * 1e3;
+    *results = sink.count();
+    return s;
+  };
+  if (variant == kHandwired) {
+    Result<std::unique_ptr<core::TwigMachine>> machine =
+        core::TwigMachine::Create(tree, &sink);
+    if (!machine.ok()) return machine.status();
+    xml::EventDriver driver(machine.value().get());
+    xml::SaxParser parser(&driver);
+    machine.value()->BindInterner(parser.interner());
+    return stream(parser);
+  }
+  obs::Instrumentation instr;
+  core::EvaluatorOptions options;
+  options.engine = core::EngineKind::kTwigM;
+  options.instrumentation = variant == kObsOn ? &instr : nullptr;
+  Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
+      core::XPathStreamProcessor::Create(kOverheadQuery, &sink, options);
+  if (!proc.ok()) return proc.status();
+  return stream(*proc.value());
 }
 
-void BM_OverheadHandwired(benchmark::State& state) {
+void BM_Overhead(benchmark::State& state) {
   const std::string& doc = BookDataset();
   Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(kOverheadQuery);
   if (!tree.ok()) {
     state.SkipWithError(tree.status().ToString().c_str());
     return;
   }
+  int first = 0;
   for (auto _ : state) {
-    core::CountingResultSink sink;
-    Result<std::unique_ptr<core::TwigMachine>> machine =
-        core::TwigMachine::Create(tree.value(), &sink);
-    if (!machine.ok()) {
-      state.SkipWithError(machine.status().ToString().c_str());
+    double wall_ms[kVariantCount];
+    uint64_t results[kVariantCount];
+    for (int k = 0; k < kVariantCount; ++k) {
+      const int variant = (first + k) % kVariantCount;
+      const Status s = TimeVariant(variant, tree.value(), doc,
+                                   &wall_ms[variant], &results[variant]);
+      if (!s.ok()) {
+        state.SkipWithError(s.ToString().c_str());
+        return;
+      }
+    }
+    if (results[kObsOff] != results[kHandwired] ||
+        results[kObsOn] != results[kHandwired]) {
+      state.SkipWithError("overhead variants disagree on the result count");
       return;
     }
-    xml::EventDriver driver(machine.value().get());
-    xml::SaxParser parser(&driver);
-    machine.value()->BindInterner(parser.interner());
-    Stopwatch sw;
-    Status s = parser.Consume({doc, false});
-    if (s.ok()) s = parser.Consume({std::string_view(), true});
-    const double wall_ms = sw.ElapsedSeconds() * 1e3;
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      return;
-    }
-    AddOverheadRecord("handwired", wall_ms, sink.count(), doc.size());
+    BenchRecord record;
+    record.bench = "fig7_exec_time";
+    record.params = {{"group", "overhead"},
+                     {"dataset", "Book"},
+                     {"first", kVariantNames[first]}};
+    record.wall_ms = wall_ms[kObsOff];
+    record.metrics = {{"handwired_ms", wall_ms[kHandwired]},
+                      {"obs_off_ms", wall_ms[kObsOff]},
+                      {"obs_on_ms", wall_ms[kObsOn]},
+                      {"results", static_cast<double>(results[kHandwired])},
+                      {"doc_bytes", static_cast<double>(doc.size())}};
+    BenchJson::Get().Add(std::move(record));
+    first = (first + 1) % kVariantCount;
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(doc.size()));
+                          kVariantCount * static_cast<int64_t>(doc.size()));
 }
 
-void BM_OverheadProcessor(benchmark::State& state, bool instrumented) {
-  const std::string& doc = BookDataset();
-  for (auto _ : state) {
-    core::CountingResultSink sink;
-    obs::Instrumentation instr;
-    core::EvaluatorOptions options;
-    options.engine = core::EngineKind::kTwigM;
-    options.instrumentation = instrumented ? &instr : nullptr;
-    Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
-        core::XPathStreamProcessor::Create(kOverheadQuery, &sink, options);
-    if (!proc.ok()) {
-      state.SkipWithError(proc.status().ToString().c_str());
-      return;
-    }
-    Stopwatch sw;
-    Status s = proc.value()->Consume({doc, false});
-    if (s.ok()) s = proc.value()->Consume({std::string_view(), true});
-    const double wall_ms = sw.ElapsedSeconds() * 1e3;
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      return;
-    }
-    AddOverheadRecord(instrumented ? "obs_on" : "obs_off", wall_ms,
-                      sink.count(), doc.size());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(doc.size()));
-}
-
-void RegisterOverheadPair() {
-  benchmark::RegisterBenchmark("Overhead/handwired", BM_OverheadHandwired)
+void RegisterOverhead() {
+  benchmark::RegisterBenchmark("Overhead/Book", BM_Overhead)
       ->Unit(benchmark::kMillisecond)
-      ->Iterations(5);
-  benchmark::RegisterBenchmark(
-      "Overhead/obs_off",
-      [](benchmark::State& state) { BM_OverheadProcessor(state, false); })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(5);
-  benchmark::RegisterBenchmark(
-      "Overhead/obs_on",
-      [](benchmark::State& state) { BM_OverheadProcessor(state, true); })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(5);
+      ->Iterations(kOverheadIterations);
 }
 
 void RegisterAll() {
@@ -207,7 +206,7 @@ int main(int argc, char** argv) {
   twigm::bench::BenchJson::Get().StripJsonFlag(&argc, argv);
   twigm::bench::PrintFigure6();
   twigm::bench::RegisterAll();
-  twigm::bench::RegisterOverheadPair();
+  twigm::bench::RegisterOverhead();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   twigm::bench::BenchJson::Get().Write();

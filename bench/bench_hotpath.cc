@@ -6,9 +6,10 @@
 // reach steady state (pools, interner, and stack capacity warm), then
 // Reset() and re-stream — three timed passes (best-of) for events/sec and
 // one counted pass for heap allocations, measured through the linked
-// alloc hook (src/obs/alloc_hook.h). `scripts/check_hotpath.py` gates on
-// the resulting BENCH_hotpath.json: events/sec must not regress >5%
-// against the committed baseline and steady-state allocs/event must be 0.
+// alloc hook (src/obs/alloc_hook.h). `scripts/bench_gate.py` gates on
+// the resulting BENCH_hotpath.json: steady-state allocations must be 0 on
+// every cell, and with parent-commit records given, no cell's median
+// events/sec may fall more than 5% below the parent's.
 //
 // Run with `--json BENCH_hotpath.json` for machine-readable records.
 
@@ -171,8 +172,8 @@ bool RunTwigCell(const DatasetRef& dataset, const data::QuerySpec& query,
 // Earliest-query-answering cells: TwigM over the predicate-heavy Book
 // queries in each EarlyDecisionMode, with decision tables compiled from the
 // Book DTD. Reports the emission-gap counters alongside throughput so
-// scripts/check_emission_gap.py can gate the gap reduction and the live
-// candidate high-water mark.
+// scripts/bench_gate.py can gate the gap reduction and the live candidate
+// high-water mark.
 
 struct EarlyStats {
   double gap_mean_bytes = 0;

@@ -2,7 +2,8 @@
 // kernel (ScanStructural) vs the one-byte-at-a-time reference loop
 // (ScanStructuralScalar) over the Figure 7 corpora. The interesting number
 // is the speedup ratio — on a real SIMD build it must stay >= 2x, gated by
-// scripts/check_rawscan.py against bench/BENCH_rawscan_baseline.json.
+// scripts/bench_gate.py, which judges fast GB/s only against parent-commit
+// records run on the same host.
 //
 // Protocol per (dataset, kernel) cell: one warm-up pass (grows the mark
 // vector to capacity), then best-of-5 timed passes over the whole document.
