@@ -1,6 +1,5 @@
 #include "index/index_builder.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -12,12 +11,9 @@ namespace twigm::index {
 
 namespace {
 
-void AppendRaw(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-
-void PadTo(std::string* out, size_t alignment) {
-  while (out->size() % alignment != 0) out->push_back('\0');
+// memcpy that tolerates the null data() of an empty vector.
+void Put(char* dst, const void* src, size_t size) {
+  if (size != 0) std::memcpy(dst, src, size);
 }
 
 }  // namespace
@@ -77,6 +73,10 @@ void IndexBuilder::OnStart(const xml::TagToken& tag,
     attr_entries_.push_back(entry);
   }
 
+  // The text slot is reserved now, so slots stay in pre order; OnEnd fills
+  // it and Serialize drops the slots left empty.
+  text_slots_.push_back(TextEntry{pre, 0, 0});
+
   const size_t depth = open_.size();
   if (depth == text_pool_.size()) text_pool_.emplace_back();
   text_pool_[depth].clear();
@@ -90,12 +90,11 @@ void IndexBuilder::OnEnd() {
   post_[top.pre - 1] = ++post_counter_;
   std::string& text = text_pool_[top.depth];
   if (!text.empty()) {
-    TextEntry entry;
-    entry.pre = top.pre;
-    entry.length = static_cast<uint32_t>(text.size());
-    entry.offset = text_blob_.size();
+    TextEntry& slot = text_slots_[top.pre - 1];
+    slot.length = static_cast<uint32_t>(text.size());
+    slot.offset = text_blob_.size();
     text_blob_.append(text);
-    text_entries_.push_back(entry);
+    ++text_entry_count_;
     text.clear();
   }
 }
@@ -143,13 +142,59 @@ Status IndexBuilder::Serialize(std::string* out) const {
 
   const uint64_t elements = element_count();
   const uint64_t symbols = symbol_count();
+  constexpr uint32_t kCount = kSectionCount;
+  constexpr size_t kTableEnd =
+      sizeof(FileHeader) + kCount * sizeof(SectionEntry);
+  static_assert(kTableEnd % kSectionAlignment == 0);
 
-  // Dictionary.
-  std::string dictionary;
-  parser_->interner()->Serialize(&dictionary);
+  // The dictionary is the first section and starts right after the table,
+  // so the interner appends it in place. Header and table are written last.
+  out->assign(kTableEnd, '\0');
+  parser_->interner()->Serialize(out);
 
-  // Per-symbol postings: counting sort of the symbol column. Each slice
-  // comes out ascending in pre because the column is scanned in pre order.
+  // Section sizes, indexed by SectionId - 1 (ids are dense from 1 and the
+  // sections are laid out in id order).
+  const uint64_t sizes[kCount] = {
+      out->size() - kTableEnd,                    // kDictionary
+      elements * sizeof(uint32_t),                // kPost
+      elements * sizeof(uint32_t),                // kLevel
+      elements * sizeof(uint32_t),                // kSymbol
+      elements * sizeof(uint64_t),                // kByteOffset
+      symbols * sizeof(PostingsRange),            // kPostingsIndex
+      elements * sizeof(uint32_t),                // kPostingsData
+      text_entry_count_ * sizeof(TextEntry),      // kTextIndex
+      text_blob_.size(),                          // kTextBlob
+      attr_entries_.size() * sizeof(AttrEntry),   // kAttrIndex
+      attr_blob_.size(),                          // kAttrBlob
+  };
+  SectionEntry table[kCount];
+  uint64_t cursor = kTableEnd;
+  for (uint32_t i = 0; i < kCount; ++i) {
+    cursor = (cursor + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
+    table[i].id = i + 1;
+    table[i].crc32 = 0;
+    table[i].offset = cursor;
+    table[i].size = sizes[i];
+    cursor += sizes[i];
+  }
+  out->resize(cursor);  // zero-fills the padding between sections
+  char* const image = out->data();
+  auto at = [&](SectionId id) {
+    return image + table[static_cast<uint32_t>(id) - 1].offset;
+  };
+  // Copies a section whose payload the builder already holds contiguously.
+  auto place = [&](SectionId id, const void* payload) {
+    Put(at(id), payload, table[static_cast<uint32_t>(id) - 1].size);
+  };
+
+  place(SectionId::kPost, post_.data());
+  place(SectionId::kLevel, level_.data());
+  place(SectionId::kSymbol, symbol_.data());
+  place(SectionId::kByteOffset, offset_.data());
+
+  // Per-symbol postings: counting sort of the symbol column, written into
+  // place. Each slice comes out ascending in pre because the column is
+  // scanned in pre order.
   std::vector<PostingsRange> postings_index(symbols, PostingsRange{0, 0});
   for (uint32_t sym : symbol_) ++postings_index[sym].count;
   uint64_t running = 0;
@@ -158,57 +203,30 @@ Status IndexBuilder::Serialize(std::string* out) const {
     running += range.count;
     range.count = 0;  // reused as the fill cursor below
   }
-  std::vector<uint32_t> postings_data(elements, 0);
+  char* const postings_data = at(SectionId::kPostingsData);
   for (uint64_t i = 0; i < elements; ++i) {
     PostingsRange& range = postings_index[symbol_[i]];
-    postings_data[range.begin + range.count] = static_cast<uint32_t>(i + 1);
+    const uint32_t pre = static_cast<uint32_t>(i + 1);
+    std::memcpy(postings_data + (range.begin + range.count) * sizeof(pre),
+                &pre, sizeof(pre));
     ++range.count;
   }
+  place(SectionId::kPostingsIndex, postings_index.data());
 
-  // Text entries were recorded at end-tag time (post order); the reader
-  // binary-searches them by pre.
-  std::vector<TextEntry> text_entries = text_entries_;
-  std::sort(text_entries.begin(), text_entries.end(),
-            [](const TextEntry& a, const TextEntry& b) { return a.pre < b.pre; });
-
-  struct SectionPayload {
-    SectionId id;
-    const void* data;
-    uint64_t size;
-  };
-  const SectionPayload payloads[] = {
-      {SectionId::kDictionary, dictionary.data(), dictionary.size()},
-      {SectionId::kPost, post_.data(), post_.size() * sizeof(uint32_t)},
-      {SectionId::kLevel, level_.data(), level_.size() * sizeof(uint32_t)},
-      {SectionId::kSymbol, symbol_.data(), symbol_.size() * sizeof(uint32_t)},
-      {SectionId::kByteOffset, offset_.data(),
-       offset_.size() * sizeof(uint64_t)},
-      {SectionId::kPostingsIndex, postings_index.data(),
-       postings_index.size() * sizeof(PostingsRange)},
-      {SectionId::kPostingsData, postings_data.data(),
-       postings_data.size() * sizeof(uint32_t)},
-      {SectionId::kTextIndex, text_entries.data(),
-       text_entries.size() * sizeof(TextEntry)},
-      {SectionId::kTextBlob, text_blob_.data(), text_blob_.size()},
-      {SectionId::kAttrIndex, attr_entries_.data(),
-       attr_entries_.size() * sizeof(AttrEntry)},
-      {SectionId::kAttrBlob, attr_blob_.data(), attr_blob_.size()},
-  };
-  constexpr uint32_t kCount = kSectionCount;
-  static_assert(sizeof(payloads) / sizeof(payloads[0]) == kCount);
-
-  // Lay the sections out after the header + table, each 8-byte aligned.
-  std::vector<SectionEntry> table(kCount);
-  uint64_t cursor = sizeof(FileHeader) + kCount * sizeof(SectionEntry);
-  for (uint32_t i = 0; i < kCount; ++i) {
-    cursor = (cursor + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
-    table[i].id = static_cast<uint32_t>(payloads[i].id);
-    table[i].crc32 = Crc32(payloads[i].data, payloads[i].size);
-    table[i].offset = cursor;
-    table[i].size = payloads[i].size;
-    cursor += payloads[i].size;
+  // Text slots are in pre order already; only the filled ones are stored.
+  char* text_index = at(SectionId::kTextIndex);
+  for (const TextEntry& slot : text_slots_) {
+    if (slot.length == 0) continue;
+    std::memcpy(text_index, &slot, sizeof(slot));
+    text_index += sizeof(slot);
   }
+  place(SectionId::kTextBlob, text_blob_.data());
+  place(SectionId::kAttrIndex, attr_entries_.data());
+  place(SectionId::kAttrBlob, attr_blob_.data());
 
+  for (SectionEntry& entry : table) {
+    entry.crc32 = Crc32(image + entry.offset, entry.size);
+  }
   FileHeader header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kFormatVersion;
@@ -216,17 +234,10 @@ Status IndexBuilder::Serialize(std::string* out) const {
   header.element_count = elements;
   header.symbol_count = symbols;
   header.document_bytes = document_bytes();
-  header.table_crc32 = Crc32(table.data(), table.size() * sizeof(SectionEntry));
+  header.table_crc32 = Crc32(table, sizeof(table));
   header.reserved = 0;
-
-  out->clear();
-  out->reserve(cursor);
-  AppendRaw(out, &header, sizeof(header));
-  AppendRaw(out, table.data(), table.size() * sizeof(SectionEntry));
-  for (uint32_t i = 0; i < kCount; ++i) {
-    PadTo(out, kSectionAlignment);
-    AppendRaw(out, payloads[i].data, payloads[i].size);
-  }
+  std::memcpy(image, &header, sizeof(header));
+  std::memcpy(image + sizeof(header), table, sizeof(table));
   return Status::Ok();
 }
 

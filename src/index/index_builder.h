@@ -51,7 +51,9 @@ class IndexBuilder {
   Status Pump(xml::ByteSource* source);
 
   /// Serializes the index image. Requires a completed document (a last
-  /// chunk was consumed without error).
+  /// chunk was consumed without error). `out` is sized once and every
+  /// section is written straight into its aligned final offset; header
+  /// and section table go in last, with the CRCs of the written bytes.
   Status Serialize(std::string* out) const;
 
   /// Serialize + write to `path` (atomic enough for our purposes: written
@@ -99,9 +101,12 @@ class IndexBuilder {
   std::vector<OpenElement> open_;
   std::vector<std::string> text_pool_;
 
-  // Fact sections (text entries collected at end-tag time are in post
-  // order; Serialize sorts them by pre).
-  std::vector<TextEntry> text_entries_;
+  // Fact sections. One text slot per element, indexed by pre - 1 and
+  // reserved at its start tag; OnEnd fills the slot of an element with
+  // direct text (length 0 means none), so the filled slots are already in
+  // pre order. The blob itself is appended at end-tag time.
+  std::vector<TextEntry> text_slots_;
+  uint64_t text_entry_count_ = 0;  // filled slots
   std::string text_blob_;
   std::vector<AttrEntry> attr_entries_;
   std::string attr_blob_;

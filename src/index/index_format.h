@@ -126,8 +126,24 @@ struct AttrEntry {
 static_assert(sizeof(AttrEntry) == 24);
 
 /// CRC-32 (IEEE, reflected) over `size` bytes. `seed` chains partial
-/// computations: pass the previous return value to continue.
+/// computations: pass the previous return value to continue. On x86-64
+/// CPUs with PCLMULQDQ, spans of 64 bytes or more are folded with
+/// carry-less multiplies; tails and other CPUs use slice-by-8 tables. The
+/// kernel is chosen once per process, and every kernel returns the same
+/// value on every host.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
+
+namespace detail {
+
+/// Portable slice-by-8 kernel.
+uint32_t Crc32Slice8(const void* data, size_t size, uint32_t seed);
+/// True when this build and CPU can run the folding kernel.
+bool Crc32HasClmul();
+/// PCLMULQDQ folding kernel (slice-by-8 for the tail). Call only when
+/// Crc32HasClmul() is true.
+uint32_t Crc32Clmul(const void* data, size_t size, uint32_t seed);
+
+}  // namespace detail
 
 }  // namespace twigm::index
 

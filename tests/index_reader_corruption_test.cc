@@ -6,6 +6,7 @@
 // suite runs under the ASan/UBSan CI legs, so an out-of-bounds read in
 // validation itself would also fail loudly.
 
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -20,15 +21,36 @@
 namespace twigm::index {
 namespace {
 
-std::string ValidImage() {
+std::string ImageOf(const std::string& doc) {
   IndexBuilder builder;
-  const std::string doc =
-      "<lib><book year=\"2001\"><title>tea</title><b/></book>"
-      "<book><title>x</title></book><misc note=\"n\">tail</misc></lib>";
   EXPECT_TRUE(builder.Consume({doc, true}).ok());
   std::string image;
   EXPECT_TRUE(builder.Serialize(&image).ok());
   return image;
+}
+
+// 7 elements; every section is shorter than 64 bytes.
+std::string ValidImage() {
+  return ImageOf(
+      "<lib><book year=\"2001\"><title>tea</title><b/></book>"
+      "<book><title>x</title></book><misc note=\"n\">tail</misc></lib>");
+}
+
+// ~10 KB image whose every section exceeds 64 bytes, so section CRCs run
+// through the folding kernel where the CPU has one.
+constexpr uint64_t kLargeElements = 1 + 40 * 5;
+
+std::string LargeImage() {
+  std::string doc = "<catalogue>";
+  for (int i = 0; i < 40; ++i) {
+    const std::string n = std::to_string(i);
+    doc += "<item id=\"" + n + "\" category=\"c" + std::to_string(i % 3) +
+           "\"><title>Title " + n + "</title><publisher>House " + n +
+           "</publisher><description>about " + n +
+           "</description><note/></item>";
+  }
+  doc += "</catalogue>";
+  return ImageOf(doc);
 }
 
 Status OpenStatus(std::string image) {
@@ -64,6 +86,40 @@ void Reseal(std::string* image, SectionEntry* section) {
       Crc32(TableOf(image), header->section_count * sizeof(SectionEntry));
 }
 
+// Bytes whose value no check reads: FileHeader::document_bytes and
+// FileHeader::reserved, and the padding between sections. Every other byte
+// is covered by a CRC or by a checked header field.
+std::vector<bool> UncheckedBytes(std::string image) {
+  const uint32_t sections = HeaderOf(&image)->section_count;
+  std::vector<bool> unchecked(image.size(), true);
+  const size_t table_end =
+      sizeof(FileHeader) + sections * sizeof(SectionEntry);
+  for (size_t i = 0; i < table_end; ++i) unchecked[i] = false;
+  for (size_t i = 0; i < sizeof(FileHeader::document_bytes); ++i) {
+    unchecked[offsetof(FileHeader, document_bytes) + i] = true;
+  }
+  for (size_t i = 0; i < sizeof(FileHeader::reserved); ++i) {
+    unchecked[offsetof(FileHeader, reserved) + i] = true;
+  }
+  const SectionEntry* table = TableOf(&image);
+  for (uint32_t s = 0; s < sections; ++s) {
+    for (uint64_t i = 0; i < table[s].size; ++i) {
+      unchecked[table[s].offset + i] = false;
+    }
+  }
+  return unchecked;
+}
+
+struct Fixture {
+  const char* name;
+  std::string image;
+  uint64_t elements;
+};
+
+std::vector<Fixture> Fixtures() {
+  return {{"small", ValidImage(), 7}, {"large", LargeImage(), kLargeElements}};
+}
+
 // -------------------------------------------------------------------------
 
 TEST(IndexReaderCorruptionTest, ValidImageOpens) {
@@ -71,11 +127,14 @@ TEST(IndexReaderCorruptionTest, ValidImageOpens) {
 }
 
 TEST(IndexReaderCorruptionTest, EveryTruncationFailsClosed) {
-  const std::string image = ValidImage();
-  for (size_t len = 0; len < image.size(); ++len) {
-    const Status s = OpenStatus(image.substr(0, len));
-    ASSERT_FALSE(s.ok()) << "truncated to " << len << " of " << image.size();
-    ASSERT_FALSE(s.message().empty());
+  for (const Fixture& f : Fixtures()) {
+    const std::string& image = f.image;
+    for (size_t len = 0; len < image.size(); ++len) {
+      const Status s = OpenStatus(image.substr(0, len));
+      ASSERT_FALSE(s.ok()) << f.name << " truncated to " << len << " of "
+                           << image.size();
+      ASSERT_FALSE(s.message().empty());
+    }
   }
 }
 
@@ -125,18 +184,40 @@ TEST(IndexReaderCorruptionTest, FlippedPayloadByteFailsCrc) {
 }
 
 TEST(IndexReaderCorruptionTest, EveryFlippedByteFailsClosedOrIsBenign) {
-  // Padding bytes between sections are the only bytes no checksum covers;
-  // a flip there must leave the image fully readable. Everything else must
-  // be rejected. Either way: no crash (ASan/UBSan legs verify).
-  const std::string image = ValidImage();
-  for (size_t pos = 0; pos < image.size(); ++pos) {
-    std::string copy = image;
-    copy[pos] ^= 0xFF;
-    Result<std::unique_ptr<IndexReader>> reader =
-        IndexReader::OpenBytes(std::move(copy));
-    if (reader.ok()) {
-      EXPECT_EQ(reader.value()->element_count(), 7u) << "pos=" << pos;
+  // A flip in a byte covered by a CRC or a checked header field must be
+  // rejected. Only the unchecked bytes (see UncheckedBytes) may open, and
+  // then the image must read the same element count. Either way: no crash
+  // (ASan/UBSan legs verify).
+  std::string large = LargeImage();
+  for (uint32_t s = 0; s < HeaderOf(&large)->section_count; ++s) {
+    ASSERT_GT(TableOf(&large)[s].size, 64u) << "section " << s;
+  }
+  for (const Fixture& f : Fixtures()) {
+    ASSERT_TRUE(OpenStatus(f.image).ok()) << f.name;
+    const std::vector<bool> unchecked = UncheckedBytes(f.image);
+    size_t rejected = 0;
+    size_t benign = 0;
+    for (size_t pos = 0; pos < f.image.size(); ++pos) {
+      for (unsigned char mask : {0x01, 0x80, 0xFF}) {
+        std::string copy = f.image;
+        copy[pos] = static_cast<char>(copy[pos] ^ mask);
+        Result<std::unique_ptr<IndexReader>> reader =
+            IndexReader::OpenBytes(std::move(copy));
+        if (!unchecked[pos]) {
+          ASSERT_FALSE(reader.ok())
+              << f.name << " pos=" << pos << " mask=" << int{mask};
+          ASSERT_FALSE(reader.status().message().empty());
+          ++rejected;
+        } else {
+          ASSERT_TRUE(reader.ok())
+              << f.name << " pos=" << pos << " mask=" << int{mask} << ": "
+              << reader.status().ToString();
+          EXPECT_EQ(reader.value()->element_count(), f.elements);
+          ++benign;
+        }
+      }
     }
+    EXPECT_GT(rejected, benign) << f.name;
   }
 }
 
