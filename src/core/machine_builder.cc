@@ -13,37 +13,42 @@ bool IsCollapsibleStar(const xpath::QueryNode* q, const xpath::QueryNode* sol) {
 
 }  // namespace
 
+FoldedStep FoldInteriorWildcards(const xpath::QueryNode* q,
+                                 const xpath::QueryNode* sol) {
+  FoldedStep step;
+  step.edge.exact = q->axis == xpath::Axis::kChild;
+  step.edge.distance = 1;
+  while (IsCollapsibleStar(q, sol)) {
+    q = q->children[0].get();
+    if (q->axis == xpath::Axis::kDescendant) step.edge.exact = false;
+    ++step.edge.distance;
+  }
+  step.node = q;
+  return step;
+}
+
 class MachineGraphBuilder {
  public:
   explicit MachineGraphBuilder(const xpath::QueryTree& query) : query_(query) {}
 
   Result<MachineGraph> Run() {
-    const xpath::QueryNode* root = query_.root();
-    EdgeCondition edge;
-    edge.exact = root->axis == xpath::Axis::kChild;
-    edge.distance = 1;
-    TWIGM_RETURN_IF_ERROR(BuildFrom(root, nullptr, edge));
+    TWIGM_RETURN_IF_ERROR(BuildFrom(query_.root(), nullptr));
     return std::move(graph_);
   }
 
  private:
-  // Builds the machine node for `q` (after collapsing interior wildcards
-  // along the way) under `parent` with the accumulated edge label.
-  Status BuildFrom(const xpath::QueryNode* q, MachineNode* parent,
-                   EdgeCondition edge) {
+  // Builds the machine node that query node `q` folds to (interior
+  // wildcards collapse into its edge label) under `parent`.
+  Status BuildFrom(const xpath::QueryNode* q, MachineNode* parent) {
     const xpath::QueryNode* sol = query_.sol();
-    while (IsCollapsibleStar(q, sol)) {
-      const xpath::QueryNode* child = q->children[0].get();
-      if (child->axis == xpath::Axis::kDescendant) edge.exact = false;
-      ++edge.distance;
-      q = child;
-    }
+    const FoldedStep step = FoldInteriorWildcards(q, sol);
+    q = step.node;
 
     auto owned = std::make_unique<MachineNode>();
     MachineNode* m = owned.get();
     m->label = q->name;
     m->is_wildcard = q->is_wildcard;
-    m->edge = edge;
+    m->edge = step.edge;
     m->parent = parent;
     m->on_output_path = q->on_output_path;
     m->is_return = (q == sol);
@@ -72,10 +77,7 @@ class MachineGraphBuilder {
         test.branch_slot = m->num_slots++;
         m->attr_tests.push_back(std::move(test));
       } else {
-        EdgeCondition child_edge;
-        child_edge.exact = child->axis == xpath::Axis::kChild;
-        child_edge.distance = 1;
-        TWIGM_RETURN_IF_ERROR(BuildFrom(child.get(), m, child_edge));
+        TWIGM_RETURN_IF_ERROR(BuildFrom(child.get(), m));
       }
     }
     if (m->num_slots > 64) {
@@ -92,9 +94,6 @@ class MachineGraphBuilder {
   const xpath::QueryTree& query_;
   MachineGraph graph_;
 };
-
-namespace {
-}  // namespace
 
 Result<MachineGraph> MachineGraph::Build(const xpath::QueryTree& query) {
   if (query.root() == nullptr) {

@@ -39,6 +39,22 @@ struct AttributeTest {
   int branch_slot = -1;  // β within the owning machine node
 };
 
+/// A query node after the section 4.2 folding: the node that becomes a
+/// machine node, and the edge label that reaches it.
+struct FoldedStep {
+  const xpath::QueryNode* node = nullptr;
+  EdgeCondition edge;
+};
+
+/// The wildcard collapse rule, shared by every planner over a query tree
+/// (MachineGraph::Build, index::IndexedEvaluator). Starts from query node
+/// `q` and its own incoming edge; while the node is an interior wildcard
+/// (exactly one child, an element; not `sol`; no value test) it is folded
+/// into the edge — distance + 1, and op '≥' once any folded query edge is
+/// '//' — and the walk moves on to its child.
+FoldedStep FoldInteriorWildcards(const xpath::QueryNode* q,
+                                 const xpath::QueryNode* sol);
+
 /// One machine node. Owned by MachineGraph.
 struct MachineNode {
   std::string label;        // tag, or "*"

@@ -17,6 +17,35 @@ Status Corrupt(const std::string& what) {
   return Status::ParseError("index file rejected: " + what);
 }
 
+// Nonzero iff some element's labels break the tree rules that
+// IndexReader::Attach states; also returns the deepest level. Branch-free
+// and kept out of line, so the compiler vectorizes it (inlined into
+// Attach, it is not). The tests stay in 32 bits
+// without wrapping into a false pass: once post lies in [1, n] and level in
+// [1, previous level + 1] (so level <= pre <= n), the two subtree-end
+// bounds cannot wrap, and once a test fails the result is nonzero whatever
+// the later ones read.
+__attribute__((noinline)) uint32_t BadLabels(
+    const uint32_t* post, const uint32_t* level, const uint32_t* symbol,
+    uint32_t n, uint32_t symbols, uint32_t* max_depth) {
+  auto bad_at = [&](uint32_t i, uint32_t parent_level) -> uint32_t {
+    const uint32_t p = post[i];
+    const uint32_t l = level[i];
+    return (p - 1 >= n) | (l - 1 > parent_level) | (p - 1 > n - l) |
+           (p - 1 < i + 1 - l) | (symbol[i] >= symbols);
+  };
+  *max_depth = 0;
+  if (n == 0) return 0;
+  uint32_t bad = bad_at(0, 0);
+  uint32_t depth = level[0];
+  for (uint32_t i = 1; i < n; ++i) {
+    bad |= bad_at(i, level[i - 1]);
+    depth = std::max(depth, level[i]);
+  }
+  *max_depth = depth;
+  return bad;
+}
+
 }  // namespace
 
 IndexReader::~IndexReader() {
@@ -207,18 +236,45 @@ Status IndexReader::Attach() {
   const uint64_t attr_blob_size = section_size(SectionId::kAttrBlob);
 
   // ---- label sanity ---------------------------------------------------
-  for (uint64_t i = 0; i < elements_; ++i) {
+  // The labels must describe a tree in pre order: the first element is the
+  // root, each next element is at most one level deeper than the one
+  // before it, and every subtree ends inside the document (pre <= pre_end
+  // = post + level - 1 <= element count). The joins index a per-level
+  // table by level and trust pre_end as a pre id, so a label that breaks
+  // this is rejected here, not read out of range later.
+  if (elements_ > UINT32_MAX) {
+    return Corrupt("element count exceeds the 32-bit pre id range");
+  }
+  // One branch-free pass decides; only a rejected image is walked again,
+  // to name the first bad label.
+  const uint32_t bad = BadLabels(
+      post_, level_, symbol_, static_cast<uint32_t>(elements_),
+      static_cast<uint32_t>(std::min<uint64_t>(symbols_, UINT32_MAX)),
+      &max_depth_);
+  for (uint64_t i = 0; bad != 0 && i < elements_; ++i) {
+    const uint64_t pre = i + 1;
     if (post_[i] == 0 || post_[i] > elements_) {
-      return Corrupt("post label out of range at pre " + std::to_string(i + 1));
+      return Corrupt("post label out of range at pre " + std::to_string(pre));
     }
-    if (level_[i] == 0) {
-      return Corrupt("zero level at pre " + std::to_string(i + 1));
+    const uint64_t parent_level = i == 0 ? 0 : level_[i - 1];
+    if (level_[i] == 0 || level_[i] > parent_level + 1) {
+      return Corrupt("level " + std::to_string(level_[i]) + " at pre " +
+                     std::to_string(pre) + " is not 1.." +
+                     std::to_string(parent_level + 1) +
+                     " (labels do not form a tree)");
+    }
+    const uint64_t pre_end = uint64_t{post_[i]} + level_[i] - 1;
+    if (pre_end < pre || pre_end > elements_) {
+      return Corrupt("subtree of pre " + std::to_string(pre) + " ends at " +
+                     std::to_string(pre_end) + ", outside " +
+                     std::to_string(pre) + ".." + std::to_string(elements_) +
+                     " (labels do not form a tree)");
     }
     if (symbol_[i] >= symbols_) {
-      return Corrupt("tag symbol out of range at pre " +
-                     std::to_string(i + 1));
+      return Corrupt("tag symbol out of range at pre " + std::to_string(pre));
     }
   }
+  if (bad != 0) return Corrupt("label columns out of range");
 
   // ---- postings sanity ------------------------------------------------
   if (postings_total != elements_) {

@@ -5,13 +5,13 @@
 // returning: magic, version, checksummed section table, per-section payload
 // CRCs, and every structural cross-reference (column sizes vs the header's
 // element count, postings ranges and pre ids, text/attr blob offsets,
-// label ranges, dictionary round-trip). A truncated, corrupt, or
-// wrong-version file yields a descriptive non-OK Status — never a crash and
-// never a reader that can read out of bounds later. After Open succeeds,
-// every accessor is a pointer into the mapping (columns, postings, blobs);
-// nothing is copied except the tag dictionary, which is rebuilt into a
-// TagInterner so query labels resolve to the same dense SymbolIds the
-// builder assigned.
+// label ranges and tree shape, dictionary round-trip). A truncated,
+// corrupt, or wrong-version file yields a descriptive non-OK Status — never
+// a crash and never a reader that can read out of bounds later. After Open
+// succeeds, every accessor is a pointer into the mapping (columns,
+// postings, blobs); nothing is copied except the tag dictionary, which is
+// rebuilt into a TagInterner so query labels resolve to the same dense
+// SymbolIds the builder assigned.
 
 #ifndef TWIGM_INDEX_INDEX_READER_H_
 #define TWIGM_INDEX_INDEX_READER_H_
@@ -54,6 +54,18 @@ class IndexReader {
   const uint32_t* level() const { return level_; }
   const uint32_t* symbol() const { return symbol_; }
   const uint64_t* byte_offset() const { return offset_; }
+
+  /// Deepest level of any element (the root is level 1; 0 when empty).
+  /// Open() checks that the level column describes a tree, so every level
+  /// lies in [1, max_depth()].
+  uint32_t max_depth() const { return max_depth_; }
+
+  /// Pre id of the last element in `pre`'s subtree: the subtree is exactly
+  /// the pre ids (pre, pre_end(pre)]. Open() checks pre <= pre_end <=
+  /// element_count().
+  uint32_t pre_end(uint32_t pre) const {
+    return post_[pre - 1] + level_[pre - 1] - 1;
+  }
 
   /// XISS/R containment: is `a` a proper ancestor of `d`?
   bool IsAncestor(uint32_t a, uint32_t d) const {
@@ -128,6 +140,7 @@ class IndexReader {
   uint64_t elements_ = 0;
   uint64_t symbols_ = 0;
   uint64_t document_bytes_ = 0;
+  uint32_t max_depth_ = 0;
 
   const uint32_t* post_ = nullptr;
   const uint32_t* level_ = nullptr;

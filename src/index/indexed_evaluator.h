@@ -1,31 +1,40 @@
 // IndexedEvaluator — answers XP{/,//,*,[]} queries over a persistent
-// structural index (IndexReader) by stack-based structural joins over the
+// structural index (IndexReader) by structural semi-joins over the
 // per-symbol postings lists, without touching the original document.
 //
-// Evaluation plan (DESIGN.md §15):
-//   1. Bottom-up over the query tree: each node's candidate list starts as
-//      its tag's postings (pre-sorted; all elements for '*'), filtered by
-//      the node's value test and attribute predicates — the same
-//      value/attribute facts the streaming machines test, read back from
-//      the index. Each element-child predicate then shrinks the list by an
-//      ancestor-side structural semi-join: a single merge over the two
-//      pre-sorted lists with a stack of open (pre, post) intervals,
-//      ancestor/descendant decided by interval containment and child by a
-//      level delta of one.
-//   2. Top-down along the output path: the root list is anchored (a
-//      leading '/' pins level 1), then each spine step keeps the
-//      descendant-side elements that have a surviving spine ancestor —
-//      the same merge with the roles flipped.
+// Evaluation plan (DESIGN.md §15). The plan is the section 4.2 machine
+// graph that TwigM runs, folded by the same rule
+// (core::FoldInteriorWildcards): interior predicate-free '*' steps become
+// part of the next node's edge label (op, k), so every join edge reads
+// "level delta exactly k" or "level delta at least k".
+//   1. Bottom-up over the machine nodes: each node's list starts as its
+//      tag's postings (all elements for '*'), filtered by the node's value
+//      test and attribute tests — the same facts the streaming machines
+//      test, read back from the index. A node with no such test uses its
+//      postings span in place. Each predicate child then shrinks the list
+//      by an ancestor-side semi-join.
+//   2. Top-down along the output path: the root list is anchored by its
+//      edge against the document node (level 0), then each spine step keeps
+//      the descendant-side elements that have a surviving spine ancestor.
+//      A test-free '*' return node is enumerated from its ancestors' pre
+//      ranges instead of read as all elements.
 //   3. The final list is the match set in document order. Results are
 //      emitted through the standard core::MatchObserver with
 //      MatchInfo{id = pre (the streaming NodeId), byte_offset = the
 //      element's start-tag offset}, so indexed, streaming, and DOM runs
 //      are directly comparable.
 //
+// Every join is one forward merge of two pre-sorted lists and needs no
+// stack: the subtree of element a is exactly the pre ids
+// (a, pre_end(a)], pre_end = post + level - 1, and a per-level table of the
+// latest list element seen at each level names the one ancestor of d that
+// sits k levels up. Descendants that lie in no ancestor subtree are
+// skipped by exponential search.
+//
 // Cost is O(postings touched), not O(document bytes): warm re-query never
 // re-parses. Evaluate() is repeatable and reuses all scratch storage, so
-// the steady state allocates nothing (the join loops are `// hotpath`,
-// enforced by scripts/analyze/project_analyzer.py).
+// the steady state allocates nothing (tests/hotpath_alloc_test.cc; the join
+// loops are `// hotpath`, enforced by scripts/analyze/project_analyzer.py).
 
 #ifndef TWIGM_INDEX_INDEXED_EVALUATOR_H_
 #define TWIGM_INDEX_INDEXED_EVALUATOR_H_
@@ -36,6 +45,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/edge.h"
 #include "core/result_sink.h"
 #include "index/index_reader.h"
 #include "xml/sax_event.h"
@@ -47,7 +57,8 @@ class IndexedEvaluator {
  public:
   /// Join accounting for one Evaluate() call.
   struct Stats {
-    uint64_t postings_touched = 0;  // candidate entries read from postings
+    uint64_t postings_touched = 0;  // candidate entries read (postings or
+                                    // enumerated pre ranges)
     uint64_t join_steps = 0;        // merge steps across all semi-joins
     uint64_t results = 0;           // matches emitted
   };
@@ -70,53 +81,94 @@ class IndexedEvaluator {
   /// Accounting for the most recent Evaluate() call.
   const Stats& stats() const { return stats_; }
 
-  const xpath::QueryTree& query() const { return query_; }
-
  private:
   IndexedEvaluator() = default;
 
-  /// Per-query-node plan, indexed by QueryNode::index (pre-order).
-  struct AttrTest {
-    xml::SymbolId name_symbol = xml::kNoSymbol;  // kNoSymbol: never present
-    const xpath::QueryNode* node = nullptr;
-  };
-  struct NodePlan {
-    const xpath::QueryNode* node = nullptr;
-    bool wildcard = false;
-    /// False when the node has neither a value test nor attribute
-    /// predicates: candidates are then a straight copy of the postings.
-    bool has_local_tests = false;
-    /// Resolved tag symbol; kNoSymbol with !wildcard means the corpus never
-    /// saw the tag (empty candidates).
-    xml::SymbolId symbol = xml::kNoSymbol;
-    std::vector<AttrTest> attr_tests;
-    std::vector<int> element_children;  // plan indices, in query order
-    int spine_child = -1;               // plan index, -1 at the sol
+  /// Grow-only storage for one node's list.
+  struct Buffer {
+    std::unique_ptr<uint32_t[]> ids;
+    size_t capacity = 0;
   };
 
-  void BuildCandidates(const NodePlan& plan, std::vector<uint32_t>* out);
+  /// A pre-sorted list of pre ids: a postings span or a node's buffer.
+  struct IdList {
+    const uint32_t* data = nullptr;
+    size_t size = 0;
+  };
+
+  /// One machine node of the section 4.2 graph, indexed by its pre-order
+  /// id (the MachineNode::id core::MachineGraph::Build would give it).
+  struct NodePlan {
+    const xpath::QueryNode* node = nullptr;  // after wildcard folding
+    core::EdgeCondition edge;                // from the parent (the
+                                             // document node at the root)
+    /// Resolved tag symbol; kNoSymbol for a non-wildcard means the corpus
+    /// never saw the tag (empty list).
+    xml::SymbolId symbol = xml::kNoSymbol;
+    /// Name symbols of the node's attribute children, in query order, at
+    /// attr_symbols_[attr_begin, attr_end) (kNoSymbol: the corpus never
+    /// saw the name).
+    size_t attr_begin = 0;
+    size_t attr_end = 0;
+    /// Element children (plan ids) at child_ids_[child_begin, child_end):
+    /// the spine child and the predicates.
+    size_t child_begin = 0;
+    size_t child_end = 0;
+    int spine_child = -1;  // plan id, -1 at the return node
+    /// A value test or attribute tests: the list is filtered, not a span.
+    bool has_local_tests = false;
+    /// A test-free '*' leaf on the output path below the root: only the
+    /// return node can be one (an interior one is folded into an edge),
+    /// and its list is enumerated from the spine parent's pre ranges.
+    bool enumerated = false;
+  };
+
+  int AddPlan(const xpath::QueryNode* q);
+
+  static uint32_t* Room(Buffer* buf, size_t n);
+  IdList BuildCandidates(const NodePlan& plan, Buffer* buf);
   bool PassesLocalTests(const NodePlan& plan, uint32_t pre,
                         size_t* text_cursor, size_t* attr_cursor) const;
-  void SemiJoinAncestors(const std::vector<uint32_t>& anc,
-                         const std::vector<uint32_t>& desc, bool child_axis,
-                         std::vector<uint32_t>* out);
-  void SemiJoinDescendants(const std::vector<uint32_t>& anc,
-                           const std::vector<uint32_t>& desc, bool child_axis,
-                           std::vector<uint32_t>* out);
+  IdList AnchorRoot(IdList roots, core::EdgeCondition edge,
+                    Buffer* buf);
+  IdList EnumerateSubtrees(IdList anc, Buffer* buf);
+  IdList JoinAncestors(IdList anc, IdList desc, core::EdgeCondition edge,
+                       Buffer* buf);
+  IdList JoinDescendants(IdList anc, IdList desc, core::EdgeCondition edge,
+                         Buffer* buf);
+  void ClearLevelTable(IdList anc, size_t consumed);
+  void SnapshotJoinInput(IdList in);
+  void CheckJoinOutput(IdList out) const;
 
   const IndexReader* reader_ = nullptr;
   xpath::QueryTree query_;
   std::vector<NodePlan> plans_;
-  int sol_index_ = -1;
+  std::vector<xml::SymbolId> attr_symbols_;
+  std::vector<int> child_ids_;
+  int return_id_ = -1;
   Stats stats_;
 
   // Scratch, reused across Evaluate() calls (steady state: no growth).
-  std::vector<std::vector<uint32_t>> sat_;  // per plan index
-  std::vector<uint32_t> cur_;               // spine working set
-  std::vector<uint32_t> join_out_;          // semi-join output buffer
-  std::vector<uint32_t> stack_;             // open-interval stack
-  std::vector<uint8_t> matched_;            // per-ancestor match flags
-  std::vector<int> child_order_;            // predicate join order scratch
+  // Each node's list lives either in the reader's postings or in the
+  // node's buffer; a filter or join writes its output into the buffer of
+  // the node whose list it shrinks, in place when the input is already
+  // there (the output is an ordered subset of the input). Buffers only
+  // grow: a list's length is its IdList size, not the buffer's.
+  std::vector<IdList> lists_;                   // per node id
+  std::vector<Buffer> buffers_;                 // per node id
+  std::vector<uint8_t> matched_;                // per-ancestor match flags
+  std::vector<int> child_order_;                // predicate join order
+  /// One per level (1..max_depth): the latest ancestor-list element at that
+  /// level during a merge, as its subtree end and its index in the list.
+  /// end == 0 (no pre id is 0) means none; all ends are 0 between joins.
+  struct LevelEntry {
+    uint32_t end = 0;
+    uint32_t slot = 0;
+  };
+  std::vector<LevelEntry> level_table_;
+  /// Copy of the current join's input, kept only by the
+  /// TWIGM_CHECK_INVARIANTS build to check the output against it.
+  std::vector<uint32_t> join_input_;
 };
 
 }  // namespace twigm::index

@@ -1,9 +1,10 @@
 // Proves the zero-allocation steady state: after one warm pass, streaming
 // the same document again through a Reset() processor performs no heap
 // allocations at all — the parser buffers, interner, pooled stacks and
-// candidate vectors all reuse their capacity. Links twigm_alloc_hook, which
-// replaces operator new/delete with counting versions (this is why these
-// assertions live in their own binary).
+// candidate vectors all reuse their capacity. The same holds for repeated
+// IndexedEvaluator::Evaluate calls over a stored index. Links
+// twigm_alloc_hook, which replaces operator new/delete with counting
+// versions (this is why these assertions live in their own binary).
 
 #include <memory>
 #include <string>
@@ -12,10 +13,15 @@
 #include "core/evaluator.h"
 #include "core/multi_query.h"
 #include "core/result_sink.h"
+#include "data/book.h"
+#include "data/datasets.h"
 #include "dtd/dtd_generator.h"
 #include "dtd/dtd_parser.h"
 #include "filter/filter_engine.h"
 #include "gtest/gtest.h"
+#include "index/index_builder.h"
+#include "index/index_reader.h"
+#include "index/indexed_evaluator.h"
 #include "obs/alloc_hook.h"
 
 namespace twigm {
@@ -170,6 +176,54 @@ TEST(HotpathAllocTest, ResetRetainsCapacityAcrossDocuments) {
     const uint64_t before = obs::AllocHookNewCalls();
     stream(docs[i]);
     EXPECT_EQ(obs::AllocHookNewCalls() - before, 0u) << "doc " << i;
+  }
+}
+
+// Warm re-query of a stored index: after one Evaluate, every further
+// Evaluate of the same evaluator allocates nothing — postings are read in
+// place and the per-node buffers, match flags and level table keep their
+// capacity. Covers the Book queries and wildcard chains that fold into
+// (=,k) and (≥,k) edges on both join sides, plus an enumerated return '*'.
+TEST(HotpathAllocTest, IndexedEvaluatorSteadyStateAllocatesNothing) {
+  data::BookOptions book;
+  book.seed = 5;
+  book.number_levels = 20;
+  book.max_repeats = 6;
+  book.min_bytes = 100000;
+  Result<std::string> doc = data::GenerateBook(book);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  index::IndexBuilder builder;
+  ASSERT_TRUE(builder.Consume({doc.value(), true}).ok());
+  std::string image;
+  ASSERT_TRUE(builder.Serialize(&image).ok());
+  Result<std::unique_ptr<index::IndexReader>> reader =
+      index::IndexReader::OpenBytes(std::move(image));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+  std::vector<std::string> queries;
+  for (const data::QuerySpec& q : data::BookQueries()) {
+    queries.push_back(q.text);
+  }
+  for (const char* q :
+       {"//section/*/*/title", "/*//section//*", "//section[*/image]//p",
+        "//book/*//figure/*", "//*[*//image]/title",
+        "//section[title=\"data\"]/*"}) {
+    queries.push_back(q);
+  }
+  for (const std::string& query : queries) {
+    Result<std::unique_ptr<index::IndexedEvaluator>> eval =
+        index::IndexedEvaluator::Create(query, reader.value().get());
+    ASSERT_TRUE(eval.ok()) << query << ": " << eval.status().ToString();
+    core::CountingResultSink sink;
+    ASSERT_TRUE(eval.value()->Evaluate(&sink).ok());  // warm
+    const uint64_t warm_results = sink.count();
+    for (int pass = 0; pass < 3; ++pass) {
+      const uint64_t before = obs::AllocHookNewCalls();
+      ASSERT_TRUE(eval.value()->Evaluate(&sink).ok());
+      EXPECT_EQ(obs::AllocHookNewCalls() - before, 0u)
+          << query << " pass " << pass;
+    }
+    EXPECT_EQ(sink.count(), warm_results * 4) << query;
   }
 }
 

@@ -255,6 +255,43 @@ TEST(IndexReaderCorruptionTest, UnsortedPostingsFail) {
   EXPECT_FALSE(OpenStatus(std::move(image)).ok());
 }
 
+// Label columns with valid CRCs but no tree behind them. The joins index a
+// per-level table by level and read pre_end = post + level - 1 as a pre id,
+// so each must be refused at open, naming the label. ValidImage() labels:
+//   pre    1  2  3  4  5  6  7
+//   level  1  2  3  3  2  3  2
+//   post   7  3  1  2  5  4  6
+TEST(IndexReaderCorruptionTest, LabelsThatAreNotATreeFail) {
+  struct Case {
+    const char* what;
+    SectionId column;
+    uint32_t pre;
+    uint32_t value;
+  };
+  const Case cases[] = {
+      {"root below level 1", SectionId::kLevel, 1, 2},
+      {"level skips a generation", SectionId::kLevel, 4, 5},
+      {"level far past any depth", SectionId::kLevel, 3, 1u << 30},
+      {"subtree ends past the last element", SectionId::kPost, 2, 7},
+      {"subtree ends before it starts", SectionId::kPost, 7, 1},
+  };
+  for (const Case& c : cases) {
+    std::string image = ValidImage();
+    SectionEntry* column = FindSection(&image, c.column);
+    ASSERT_NE(column, nullptr);
+    std::memcpy(image.data() + column->offset + (c.pre - 1) * sizeof(uint32_t),
+                &c.value, sizeof(c.value));
+    Reseal(&image, column);
+    const Status s = OpenStatus(std::move(image));
+    ASSERT_FALSE(s.ok()) << c.what;
+    EXPECT_NE(s.message().find("labels do not form a tree"), std::string::npos)
+        << c.what << ": " << s.ToString();
+    EXPECT_NE(s.message().find("pre " + std::to_string(c.pre)),
+              std::string::npos)
+        << c.what << ": " << s.ToString();
+  }
+}
+
 TEST(IndexReaderCorruptionTest, PostingsRangeBeyondDataFails) {
   std::string image = ValidImage();
   SectionEntry* index = FindSection(&image, SectionId::kPostingsIndex);

@@ -14,6 +14,7 @@
 #include "baselines/dom_eval.h"
 #include "common/random.h"
 #include "core/evaluator.h"
+#include "core/machine_builder.h"
 #include "core/result_sink.h"
 #include "gtest/gtest.h"
 #include "index/index_builder.h"
@@ -278,6 +279,111 @@ TEST(IndexedEvaluatorTest, EvaluateIsRepeatable) {
   }
 }
 
+// One document for the join rules. Every join edge is (op, k) after the
+// section 4.2 wildcard folding; one case per rule and side.
+//
+//   <a>                 pre 1  level 1
+//     <b>               pre 2  level 2
+//       <c><d/></c>     pre 3, 4   levels 3, 4
+//       <d/>            pre 5  level 3
+//     </b>
+//     <c>               pre 6  level 2
+//       <b>             pre 7  level 3
+//         <e><d/></e>   pre 8, 9   levels 4, 5
+//       </b>
+//     </c>
+//     <d/>              pre 10 level 2
+//   </a>
+constexpr std::string_view kJoinDoc =
+    "<a><b><c><d/></c><d/></b><c><b><e><d/></e></b></c><d/></a>";
+
+TEST(IndexedEvaluatorTest, DescendantSideExactDistance) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  // (=,1): d whose parent is a b.
+  EXPECT_EQ(IndexedIds(*reader, "//b/d"), (std::vector<xml::NodeId>{5}));
+  // (=,2): d exactly two levels below a b.
+  EXPECT_EQ(IndexedIds(*reader, "//b/*/d"),
+            (std::vector<xml::NodeId>{4, 9}));
+  // (=,2) and (=,3) below the root a.
+  EXPECT_EQ(IndexedIds(*reader, "//a/*/d"), (std::vector<xml::NodeId>{5}));
+  EXPECT_EQ(IndexedIds(*reader, "//a/*/*/d"), (std::vector<xml::NodeId>{4}));
+}
+
+TEST(IndexedEvaluatorTest, DescendantSideAtLeastDistance) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  // (≥,1).
+  EXPECT_EQ(IndexedIds(*reader, "//b//d"),
+            (std::vector<xml::NodeId>{4, 5, 9}));
+  // (≥,2): d4 and d9 sit two below a b, d5 only one.
+  EXPECT_EQ(IndexedIds(*reader, "//b/*//d"),
+            (std::vector<xml::NodeId>{4, 9}));
+  EXPECT_EQ(IndexedIds(*reader, "//b//*/d"),
+            (std::vector<xml::NodeId>{4, 9}));
+  // (≥,2) and (≥,3) below the root a.
+  EXPECT_EQ(IndexedIds(*reader, "//a/*//d"),
+            (std::vector<xml::NodeId>{4, 5, 9}));
+  EXPECT_EQ(IndexedIds(*reader, "//a/*/*//d"),
+            (std::vector<xml::NodeId>{4, 9}));
+}
+
+TEST(IndexedEvaluatorTest, AncestorSideExactDistance) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  // (=,1): b with a child d (b7's d is a grandchild).
+  EXPECT_EQ(IndexedIds(*reader, "//b[d]"), (std::vector<xml::NodeId>{2}));
+  // (=,1) with a wildcard anchor: every parent of a d.
+  EXPECT_EQ(IndexedIds(*reader, "//*[d]"),
+            (std::vector<xml::NodeId>{1, 2, 3, 8}));
+  // (=,2): grandparents of a d.
+  EXPECT_EQ(IndexedIds(*reader, "//*[*/d]"),
+            (std::vector<xml::NodeId>{1, 2, 7}));
+  // (=,3): great-grandparents of a d.
+  EXPECT_EQ(IndexedIds(*reader, "//*[*/*/d]"),
+            (std::vector<xml::NodeId>{1, 6}));
+}
+
+TEST(IndexedEvaluatorTest, AncestorSideAtLeastDistance) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  // (≥,1): c with any d below it.
+  EXPECT_EQ(IndexedIds(*reader, "//c[//d]"), (std::vector<xml::NodeId>{3, 6}));
+  // (≥,2): a d at least two levels down; c3's d is its child, e8's too.
+  EXPECT_EQ(IndexedIds(*reader, "//*[*//d]"),
+            (std::vector<xml::NodeId>{1, 2, 6, 7}));
+  // (≥,3): b2 and b7 hold a d only two levels down.
+  EXPECT_EQ(IndexedIds(*reader, "//*[*/*//d]"),
+            (std::vector<xml::NodeId>{1, 6}));
+}
+
+TEST(IndexedEvaluatorTest, WildcardsFoldIntoTheRootAnchor) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(IndexedIds(*reader, "/*/c"), (std::vector<xml::NodeId>{6}));
+  EXPECT_EQ(IndexedIds(*reader, "/*/*/d"), (std::vector<xml::NodeId>{5}));
+  EXPECT_EQ(IndexedIds(*reader, "/*//d"),
+            (std::vector<xml::NodeId>{4, 5, 9, 10}));
+  EXPECT_EQ(IndexedIds(*reader, "//*//*"),
+            (std::vector<xml::NodeId>{2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(IndexedEvaluatorTest, ReturnWildcardIsEnumeratedFromAncestors) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(IndexedIds(*reader, "//c/*"), (std::vector<xml::NodeId>{4, 7}));
+  EXPECT_EQ(IndexedIds(*reader, "//c//*"),
+            (std::vector<xml::NodeId>{4, 7, 8, 9}));
+  EXPECT_EQ(IndexedIds(*reader, "//b/*/*"), (std::vector<xml::NodeId>{4, 9}));
+  EXPECT_EQ(IndexedIds(*reader, "//e/*"), (std::vector<xml::NodeId>{9}));
+  EXPECT_EQ(IndexedIds(*reader, "//d/*"), (std::vector<xml::NodeId>{}));
+  // Nested ancestors (a1 holds b2, c3 and e8) enumerate each id once.
+  EXPECT_EQ(IndexedIds(*reader, "//*[d]//*"),
+            (std::vector<xml::NodeId>{2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(IndexedIds(*reader, "//*[d]/*"),
+            (std::vector<xml::NodeId>{2, 3, 4, 5, 6, 9, 10}));
+}
+
 // ---------------------------------------------------------------------------
 // Differential suite: random documents + random XP{/,//,*,[]} queries; the
 // indexed evaluator must agree with the DOM oracle and the streaming TwigM
@@ -371,52 +477,172 @@ std::string RandomSteps(Rng* rng, int pred_depth, bool first_is_anchored) {
   return out;
 }
 
+// Checks one (document, query) pair: the indexed ids equal the DOM oracle's
+// and streaming TwigM's, come out in document order, and carry their start
+// tags' byte offsets. Returns the number of matches.
+size_t ExpectIndexedAgrees(const std::string& doc, const std::string& query) {
+  Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
+  EXPECT_TRUE(tree.ok()) << query << ": " << tree.status().ToString();
+  if (!tree.ok()) return 0;
+
+  // DOM oracle.
+  Result<std::vector<xml::NodeId>> oracle =
+      baselines::EvaluateOnDom(tree.value(), doc);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+  if (!oracle.ok()) return 0;
+  std::vector<xml::NodeId> expected = std::move(oracle).value();
+  std::sort(expected.begin(), expected.end());
+
+  // Streaming TwigM.
+  Result<std::vector<xml::NodeId>> stream =
+      core::EvaluateToIds(query, doc, core::EvaluatorOptions());
+  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+  if (!stream.ok()) return 0;
+  std::vector<xml::NodeId> stream_ids = std::move(stream).value();
+  std::sort(stream_ids.begin(), stream_ids.end());
+  EXPECT_EQ(stream_ids, expected) << "query " << query << "\ndoc " << doc;
+
+  // Indexed: build, persist, reload, evaluate.
+  Result<std::unique_ptr<IndexReader>> reader =
+      IndexReader::OpenBytes(MustBuildImage(doc));
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return 0;
+  const std::vector<core::MatchInfo> matches =
+      IndexedMatches(*reader.value(), query);
+  std::vector<xml::NodeId> indexed_ids;
+  for (const core::MatchInfo& m : matches) indexed_ids.push_back(m.id);
+  // Emission order is document order, which for pre ids is sorted order.
+  EXPECT_TRUE(std::is_sorted(indexed_ids.begin(), indexed_ids.end()));
+  EXPECT_EQ(indexed_ids, expected) << "query " << query << "\ndoc " << doc;
+
+  // Every match carries its element's start-tag byte offset.
+  for (const core::MatchInfo& m : matches) {
+    const uint64_t off = reader.value()->byte_offset()[m.id - 1];
+    EXPECT_EQ(m.byte_offset, off);
+    EXPECT_LT(off, doc.size());
+    if (off < doc.size()) {
+      EXPECT_EQ(doc[off], '<');
+    }
+  }
+  return expected.size();
+}
+
 TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOn100Documents) {
   Rng rng(0x1DEC5);
   int nonempty = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const std::string doc = RandomDocument(&rng);
     const std::string query = RandomSteps(&rng, 0, /*first_is_anchored=*/true);
-    Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
-    ASSERT_TRUE(tree.ok()) << query << ": " << tree.status().ToString();
-
-    // DOM oracle.
-    Result<std::vector<xml::NodeId>> oracle =
-        baselines::EvaluateOnDom(tree.value(), doc);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    std::vector<xml::NodeId> expected = std::move(oracle).value();
-    std::sort(expected.begin(), expected.end());
-
-    // Streaming TwigM.
-    Result<std::vector<xml::NodeId>> stream =
-        core::EvaluateToIds(query, doc, core::EvaluatorOptions());
-    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-    std::vector<xml::NodeId> stream_ids = std::move(stream).value();
-    std::sort(stream_ids.begin(), stream_ids.end());
-    ASSERT_EQ(stream_ids, expected) << "query " << query << "\ndoc " << doc;
-
-    // Indexed: build, persist, reload, evaluate.
-    Result<std::unique_ptr<IndexReader>> reader =
-        IndexReader::OpenBytes(MustBuildImage(doc));
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    const std::vector<core::MatchInfo> matches =
-        IndexedMatches(*reader.value(), query);
-    std::vector<xml::NodeId> indexed_ids;
-    for (const core::MatchInfo& m : matches) indexed_ids.push_back(m.id);
-    // Emission order is document order, which for pre ids is sorted order.
-    ASSERT_TRUE(std::is_sorted(indexed_ids.begin(), indexed_ids.end()));
-    ASSERT_EQ(indexed_ids, expected) << "query " << query << "\ndoc " << doc;
-
-    // Every match carries its element's start-tag byte offset.
-    for (const core::MatchInfo& m : matches) {
-      const uint64_t off = reader.value()->byte_offset()[m.id - 1];
-      ASSERT_EQ(m.byte_offset, off);
-      ASSERT_LT(off, doc.size());
-      ASSERT_EQ(doc[off], '<');
-    }
-    if (!expected.empty()) ++nonempty;
+    const size_t matches = ExpectIndexedAgrees(doc, query);
+    if (::testing::Test::HasFailure()) return;
+    if (matches > 0) ++nonempty;
   }
   EXPECT_GT(nonempty, 20);
+}
+
+// Deep documents with same-tag recursion and wildcard-heavy queries: after
+// the section 4.2 folding every join edge is (=,k) or (≥,k), and this suite
+// reaches each rule on both join sides with k ≥ 2 (counted below), plus
+// return and leaf wildcards, wildcards with predicates and wildcards inside
+// predicates ("a[*//b]", "a[*/b]").
+
+// Emits one element and, depth and `budget` allowing, its children. A child
+// repeats its parent's tag with probability 0.35 (same-tag recursion).
+void EmitDeepElement(Rng* rng, int depth, int max_depth,
+                     const std::string& parent_tag, int* budget,
+                     xml::XmlWriter* w) {
+  static const char* kTags[] = {"a", "b", "c", "d", "e"};
+  static const char* kAttrs[] = {"x", "y"};
+  static const char* kTexts[] = {"u", "v", "w", "10", "3"};
+  const std::string tag = depth == 1               ? std::string("a")
+                          : rng->Chance(0.35)      ? parent_tag
+                                                   : kTags[rng->Below(5)];
+  --*budget;
+  w->Open(tag);
+  if (rng->Chance(0.3)) w->Attr(kAttrs[rng->Below(2)], kTexts[rng->Below(5)]);
+  if (rng->Chance(0.3)) w->Text(kTexts[rng->Below(5)]);
+  if (depth < max_depth) {
+    const int children = static_cast<int>(rng->Below(4));
+    for (int i = 0; i < children && *budget > 0; ++i) {
+      EmitDeepElement(rng, depth + 1, max_depth, tag, budget, w);
+    }
+  }
+  w->Close();
+}
+
+std::string RandomDeepDocument(Rng* rng) {
+  xml::XmlWriter w(/*with_declaration=*/false);
+  int budget = 30 + static_cast<int>(rng->Below(120));
+  const int max_depth = 4 + static_cast<int>(rng->Below(9));  // 4..12
+  EmitDeepElement(rng, 1, max_depth, "a", &budget, &w);
+  return std::move(w).TakeString();
+}
+
+std::string WildSteps(Rng* rng, int pred_depth, bool first_is_anchored);
+
+std::string WildPredicate(Rng* rng, int pred_depth) {
+  static const char* kTags[] = {"a", "b", "c", "d", "e"};
+  const uint64_t kind = rng->Below(10);
+  if (kind < 2) {
+    std::string out = "[@";
+    out += rng->Chance(0.5) ? "x" : "y";
+    if (rng->Chance(0.4)) out += "=\"u\"";
+    return out + "]";
+  }
+  if (kind < 4) {  // a wildcard inside the predicate: [*/b], [*//b]
+    return std::string("[*") + (rng->Chance(0.5) ? "/" : "//") +
+           kTags[rng->Below(5)] + "]";
+  }
+  std::string out = "[" + WildSteps(rng, pred_depth, false);
+  if (rng->Chance(0.2)) out += rng->Chance(0.5) ? "=\"u\"" : ">=5";
+  return out + "]";
+}
+
+std::string WildSteps(Rng* rng, int pred_depth, bool first_is_anchored) {
+  static const char* kTags[] = {"a", "b", "c", "d", "e"};
+  const int steps = 1 + static_cast<int>(rng->Below(4));
+  std::string out;
+  for (int i = 0; i < steps; ++i) {
+    const bool descendant = rng->Chance(0.4);
+    if (i > 0 || first_is_anchored || descendant) {
+      out += descendant ? "//" : "/";
+    }
+    const bool last = i == steps - 1;
+    out += rng->Chance(last ? 0.4 : 0.45) ? "*" : kTags[rng->Below(5)];
+    if (pred_depth < 2) {
+      while (rng->Chance(0.25)) out += WildPredicate(rng, pred_depth + 1);
+    }
+  }
+  return out;
+}
+
+TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOnDeepWildcardQueries) {
+  Rng rng(0x5EED20);
+  int nonempty = 0;
+  // Folded edges seen, by [ancestor side (predicate) / descendant side
+  // (output path)][exact / at least].
+  int folded[2][2] = {};
+  for (int trial = 0; trial < 1200; ++trial) {
+    const std::string doc = RandomDeepDocument(&rng);
+    const std::string query = WildSteps(&rng, 0, /*first_is_anchored=*/true);
+    const size_t matches = ExpectIndexedAgrees(doc, query);
+    if (::testing::Test::HasFailure()) return;
+    if (matches > 0) ++nonempty;
+    Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
+    ASSERT_TRUE(tree.ok());
+    Result<core::MachineGraph> graph = core::MachineGraph::Build(tree.value());
+    ASSERT_TRUE(graph.ok()) << query;
+    for (const auto& node : graph.value().nodes()) {
+      if (node->parent == nullptr || node->edge.distance < 2) continue;
+      ++folded[node->on_output_path ? 1 : 0][node->edge.exact ? 0 : 1];
+    }
+  }
+  EXPECT_GT(nonempty, 250);
+  for (int side = 0; side < 2; ++side) {
+    for (int op = 0; op < 2; ++op) {
+      EXPECT_GT(folded[side][op], 20) << "side " << side << " op " << op;
+    }
+  }
 }
 
 }  // namespace
