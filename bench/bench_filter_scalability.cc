@@ -1,6 +1,7 @@
 // Filter-engine scalability benchmark: one stream, many queries. Compares
 // the shared-prefix FilterEngine (src/filter/) against the product
-// construction of MultiQueryProcessor as the query set grows 16 -> 4096,
+// construction baseline (baselines::MultiQueryProcessor) as the query set
+// grows 16 -> 4096,
 // on the Book and Auction datasets. The product's per-event cost is linear
 // in the number of queries; the filter's is bounded by the number of
 // distinct active location steps, so the gap widens with the set size.
@@ -27,12 +28,11 @@
 #include <vector>
 
 #include "analysis/dtd_structure.h"
+#include "baselines/multi_query_processor.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
-#include "core/multi_query.h"
 #include "data/book.h"
 #include "dtd/dtd_parser.h"
-#include "filter/analyzed_engine.h"
 #include "filter/filter_engine.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -100,7 +100,7 @@ std::vector<std::string> MakeWorkload(const Vocabulary& vocab, size_t count,
 // Queries the static analyzer can prune on each dataset: provably
 // unsatisfiable under the Book DTD, equivalent pairs (branch order), and
 // redundant predicate branches. MakeAnalyzableWorkload mixes these in at
-// ~25% so the analyzed engine has something to show.
+// ~25% so the DTD analysis has something to show.
 std::vector<std::string> PrunableQueries(int dataset) {
   if (dataset == 0) {
     return {"//section/book",        "//title/author",
@@ -108,8 +108,8 @@ std::vector<std::string> PrunableQueries(int dataset) {
             "//section[figure][p]",  "//section[p][figure]",
             "//book[author][author]"};
   }
-  // No DTD for Auction: only the rewrite passes (dedup/equivalence/
-  // minimization) can prune here.
+  // No DTD for Auction, so the engine runs no analysis and prunes none of
+  // these; they keep the workload's shape the same on both datasets.
   return {"//person[name][name]",
           "//open_auction[bidder][seller]",
           "//open_auction[seller][bidder]",
@@ -220,7 +220,7 @@ void BM_ProductConstruction(benchmark::State& state) {
       MakeWorkload(VocabularyFor(dataset), queries, 2006 + dataset);
   for (auto _ : state) {
     CountingSink sink;
-    auto proc = core::MultiQueryProcessor::Create(query_set, &sink);
+    auto proc = baselines::MultiQueryProcessor::Create(query_set, &sink);
     if (!proc.ok()) {
       state.SkipWithError(proc.status().ToString().c_str());
       return;
@@ -248,12 +248,13 @@ void BM_ProductConstruction(benchmark::State& state) {
                           static_cast<int64_t>(doc.size()));
 }
 
-// FilterEngine behind the static analyzer: unsatisfiable and equivalent
-// queries are pruned before streaming, and (on Book, which has a DTD)
-// level windows suppress impossible stack pushes. The "analysis.*"
-// counters land in the JSON record via the metrics registry. With
-// `mode` = kOn ("analyzed_filter_early"), earliest-decision tables are
-// compiled too and the record adds the filter.* skip counters.
+// FilterEngine given the dataset's DTD: unsatisfiable and equivalent
+// queries are pruned before streaming, and level windows suppress
+// impossible stack pushes. The "analysis.*" counters land in the JSON
+// record via the metrics registry. With `mode` = kOn
+// ("analyzed_filter_early"), earliest-decision tables are compiled too and
+// the record adds the filter.* skip counters. Auction has no DTD, so its
+// cells run the plain engine and carry no analysis.* counters.
 void RunAnalyzedFilter(benchmark::State& state, core::EarlyDecisionMode mode,
                        const char* system_name) {
   const size_t queries = static_cast<size_t>(state.range(0));
@@ -263,10 +264,10 @@ void RunAnalyzedFilter(benchmark::State& state, core::EarlyDecisionMode mode,
       VocabularyFor(dataset), queries, 2006 + dataset, dataset);
   for (auto _ : state) {
     CountingSink sink;
-    filter::AnalyzedEngine::Options options;
-    options.dtd = StructureFor(dataset);
-    options.evaluator.enable_early_decisions = mode;
-    auto engine = filter::AnalyzedEngine::Create(query_set, &sink, options);
+    core::EvaluatorOptions options;
+    options.enable_early_decisions = mode;
+    auto engine = filter::FilterEngine::Create(query_set, &sink, options,
+                                               StructureFor(dataset));
     if (!engine.ok()) {
       state.SkipWithError(engine.status().ToString().c_str());
       return;
@@ -482,7 +483,8 @@ bool SanityCheck() {
         MakeWorkload(VocabularyFor(dataset), 64, 2006 + dataset);
     const std::string& doc = DatasetFor(dataset);
     CountingSink product_sink;
-    auto proc = core::MultiQueryProcessor::Create(query_set, &product_sink);
+    auto proc =
+        baselines::MultiQueryProcessor::Create(query_set, &product_sink);
     if (!proc.ok() || !proc.value()->Consume({doc, false}).ok() ||
         !proc.value()->Consume({std::string_view(), true}).ok()) {
       std::fprintf(stderr, "sanity: product construction failed (%s)\n",
@@ -505,22 +507,21 @@ bool SanityCheck() {
                    static_cast<unsigned long long>(filter_sink.count()));
       return false;
     }
-    // The analyzed engine must agree with the product construction on the
-    // enriched workload despite pruning/minimizing queries.
+    // The engine given the DTD must agree with the product construction on
+    // the enriched workload despite pruning/minimizing queries.
     const std::vector<std::string> analyzable = MakeAnalyzableWorkload(
         VocabularyFor(dataset), 64, 2006 + dataset, dataset);
     CountingSink base_sink;
-    auto base = core::MultiQueryProcessor::Create(analyzable, &base_sink);
-    filter::AnalyzedEngine::Options options;
-    options.dtd = StructureFor(dataset);
+    auto base = baselines::MultiQueryProcessor::Create(analyzable, &base_sink);
+    core::EvaluatorOptions options;
     CountingSink analyzed_sink;
-    auto analyzed =
-        filter::AnalyzedEngine::Create(analyzable, &analyzed_sink, options);
+    auto analyzed = filter::FilterEngine::Create(
+        analyzable, &analyzed_sink, options, StructureFor(dataset));
     if (!base.ok() || !base.value()->Consume({doc, false}).ok() ||
         !base.value()->Consume({std::string_view(), true}).ok() || !analyzed.ok() ||
         !analyzed.value()->Consume({doc, false}).ok() ||
         !analyzed.value()->Consume({std::string_view(), true}).ok()) {
-      std::fprintf(stderr, "sanity: analyzed engine failed (%s)\n",
+      std::fprintf(stderr, "sanity: engine with DTD failed (%s)\n",
                    VocabularyFor(dataset).name);
       return false;
     }
@@ -534,10 +535,10 @@ bool SanityCheck() {
     }
     // Earliest decisions must not change result counts (the documents are
     // DTD-valid by construction, so the static proofs are sound here).
-    options.evaluator.enable_early_decisions = core::EarlyDecisionMode::kOn;
+    options.enable_early_decisions = core::EarlyDecisionMode::kOn;
     CountingSink early_sink;
-    auto early =
-        filter::AnalyzedEngine::Create(analyzable, &early_sink, options);
+    auto early = filter::FilterEngine::Create(analyzable, &early_sink, options,
+                                              StructureFor(dataset));
     if (!early.ok() || !early.value()->Consume({doc, false}).ok() ||
         !early.value()->Consume({std::string_view(), true}).ok()) {
       std::fprintf(stderr, "sanity: early-decision engine failed (%s)\n",

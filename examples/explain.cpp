@@ -9,7 +9,7 @@
 
 #include "core/evaluator.h"
 #include "core/machine_builder.h"
-#include "core/union_query.h"
+#include "filter/union_query.h"
 #include "xpath/query_tree.h"
 
 namespace {
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: explain '<xpath>'\n");
     return 2;
   }
-  auto branches = twigm::core::SplitUnionQuery(argv[1]);
+  auto branches = twigm::filter::SplitUnionQuery(argv[1]);
   if (!branches.ok()) {
     std::fprintf(stderr, "%s\n", branches.status().ToString().c_str());
     return 1;

@@ -18,7 +18,7 @@
 
 #include "common/string_util.h"
 #include "core/evaluator.h"
-#include "core/union_query.h"
+#include "filter/union_query.h"
 
 namespace {
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
 
   LineSink sink(quiet, fragments);
   std::unique_ptr<twigm::core::XPathStreamProcessor> processor;
-  std::unique_ptr<twigm::core::UnionQueryProcessor> union_processor;
+  std::unique_ptr<twigm::filter::UnionQueryProcessor> union_processor;
   if (fragments) {
     auto created = twigm::core::XPathStreamProcessor::Create(query, &sink);
     if (!created.ok()) {
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     }
     processor = std::move(created).value();
   } else {
-    auto created = twigm::core::UnionQueryProcessor::Create(query, &sink);
+    auto created = twigm::filter::UnionQueryProcessor::Create(query, &sink);
     if (!created.ok()) {
       std::fprintf(stderr, "query error: %s\n",
                    created.status().ToString().c_str());

@@ -69,8 +69,8 @@ QueryAnalysis AnalyzeQuery(const xpath::QueryTree& query,
 /// may miss containments — homomorphism is incomplete for this fragment).
 bool QueryContains(const xpath::QueryTree& super, const xpath::QueryTree& sub);
 
-/// Result of analyzing a whole query set (MultiQueryProcessor /
-/// FilterEngine workloads).
+/// Result of analyzing a whole query set (FilterEngine::Create runs this
+/// when given a DTD).
 struct QuerySetAnalysis {
   struct PerQuery {
     bool satisfiable = true;
@@ -91,7 +91,7 @@ struct QuerySetAnalysis {
 };
 
 /// Analyzes every query. Fails on the first syntactically-invalid query
-/// (the error names its index, like MultiQueryProcessor::Create).
+/// (the error names its index, like FilterEngine::Create).
 Result<QuerySetAnalysis> AnalyzeQuerySet(
     const std::vector<std::string>& queries, const AnalyzerOptions& options);
 

@@ -2,14 +2,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
-
-#include "analysis/decision_analysis.h"
-#include "filter/filter_engine.h"
 
 namespace twigm::filter {
 
@@ -103,24 +99,6 @@ core::DecisionTable CompileTrieDecisions(const FilterIndex& index,
     }
   }
   return table;
-}
-
-size_t InstallEarlyDecisions(FilterEngine* engine,
-                             const analysis::DtdStructure& dtd) {
-  size_t facts = 0;
-  auto trie = std::make_shared<core::DecisionTable>(
-      CompileTrieDecisions(engine->index(), dtd));
-  facts += trie->facts();
-  engine->set_trie_decisions(std::move(trie));
-  for (size_t q = 0; q < engine->query_count(); ++q) {
-    const core::MachineGraph* graph = engine->tail_graph(q);
-    if (graph == nullptr) continue;  // linear: fully absorbed by the trie
-    auto table = std::make_shared<core::DecisionTable>(
-        analysis::CompileDecisionTable(*graph, dtd));
-    facts += table->facts();
-    engine->set_tail_decisions(q, std::move(table));
-  }
-  return facts;
 }
 
 }  // namespace twigm::filter

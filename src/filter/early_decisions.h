@@ -12,9 +12,9 @@
 //     tail, so tail machines emit and drop candidates at the first certain
 //     event.
 //
-// Both trust the DTD exactly as level bounds do (sound on valid documents);
-// InstallEarlyDecisions is the one-call hookup used by AnalyzedEngine and
-// the subscription shards.
+// Both trust the DTD exactly as level bounds do (sound on valid documents).
+// FilterEngine::Create compiles and installs both when it is given a DTD
+// and EvaluatorOptions::enable_early_decisions is not kOff.
 
 #ifndef TWIGM_FILTER_EARLY_DECISIONS_H_
 #define TWIGM_FILTER_EARLY_DECISIONS_H_
@@ -25,19 +25,10 @@
 
 namespace twigm::filter {
 
-class FilterEngine;
-
 /// Compiles the per-(trie-node, element) table for `index` against `dtd`.
 /// Only the kUseless flag is populated; rows are indexed by trie node id.
 core::DecisionTable CompileTrieDecisions(const FilterIndex& index,
                                          const analysis::DtdStructure& dtd);
-
-/// Compiles and installs the trie table plus one machine table per
-/// predicate tail. The engine acts on them in the mode chosen by its
-/// EvaluatorOptions::enable_early_decisions. Returns the total number of
-/// non-default facts installed (for AnalysisStats reporting).
-size_t InstallEarlyDecisions(FilterEngine* engine,
-                             const analysis::DtdStructure& dtd);
 
 }  // namespace twigm::filter
 

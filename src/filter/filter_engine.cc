@@ -1,15 +1,31 @@
 #include "filter/filter_engine.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "analysis/decision_analysis.h"
+#include "analysis/query_analysis.h"
 #include "core/invariants.h"
+#include "filter/early_decisions.h"
 
 namespace twigm::filter {
 
+namespace {
+
+size_t CountConstraining(const core::LevelBounds& bounds) {
+  size_t n = 0;
+  for (const core::LevelRange& r : bounds) {
+    if (r.min_level > 1 || r.max_level >= 0) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<FilterEngine>> FilterEngine::Create(
     const std::vector<std::string>& queries, core::MultiQueryResultSink* sink,
-    core::EvaluatorOptions options) {
-  return Build(queries, sink, options, nullptr);
+    core::EvaluatorOptions options, const analysis::DtdStructure* dtd) {
+  return Build(queries, sink, options, nullptr, dtd);
 }
 
 Result<std::unique_ptr<FilterEngine>> FilterEngine::CreateEventFed(
@@ -19,20 +35,67 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::CreateEventFed(
     return Status::InvalidArgument(
         "FilterEngine::CreateEventFed requires a tag interner");
   }
-  return Build(queries, sink, options, interner);
+  return Build(queries, sink, options, interner, nullptr);
 }
 
 Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
     const std::vector<std::string>& queries, core::MultiQueryResultSink* sink,
-    core::EvaluatorOptions options, xml::TagInterner* external_interner) {
+    core::EvaluatorOptions options, xml::TagInterner* external_interner,
+    const analysis::DtdStructure* dtd) {
   if (sink == nullptr) {
     return Status::InvalidArgument("FilterEngine requires a result sink");
   }
-  Result<FilterIndex> index = FilterIndex::Build(queries);
-  if (!index.ok()) return index.status();
+  if (queries.empty()) {
+    return Status::InvalidArgument("no queries given");
+  }
+
+  // With a DTD, compile only the minimized texts of the satisfiable class
+  // representatives; report_as[c] lists the caller queries compiled query
+  // c answers for. Without one, compiled and caller indices coincide.
+  std::vector<std::string> compiled;
+  std::vector<std::vector<size_t>> report_as;
+  std::vector<int> compiled_of;
+  AnalysisStats astats;
+  if (dtd != nullptr) {
+    Result<analysis::QuerySetAnalysis> analyzed =
+        analysis::AnalyzeQuerySet(queries, {.dtd = dtd});
+    if (!analyzed.ok()) return analyzed.status();
+    const std::vector<analysis::QuerySetAnalysis::PerQuery>& per =
+        analyzed.value().queries;
+    compiled_of.assign(queries.size(), -1);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!per[i].satisfiable || per[i].forwarded_to != i) continue;
+      compiled_of[i] = static_cast<int>(compiled.size());
+      compiled.push_back(per[i].minimized);
+    }
+    report_as.resize(compiled.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!per[i].satisfiable) continue;
+      compiled_of[i] = compiled_of[per[i].forwarded_to];
+      report_as[static_cast<size_t>(compiled_of[i])].push_back(i);
+    }
+    astats.queries_total = queries.size();
+    astats.queries_unsatisfiable = analyzed.value().unsatisfiable;
+    astats.queries_forwarded = analyzed.value().forwarded;
+    astats.branches_minimized = analyzed.value().branches_minimized;
+  }
+
+  // A DTD can prune every query; the engine then runs an empty trie, so the
+  // document is still parsed and malformed input still fails.
+  FilterIndex built;
+  if (dtd == nullptr || !compiled.empty()) {
+    Result<FilterIndex> index =
+        FilterIndex::Build(dtd != nullptr ? compiled : queries);
+    if (!index.ok()) return index.status();
+    built = std::move(index).value();
+  }
+  if (dtd != nullptr) built.RemapAccepts(report_as);
 
   auto engine =
-      std::unique_ptr<FilterEngine>(new FilterEngine(std::move(index).value()));
+      std::unique_ptr<FilterEngine>(new FilterEngine(std::move(built)));
+  engine->query_count_ = queries.size();
+  engine->compiled_of_ = std::move(compiled_of);
+  engine->astats_ = astats;
   engine->sink_ = sink;
   engine->options_ = options;
   engine->instr_ = options.instrumentation;
@@ -58,9 +121,10 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
                               tail_tree.status().ToString());
     }
     Tail tail;
-    tail.query_index = i;
     tail.anchor = plan.anchor;
-    tail.sink = std::make_unique<TailSink>(engine.get(), i);
+    tail.sink = std::make_unique<TailSink>(
+        engine.get(), dtd == nullptr ? std::vector<size_t>{i}
+                                     : std::move(report_as[i]));
     const std::vector<int>* context =
         plan.anchor >= 0 ? &engine->stacks_[plan.anchor] : nullptr;
     Result<std::unique_ptr<core::TwigMachine>> m = core::TwigMachine::Create(
@@ -99,7 +163,6 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
   // candidate first steps by one indexed lookup instead of scanning the
   // whole root fan-out.
   engine->index_.BindInterner(interner);
-  engine->interner_ = interner;
   for (Tail& tail : engine->tails_) tail.machine->BindInterner(interner);
   engine->root_postings_.assign(interner->size(), {});
   for (int child : engine->index_.root_children()) {
@@ -111,10 +174,99 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
     }
   }
 
+  if (dtd != nullptr) {
+    engine->InstallLevelBounds(*dtd);
+    if (options.enable_early_decisions != core::EarlyDecisionMode::kOff) {
+      engine->InstallDecisions(*dtd, interner);
+    }
+  }
+
   if (engine->instr_ != nullptr) {
     engine->instr_->EnsureNodeSlots(node_count);
   }
   return engine;
+}
+
+void FilterEngine::InstallLevelBounds(const analysis::DtdStructure& dtd) {
+  // Level-window fixpoint over the step trie, mirroring
+  // ComputeMachineLevelBounds: trie nodes are created parents-first, so one
+  // index-order sweep sees every parent before its children.
+  const std::vector<StepTrieNode>& nodes = index_.nodes();
+  core::LevelBounds trie_bounds(nodes.size(), core::LevelRange::Everything());
+  std::vector<std::vector<bool>> feasible(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const StepTrieNode& v = nodes[i];
+    const int k = v.edge.distance;
+    std::vector<bool> base;
+    core::LevelRange structural;
+    if (v.parent < 0) {
+      base = v.edge.exact ? dtd.AtDepthExact(k) : dtd.AtDepthAtLeast(k);
+      structural.min_level = k;
+      structural.max_level = v.edge.exact ? k : -1;
+    } else {
+      base = analysis::ReachableFromSet(
+          dtd, feasible[static_cast<size_t>(v.parent)], k, v.edge.exact);
+      const core::LevelRange& pb = trie_bounds[static_cast<size_t>(v.parent)];
+      structural.min_level = pb.min_level + k;
+      structural.max_level =
+          (v.edge.exact && pb.max_level >= 0) ? pb.max_level + k : -1;
+    }
+    if (!v.is_wildcard) {
+      const int id = dtd.Find(v.label);
+      const bool keep = id >= 0 && base[static_cast<size_t>(id)];
+      base.assign(dtd.element_count(), false);
+      if (keep) base[static_cast<size_t>(id)] = true;
+    }
+    trie_bounds[i] = analysis::IntersectDepthRange(dtd, base, structural);
+    feasible[i] = std::move(base);
+  }
+
+  // Predicate tails: anchored below their trunk node's element set and
+  // window, or evaluated from the document root when they have no trunk.
+  for (Tail& tail : tails_) {
+    const core::MachineGraph& graph = tail.machine->graph();
+    core::LevelBounds tail_bounds =
+        tail.anchor >= 0
+            ? analysis::ComputeMachineLevelBounds(
+                  graph, dtd, feasible[static_cast<size_t>(tail.anchor)],
+                  trie_bounds[static_cast<size_t>(tail.anchor)])
+            : analysis::ComputeMachineLevelBounds(graph, dtd);
+    astats_.bounded_machine_nodes += CountConstraining(tail_bounds);
+    tail.machine->set_level_bounds(std::move(tail_bounds));
+  }
+
+  astats_.bounded_trie_nodes = CountConstraining(trie_bounds);
+  trie_level_bounds_ = std::move(trie_bounds);
+}
+
+void FilterEngine::InstallDecisions(const analysis::DtdStructure& dtd,
+                                    xml::TagInterner* interner) {
+  auto trie = std::make_unique<core::DecisionTable>(
+      CompileTrieDecisions(index_, dtd));
+  astats_.decision_facts += trie->facts();
+  // Map tag symbols onto the table's dense element ids; interning the
+  // element names here keeps the per-event lookup one array index.
+  const std::vector<std::string>& names = trie->element_names();
+  for (size_t e = 0; e < names.size(); ++e) {
+    const xml::SymbolId s = interner->Intern(names[e]);
+    if (sym_to_elem_.size() <= s) sym_to_elem_.resize(s + 1, -1);
+    sym_to_elem_[s] = static_cast<int32_t>(e);
+  }
+  trie_decisions_ = std::move(trie);
+  for (Tail& tail : tails_) {
+    auto table = std::make_shared<core::DecisionTable>(
+        analysis::CompileDecisionTable(tail.machine->graph(), dtd));
+    astats_.decision_facts += table->facts();
+    tail.machine->set_decisions(std::move(table),
+                                options_.enable_early_decisions);
+  }
+}
+
+const QueryPlan& FilterEngine::plan(size_t query_index) const {
+  static const QueryPlan kUnsatisfiable;
+  if (compiled_of_.empty()) return index_.plans()[query_index];
+  const int c = compiled_of_[query_index];
+  return c < 0 ? kUnsatisfiable : index_.plans()[static_cast<size_t>(c)];
 }
 
 Status FilterEngine::Consume(const xml::InputChunk& chunk) {
@@ -146,7 +298,6 @@ void FilterEngine::Reset() {
     tail.machine->Reset();
   }
   engaged_.clear();
-  total_results_ = 0;
   rstats_ = FilterRuntimeStats();
   stream_offset_ = 0;
   cur_elem_ = -1;
@@ -265,7 +416,6 @@ void FilterEngine::OnStartElement(const xml::TagToken& tag, int level,
     }
     const StepTrieNode& node = nodes[n];
     for (size_t q : node.accept) {
-      ++total_results_;
       ++rstats_.results;
       sink_->OnResult(q, core::MatchInfo{id, *offset_slot_, n});
       if (instr_ != nullptr) {
@@ -336,50 +486,6 @@ void FilterEngine::OnEndDocument() {
   for (Tail& tail : tails_) tail.machine->EndDocument();
 }
 
-const core::MachineGraph* FilterEngine::tail_graph(size_t query_index) const {
-  for (const Tail& tail : tails_) {
-    if (tail.query_index != query_index) continue;
-    return &tail.machine->graph();
-  }
-  return nullptr;
-}
-
-void FilterEngine::set_tail_level_bounds(size_t query_index,
-                                         core::LevelBounds bounds) {
-  for (Tail& tail : tails_) {
-    if (tail.query_index != query_index) continue;
-    tail.machine->set_level_bounds(std::move(bounds));
-    return;
-  }
-}
-
-void FilterEngine::set_trie_decisions(
-    std::shared_ptr<const core::DecisionTable> table) {
-  trie_decisions_ = std::move(table);
-  RebuildSymToElem();
-}
-
-void FilterEngine::set_tail_decisions(
-    size_t query_index, std::shared_ptr<const core::DecisionTable> table) {
-  for (Tail& tail : tails_) {
-    if (tail.query_index != query_index) continue;
-    tail.machine->set_decisions(std::move(table),
-                                options_.enable_early_decisions);
-    return;
-  }
-}
-
-void FilterEngine::RebuildSymToElem() {
-  sym_to_elem_.clear();
-  if (trie_decisions_ == nullptr || interner_ == nullptr) return;
-  const std::vector<std::string>& names = trie_decisions_->element_names();
-  for (size_t e = 0; e < names.size(); ++e) {
-    const xml::SymbolId s = interner_->Intern(names[e]);
-    if (sym_to_elem_.size() <= s) sym_to_elem_.resize(s + 1, -1);
-    sym_to_elem_[s] = static_cast<int32_t>(e);
-  }
-}
-
 void FilterEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->SetCounter("filter.start_events", rstats_.start_events);
   registry->SetCounter("filter.end_events", rstats_.end_events);
@@ -398,6 +504,20 @@ void FilterEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
   uint64_t pool = 0;
   for (const Tail& tail : tails_) pool += tail.machine->pool_entries();
   registry->SetCounter("hotpath.pool_entries", pool);
+  if (compiled_of_.empty()) return;  // no DTD, no analysis
+  registry->SetCounter("analysis.queries_total", astats_.queries_total);
+  registry->SetCounter("analysis.queries_unsatisfiable",
+                       astats_.queries_unsatisfiable);
+  registry->SetCounter("analysis.queries_forwarded",
+                       astats_.queries_forwarded);
+  registry->SetCounter("analysis.queries_pruned", astats_.queries_pruned());
+  registry->SetCounter("analysis.branches_minimized",
+                       astats_.branches_minimized);
+  registry->SetCounter("analysis.bounded_trie_nodes",
+                       astats_.bounded_trie_nodes);
+  registry->SetCounter("analysis.bounded_machine_nodes",
+                       astats_.bounded_machine_nodes);
+  registry->SetCounter("analysis.decision_facts", astats_.decision_facts);
 }
 
 }  // namespace twigm::filter

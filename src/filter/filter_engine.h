@@ -1,6 +1,9 @@
 // Shared-prefix stream filter engine: evaluates a large set of XPath
 // queries over one SAX pass with per-event cost proportional to the number
-// of *distinct* active location steps, not the number of queries.
+// of *distinct* active location steps, not the number of queries. It is the
+// repo's one multi-query engine; the product construction
+// (baselines::MultiQueryProcessor) remains as its differential oracle and
+// benchmark baseline.
 //
 // The runtime advances every query simultaneously per modified-SAX event
 // using the compiled FilterIndex: one stack of levels per *trie node*
@@ -17,9 +20,19 @@
 // is *engaged* — its anchor stack is non-empty or it still holds live
 // entries — so dormant subscriptions cost nothing per event.
 //
+// Given a DTD summary, Create also runs the static analyzer (src/analysis/)
+// before any byte is parsed: unsatisfiable queries are dropped, equivalent
+// queries share one compiled representative, minimized texts replace the
+// originals, and per-node level windows (plus, under
+// EvaluatorOptions::enable_early_decisions, decision tables) are installed
+// into the trie and the tails. Accept lists and tail sinks are rewritten to
+// the caller's query indices at compile time, so the emission path is the
+// same with or without a DTD.
+//
 // Correctness contract: FilterEngine emits exactly the same
 // (query_index, id) set as MultiQueryProcessor over the same queries and
-// document (emission order may differ; each pair is emitted once).
+// document (emission order may differ; each pair is emitted once). With a
+// DTD the contract holds on documents valid w.r.t. that DTD.
 //
 //   VectorMultiQuerySink sink;
 //   auto engine = filter::FilterEngine::Create(queries, &sink);
@@ -34,7 +47,9 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/dtd_structure.h"
 #include "common/status.h"
+#include "core/decision_table.h"
 #include "core/evaluator.h"
 #include "core/multi_query.h"
 #include "core/twig_machine.h"
@@ -46,18 +61,20 @@
 
 namespace twigm::filter {
 
-/// A compiled query set bound to one input stream. Drop-in replacement for
-/// MultiQueryProcessor: same sink, same Consume/Pump/Reset surface.
+/// A compiled query set bound to one input stream.
 class FilterEngine {
  public:
   /// Compiles the index and tail machines. `sink` must outlive the engine;
   /// not owned. `options.engine` is ignored (linear queries run in the
   /// trie, predicate tails on TwigM); `options.twig` and `options.sax`
-  /// apply.
+  /// apply. `dtd` (may be null; not owned, must outlive the engine) turns
+  /// on the static analysis described above; a query set the DTD prunes
+  /// entirely still parses, so malformed input still fails.
   static Result<std::unique_ptr<FilterEngine>> Create(
       const std::vector<std::string>& queries,
       core::MultiQueryResultSink* sink,
-      core::EvaluatorOptions options = core::EvaluatorOptions());
+      core::EvaluatorOptions options = core::EvaluatorOptions(),
+      const analysis::DtdStructure* dtd = nullptr);
 
   /// Event-fed mode (the sharded subscription service, src/serve/): builds
   /// the engine WITHOUT an internal parser/driver. The caller delivers
@@ -97,50 +114,24 @@ class FilterEngine {
   /// MatchInfo::byte_offset matches the parser-owned flow.
   uint64_t* offset_slot() { return offset_slot_; }
 
-  size_t query_count() const { return index_.plans().size(); }
-  uint64_t total_results() const { return total_results_; }
+  /// The caller's query count, pruned queries included.
+  size_t query_count() const { return query_count_; }
+  uint64_t total_results() const { return rstats_.results; }
 
+  /// The compiled index. With a DTD it holds only the surviving class
+  /// representatives, so its plans are not in the caller's index space.
   const FilterIndex& index() const { return index_; }
-  const QueryPlan& plan(size_t query_index) const {
-    return index_.plans()[query_index];
-  }
+  /// How query `query_index` runs: a forwarded query reports its
+  /// representative's plan, an unsatisfiable one a default (empty) plan.
+  const QueryPlan& plan(size_t query_index) const;
   const FilterRuntimeStats& runtime_stats() const { return rstats_; }
+  /// What the DTD analysis bought; all zero without a DTD.
+  const AnalysisStats& analysis_stats() const { return astats_; }
 
   /// Exports the runtime accounting into `registry` (prefix "filter.",
-  /// plus "hotpath.*") by counter name (same contract as
-  /// XPathStreamProcessor::ExportMetrics).
+  /// plus "hotpath.*", plus "analysis.*" when built with a DTD) by counter
+  /// name (same contract as XPathStreamProcessor::ExportMetrics).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
-
-  /// Optional: per-trie-node level windows from static analysis, indexed by
-  /// trie node id. Events outside a node's window skip its push. Windows
-  /// must be conservative for the streamed documents (they are, for
-  /// documents valid w.r.t. the analyzed DTD). Empty = no pruning.
-  void set_trie_level_bounds(core::LevelBounds bounds) {
-    trie_level_bounds_ = std::move(bounds);
-  }
-
-  /// Machine graph of the demultiplexed tail for `query_index`; null when
-  /// the query is linear (fully absorbed by the trie) — such queries have
-  /// no tail machine to bound.
-  const core::MachineGraph* tail_graph(size_t query_index) const;
-
-  /// Applies analyzer level windows (indexed by machine-node id, matching
-  /// tail_graph(query_index)) to that query's tail machine. No-op for
-  /// linear queries.
-  void set_tail_level_bounds(size_t query_index, core::LevelBounds bounds);
-
-  /// Optional: per-(trie-node, element) decision table (see
-  /// filter/early_decisions.h). In kOn mode
-  /// (EvaluatorOptions::enable_early_decisions), qualifying pushes the
-  /// table marks kUseless are skipped — sound on documents valid w.r.t.
-  /// the compiled DTD.
-  void set_trie_decisions(std::shared_ptr<const core::DecisionTable> table);
-
-  /// Installs an earliest-decision table on `query_index`'s tail machine
-  /// (mode from EvaluatorOptions::enable_early_decisions). No-op for
-  /// linear queries.
-  void set_tail_decisions(size_t query_index,
-                          std::shared_ptr<const core::DecisionTable> table);
 
  private:
   // Routes modified-SAX events into the engine.
@@ -163,25 +154,26 @@ class FilterEngine {
     FilterEngine* owner_;
   };
 
-  // Tags one tail machine's results with its query index.
+  // Reports one tail machine's results as each caller query it stands for
+  // (one, unless the DTD analysis folded equivalent queries into it).
   class TailSink : public core::MatchObserver {
    public:
-    TailSink(FilterEngine* owner, size_t index)
-        : owner_(owner), index_(index) {}
+    TailSink(FilterEngine* owner, std::vector<size_t> report_as)
+        : owner_(owner), report_as_(std::move(report_as)) {}
     void OnResult(const core::MatchInfo& match) override {
-      ++owner_->total_results_;
-      ++owner_->rstats_.results;
-      owner_->sink_->OnResult(index_, match);
+      for (size_t q : report_as_) {
+        ++owner_->rstats_.results;
+        owner_->sink_->OnResult(q, match);
+      }
     }
 
    private:
     FilterEngine* owner_;
-    size_t index_;
+    std::vector<size_t> report_as_;
   };
 
   // One predicate query's demultiplexed tail.
   struct Tail {
-    size_t query_index = 0;
     int anchor = -1;  // -1: unshared, always receives events
     bool engaged = false;
     std::unique_ptr<TailSink> sink;
@@ -199,7 +191,15 @@ class FilterEngine {
   static Result<std::unique_ptr<FilterEngine>> Build(
       const std::vector<std::string>& queries,
       core::MultiQueryResultSink* sink, core::EvaluatorOptions options,
-      xml::TagInterner* external_interner);
+      xml::TagInterner* external_interner, const analysis::DtdStructure* dtd);
+
+  // DTD build steps, run once the trie and tails are bound to `interner`:
+  // level windows per trie node and per tail machine node, then (under
+  // early decisions) the trie's kUseless table and one machine table per
+  // tail.
+  void InstallLevelBounds(const analysis::DtdStructure& dtd);
+  void InstallDecisions(const analysis::DtdStructure& dtd,
+                        xml::TagInterner* interner);
 
   void OnStartElement(const xml::TagToken& tag, int level, xml::NodeId id,
                       const std::vector<xml::Attribute>& attrs);
@@ -215,9 +215,12 @@ class FilterEngine {
   /// parent's stack (null for the virtual root).
   void ConsiderChild(int child, const std::vector<int>* stack, int level);
 
-  void RebuildSymToElem();
-
   FilterIndex index_;
+  size_t query_count_ = 0;
+  // Caller query -> compiled query it runs as (-1: unsatisfiable). Empty
+  // without a DTD, where the two index spaces coincide.
+  std::vector<int> compiled_of_;
+  AnalysisStats astats_;
   core::MultiQueryResultSink* sink_ = nullptr;
   core::EvaluatorOptions options_;
 
@@ -246,19 +249,17 @@ class FilterEngine {
 
   std::vector<int> scratch_;  // per-event push/pop worklist
 
-  // Trie decision table (see set_trie_decisions): sym_to_elem_ maps tag
+  // Trie decision table (see InstallDecisions): sym_to_elem_ maps tag
   // symbols onto the table's dense element ids; cur_elem_ is resolved once
   // per start event (-1 = unknown element, no facts).
-  std::shared_ptr<const core::DecisionTable> trie_decisions_;
+  std::unique_ptr<const core::DecisionTable> trie_decisions_;
   std::vector<int32_t> sym_to_elem_;
   int32_t cur_elem_ = -1;
-  xml::TagInterner* interner_ = nullptr;
 
   std::unique_ptr<EventSink> event_sink_;
   std::unique_ptr<xml::EventDriver> driver_;
   std::unique_ptr<xml::SaxParser> parser_;
 
-  uint64_t total_results_ = 0;
   FilterRuntimeStats rstats_;
 
   // Observability (null ⇒ disabled). Trace events use the trie node index

@@ -69,6 +69,17 @@ void FilterIndex::BindInterner(xml::TagInterner* interner) {
   }
 }
 
+void FilterIndex::RemapAccepts(
+    const std::vector<std::vector<size_t>>& report_as) {
+  for (StepTrieNode& node : nodes_) {
+    std::vector<size_t> remapped;
+    for (size_t q : node.accept) {
+      remapped.insert(remapped.end(), report_as[q].begin(), report_as[q].end());
+    }
+    node.accept = std::move(remapped);
+  }
+}
+
 Result<FilterIndex> FilterIndex::Build(
     const std::vector<std::string>& queries) {
   if (queries.empty()) {
@@ -122,32 +133,6 @@ Result<FilterIndex> FilterIndex::Build(
   }
   index.stats_.trie_node_count = index.nodes_.size();
   return index;
-}
-
-std::string FilterIndex::ToString() const {
-  std::string out;
-  for (size_t id = 0; id < nodes_.size(); ++id) {
-    const StepTrieNode& node = nodes_[id];
-    out += "node " + std::to_string(id) + ": " + node.edge.ToString() + " " +
-           node.label + " parent=" + std::to_string(node.parent);
-    if (!node.accept.empty()) {
-      out += " accepts={";
-      for (size_t k = 0; k < node.accept.size(); ++k) {
-        if (k > 0) out += ",";
-        out += std::to_string(node.accept[k]);
-      }
-      out += "}";
-    }
-    out += "\n";
-  }
-  for (size_t i = 0; i < plans_.size(); ++i) {
-    const QueryPlan& plan = plans_[i];
-    out += "query " + std::to_string(i) +
-           (plan.linear ? ": linear" : ": tail " + plan.tail) +
-           " anchor=" + std::to_string(plan.anchor) +
-           " trunk_steps=" + std::to_string(plan.trunk_steps) + "\n";
-  }
-  return out;
 }
 
 }  // namespace twigm::filter

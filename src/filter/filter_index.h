@@ -74,8 +74,13 @@ class FilterIndex {
   FilterIndex& operator=(const FilterIndex&) = delete;
 
   /// Compiles every query; fails on the first bad one (the error message
-  /// names its index, like MultiQueryProcessor::Create).
+  /// names its index).
   static Result<FilterIndex> Build(const std::vector<std::string>& queries);
+
+  /// Rewrites every accept list from compiled-query indices to the
+  /// caller's: compiled query i reports as each index in `report_as[i]`.
+  /// Plans keep the compiled index space.
+  void RemapAccepts(const std::vector<std::vector<size_t>>& report_as);
 
   /// Interns every non-wildcard node label into `interner` (the parser's
   /// dictionary) and records the SymbolId on the node, so per-event child
@@ -87,9 +92,6 @@ class FilterIndex {
   const std::vector<int>& root_children() const { return root_children_; }
   const std::vector<QueryPlan>& plans() const { return plans_; }
   const FilterIndexStats& stats() const { return stats_; }
-
-  /// Human-readable dump of the trie and plans (tests/debugging).
-  std::string ToString() const;
 
  private:
   /// Returns the child of `parent` (-1 = virtual root) matching the step,

@@ -6,7 +6,8 @@
 // per-event work tracks the former. `FilterRuntimeStats` is maintained by
 // FilterEngine and records per-event active-stack counts — the number of
 // trie nodes with a non-empty stack is the shared-machine analogue of the
-// per-query live-entry counts in core::EngineStats.
+// per-query live-entry counts in core::EngineStats. `AnalysisStats` records
+// what a FilterEngine built with a DTD pruned before streaming.
 
 #ifndef TWIGM_FILTER_FILTER_STATS_H_
 #define TWIGM_FILTER_FILTER_STATS_H_
@@ -50,6 +51,28 @@ struct FilterRuntimeStats {
   /// Qualifying trie pushes skipped because the decision table proved no
   /// accept or anchor can complete below the opening element (kOn mode).
   uint64_t trie_pushes_skipped = 0;
+};
+
+/// What the DTD analysis bought (FilterEngine::analysis_stats(); all zero
+/// for an engine built without a DTD).
+struct AnalysisStats {
+  size_t queries_total = 0;
+  size_t queries_unsatisfiable = 0;
+  size_t queries_forwarded = 0;
+  size_t branches_minimized = 0;
+  /// Trie / machine nodes whose level window actually constrains
+  /// (min > 1 or a finite max) — a proxy for how much push work the DTD
+  /// proofs can skip.
+  size_t bounded_trie_nodes = 0;
+  size_t bounded_machine_nodes = 0;
+  /// Non-default earliest-decision facts installed into the runtime (trie
+  /// kUseless cells + tail-machine table cells); 0 when
+  /// enable_early_decisions is kOff.
+  size_t decision_facts = 0;
+
+  size_t queries_pruned() const {
+    return queries_unsatisfiable + queries_forwarded;
+  }
 };
 
 }  // namespace twigm::filter

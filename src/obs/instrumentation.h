@@ -1,7 +1,7 @@
 // The engine-facing observability hook.
 //
 // Every stream component (SaxParser via its offset slot, EventDriver, the
-// three machines, MultiQueryProcessor, FilterEngine) accepts an
+// machines, FilterEngine, the baseline MultiQueryProcessor) accepts an
 // `Instrumentation*` that defaults to null. Null means *off*: each
 // instrumented site is a single predictable `if (instr_ == nullptr)` branch
 // and nothing else — no clock reads, no stores, no virtual calls — so the

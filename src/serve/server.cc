@@ -200,7 +200,7 @@ SubscriptionServer::SubscriptionServer(Options options)
   hub_.on_batch = options_.on_batch;
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        i, &registry_, &hub_, options_.engine_options, options_.dtd));
+        i, &registry_, &hub_, options_.engine_options));
   }
   for (std::unique_ptr<Shard>& shard : shards_) shard->Start();
 }

@@ -135,13 +135,10 @@ class SubscriptionServer {
     /// end and when a shard goes idle.
     size_t notify_batch = 64;
     /// Tail-machine options for the shard engines (sax/instrumentation
-    /// fields are ignored — shards never parse).
+    /// fields are ignored — shards never parse). Early decisions need a
+    /// DTD and the server takes none, so enable_early_decisions has no
+    /// effect here.
     core::EvaluatorOptions engine_options;
-    /// Optional DTD summary: when engine_options.enable_early_decisions is
-    /// not kOff, every folded shard engine gets earliest-decision tables
-    /// compiled against it (sound on documents valid w.r.t. the DTD). Not
-    /// owned; must outlive the server.
-    const analysis::DtdStructure* dtd = nullptr;
     /// Optional push delivery: batches are handed to this callback on the
     /// shard worker thread instead of queueing for Poll(). Must be
     /// thread-safe.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <string>
 
-#include "filter/early_decisions.h"
 #include "obs/metrics.h"
 
 namespace twigm::serve {
@@ -41,13 +40,11 @@ void DeliveryHub::WaitBarrier(const std::function<bool()>& pred) {
 }
 
 Shard::Shard(int index, SubscriptionRegistry* registry, DeliveryHub* hub,
-             core::EvaluatorOptions engine_options,
-             const analysis::DtdStructure* dtd)
+             core::EvaluatorOptions engine_options)
     : index_(index),
       registry_(registry),
       hub_(hub),
-      engine_options_(engine_options),
-      dtd_(dtd) {
+      engine_options_(engine_options) {
   // Shard engines never parse; drop any caller instrumentation hook (it is
   // single-threaded plumbing and must not be shared across workers).
   engine_options_.instrumentation = nullptr;
@@ -232,12 +229,6 @@ void Shard::FoldSubscriptions(SessionState& state, uint64_t route_epoch) {
                                              &state.interner, engine_options_);
     if (engine.ok()) {
       state.engine = std::move(engine).value();
-      if (dtd_ != nullptr && engine_options_.enable_early_decisions !=
-                                 core::EarlyDecisionMode::kOff) {
-        // Compiled off the per-event path, once per fold; interning the
-        // table's element names is safe here — the worker owns interner.
-        filter::InstallEarlyDecisions(state.engine.get(), *dtd_);
-      }
       counters_.engine_rebuilds.fetch_add(1, std::memory_order_relaxed);
     } else {
       // Queries were validated at Subscribe; a failure here is a bug, but

@@ -29,10 +29,6 @@
 #include "serve/subscription_registry.h"
 #include "xml/tag_interner.h"
 
-namespace twigm::analysis {
-class DtdStructure;
-}  // namespace twigm::analysis
-
 namespace twigm::serve {
 
 /// The producer/consumer pair for one (stream, shard) edge: the stream's
@@ -84,12 +80,8 @@ struct DeliveryHub {
 
 class Shard {
  public:
-  /// `dtd` (may be null): DTD summary used to compile earliest-decision
-  /// tables into each folded engine when engine_options enables them. Not
-  /// owned; must outlive the shard.
   Shard(int index, SubscriptionRegistry* registry, DeliveryHub* hub,
-        core::EvaluatorOptions engine_options,
-        const analysis::DtdStructure* dtd = nullptr);
+        core::EvaluatorOptions engine_options);
   ~Shard();
 
   Shard(const Shard&) = delete;
@@ -162,7 +154,6 @@ class Shard {
   SubscriptionRegistry* registry_;
   DeliveryHub* hub_;
   core::EvaluatorOptions engine_options_;
-  const analysis::DtdStructure* dtd_ = nullptr;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

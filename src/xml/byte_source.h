@@ -5,9 +5,8 @@
 // of InputChunks, either pushed one at a time through Consume() or pulled
 // from a ByteSource through Pump(). This replaces the three ad-hoc entry
 // points that predated it (Feed/Finish/ParseAll, serve's per-stream
-// feeding, FilterEngine's internal parsing loop); Feed/Finish survive as
-// thin wrappers over Consume for one release (see README "Migrating to
-// ByteSource").
+// feeding, FilterEngine's internal parsing loop); see README "Migrating to
+// ByteSource".
 //
 // Contract (DESIGN.md §12):
 //   * chunk.bytes may be split at ANY byte boundary — mid-tag, mid-entity,

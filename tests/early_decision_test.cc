@@ -11,8 +11,9 @@
 //     partial / contradicting), the null decision table leaves the engine
 //     exact on any well-formed document — no static proofs, and the
 //     dynamic certainty cascade alone stays sound;
-//   * the shared-prefix FilterEngine backend with decision tables agrees
-//     per query with an unanalyzed MultiQueryProcessor.
+//   * the shared-prefix FilterEngine built with the DTD (decision tables
+//     installed) agrees per query with the unanalyzed product-construction
+//     baseline (baselines::MultiQueryProcessor).
 
 #include <algorithm>
 #include <cstdint>
@@ -24,12 +25,12 @@
 #include "analysis/decision_analysis.h"
 #include "analysis/dtd_structure.h"
 #include "baselines/dom_eval.h"
+#include "baselines/multi_query_processor.h"
 #include "core/evaluator.h"
-#include "core/multi_query.h"
 #include "data/book.h"
 #include "dtd/dtd_generator.h"
 #include "dtd/dtd_parser.h"
-#include "filter/analyzed_engine.h"
+#include "filter/filter_engine.h"
 #include "gtest/gtest.h"
 #include "xpath/query_tree.h"
 
@@ -276,16 +277,16 @@ TEST(EarlyDecisionDifferential, FilterEngineMatchesProduct) {
     const std::string doc = GeneratedDoc(seed, "collection");
 
     PerQuerySink base_sink;
-    auto base = core::MultiQueryProcessor::Create(queries, &base_sink);
+    auto base = baselines::MultiQueryProcessor::Create(queries, &base_sink);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     ASSERT_TRUE(base.value()->Consume({doc, false}).ok());
     ASSERT_TRUE(base.value()->Consume({std::string_view(), true}).ok());
 
-    filter::AnalyzedEngine::Options options;
-    options.dtd = &dtds;
-    options.evaluator.enable_early_decisions = EarlyDecisionMode::kOn;
+    core::EvaluatorOptions options;
+    options.enable_early_decisions = EarlyDecisionMode::kOn;
     PerQuerySink early_sink;
-    auto early = filter::AnalyzedEngine::Create(queries, &early_sink, options);
+    auto early =
+        filter::FilterEngine::Create(queries, &early_sink, options, &dtds);
     ASSERT_TRUE(early.ok()) << early.status().ToString();
     EXPECT_GT(early.value()->analysis_stats().decision_facts, 0u);
     ASSERT_TRUE(early.value()->Consume({doc, false}).ok());

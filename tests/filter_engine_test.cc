@@ -2,8 +2,12 @@
 // construction, the sharing-sensitive edge cases (duplicates, prefix
 // queries, '*' vs tag at the same step), tail demultiplexing, and a
 // randomized differential test against N independent XPathStreamProcessor
-// runs and against MultiQueryProcessor — the correctness contract is
-// emission-set equality per query.
+// runs and against the product-construction baseline
+// (baselines::MultiQueryProcessor) — the correctness contract is
+// emission-set equality per query. The FilterEngineDtdTest cases hold the
+// engine built with a DTD (unsatisfiable queries dropped, equivalent ones
+// forwarded, texts minimized, level windows and decision tables installed)
+// to the same contract on DTD-valid documents.
 
 #include "filter/filter_engine.h"
 
@@ -12,9 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/multi_query_processor.h"
+#include "analysis/dtd_structure.h"
 #include "common/random.h"
 #include "core/evaluator.h"
-#include "core/multi_query.h"
+#include "data/book.h"
+#include "dtd/dtd_generator.h"
+#include "dtd/dtd_parser.h"
 #include "filter/filter_index.h"
 #include "gtest/gtest.h"
 #include "xml/xml_writer.h"
@@ -22,6 +30,8 @@
 namespace twigm {
 namespace {
 
+using analysis::DtdStructure;
+using core::EarlyDecisionMode;
 using core::EngineKind;
 using core::VectorMultiQuerySink;
 using filter::FilterEngine;
@@ -80,20 +90,17 @@ TEST(FilterIndexTest, PlansClassifyQueries) {
   // //a/b[c]/d shares trunk //a, tail rooted at b.
   EXPECT_FALSE(engine.value()->plan(1).linear);
   EXPECT_EQ(engine.value()->plan(1).trunk_steps, 1);
-  EXPECT_NE(engine.value()->tail_graph(1), nullptr);
   // Child-only, wildcard-free: a TwigM tail like every other predicate
   // query, anchored below the /a trunk.
   EXPECT_FALSE(engine.value()->plan(2).linear);
   EXPECT_EQ(engine.value()->plan(2).trunk_steps, 1);
-  EXPECT_NE(engine.value()->tail_graph(2), nullptr);
   // Predicate on the first step: no trunk.
+  EXPECT_FALSE(engine.value()->plan(3).linear);
   EXPECT_EQ(engine.value()->plan(3).trunk_steps, 0);
   EXPECT_EQ(engine.value()->plan(3).anchor, -1);
   // Wildcard tail root still shares the //a trunk.
+  EXPECT_FALSE(engine.value()->plan(4).linear);
   EXPECT_EQ(engine.value()->plan(4).trunk_steps, 1);
-  EXPECT_NE(engine.value()->tail_graph(4), nullptr);
-  // Linear queries run entirely in the trie: no tail machine.
-  EXPECT_EQ(engine.value()->tail_graph(0), nullptr);
 }
 
 TEST(FilterEngineTest, DuplicateQueriesEachGetResults) {
@@ -304,7 +311,8 @@ TEST(FilterEngineDifferentialTest, MatchesIndependentProcessorsAndProduct) {
 
     // The product construction.
     VectorMultiQuerySink product_sink;
-    auto product = core::MultiQueryProcessor::Create(queries, &product_sink);
+    auto product =
+        baselines::MultiQueryProcessor::Create(queries, &product_sink);
     ASSERT_TRUE(product.ok()) << product.status().ToString();
     ASSERT_TRUE(product.value()->Consume({doc, false}).ok());
     ASSERT_TRUE(product.value()->Consume({std::string_view(), true}).ok());
@@ -370,6 +378,195 @@ TEST(FilterEngineDifferentialTest, NoDuplicateEmissions) {
     EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
         << "duplicate emission, trial " << trial << "\ndoc " << doc;
   }
+}
+
+// --- Built with a DTD ------------------------------------------------------
+
+// The Book DTD plus the synthetic <collection> wrapper the generator uses,
+// so multi-book documents are valid w.r.t. the analyzed DTD.
+const DtdStructure& CollectionBookStructure() {
+  static const DtdStructure* structure = [] {
+    Result<dtd::Dtd> dtd = dtd::ParseDtd(
+        std::string("<!ELEMENT collection (book*)>\n") + data::kBookDtd);
+    EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
+    Result<DtdStructure> built = DtdStructure::Build(dtd.value());
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return new DtdStructure(std::move(built).value());
+  }();
+  return *structure;
+}
+
+std::vector<std::vector<xml::NodeId>> Collect(const VectorMultiQuerySink& sink,
+                                              size_t n) {
+  std::vector<std::vector<xml::NodeId>> out(n);
+  for (const auto& item : sink.items()) {
+    out[item.query_index].push_back(item.id);
+  }
+  for (auto& ids : out) std::sort(ids.begin(), ids.end());
+  return out;
+}
+
+std::vector<std::vector<xml::NodeId>> RunProduct(
+    const std::vector<std::string>& queries, const std::string& doc) {
+  VectorMultiQuerySink sink;
+  auto proc = baselines::MultiQueryProcessor::Create(queries, &sink);
+  EXPECT_TRUE(proc.ok()) << proc.status().ToString();
+  EXPECT_TRUE(proc.value()->Consume({doc, false}).ok());
+  EXPECT_TRUE(proc.value()->Consume({std::string_view(), true}).ok());
+  return Collect(sink, queries.size());
+}
+
+std::vector<std::vector<xml::NodeId>> RunWithDtd(
+    const std::vector<std::string>& queries, const std::string& doc,
+    const DtdStructure& dtd, EarlyDecisionMode mode,
+    filter::AnalysisStats* stats_out = nullptr) {
+  VectorMultiQuerySink sink;
+  core::EvaluatorOptions options;
+  options.enable_early_decisions = mode;
+  auto engine = FilterEngine::Create(queries, &sink, options, &dtd);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value()->query_count(), queries.size());
+  EXPECT_TRUE(engine.value()->Consume({doc, false}).ok());
+  EXPECT_TRUE(engine.value()->Consume({std::string_view(), true}).ok());
+  if (stats_out != nullptr) *stats_out = engine.value()->analysis_stats();
+  return Collect(sink, queries.size());
+}
+
+TEST(FilterEngineDtdTest, DifferentialOnRandomBooks) {
+  // A workload exercising every analyzer pass: satisfiable queries of all
+  // shapes, statically unsatisfiable ones, equivalent pairs, and redundant
+  // branches.
+  const std::vector<std::string> queries = {
+      "//section/title",                  // plain
+      "/collection/book/title",           // exact-depth chain
+      "//figure[image]/title",            // predicate
+      "//section[figure][p]",             // twig
+      "//section[p][figure]",             // equivalent to the previous
+      "//book[author]//image",            // descendant below predicate
+      "//section[title][title]",          // redundant branch
+      "//section[title]/title",           // continuation-implied branch
+      "//section/book",                   // unsat: book never nests in section
+      "//title/author",                   // unsat: title is a leaf
+      "//figure[@width]/image",           // attribute predicate
+      "//p[x]",                           // unsat: p has no element children
+      "//section//figure/image",          // deep
+      "/collection/book/title",           // duplicate of #1
+  };
+  for (uint64_t seed : {1u, 7u, 23u}) {
+    data::BookOptions book;
+    book.seed = seed;
+    book.number_levels = 8;
+    book.max_repeats = 3;
+    book.copies = 2;
+    Result<std::string> doc = data::GenerateBook(book);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+
+    const std::vector<std::vector<xml::NodeId>> expected =
+        RunProduct(queries, doc.value());
+    for (EarlyDecisionMode mode :
+         {EarlyDecisionMode::kOff, EarlyDecisionMode::kOn}) {
+      filter::AnalysisStats stats;
+      EXPECT_EQ(RunWithDtd(queries, doc.value(), CollectionBookStructure(),
+                           mode, &stats),
+                expected)
+          << "seed " << seed << " mode " << static_cast<int>(mode);
+      EXPECT_EQ(stats.queries_unsatisfiable, 3u);
+      EXPECT_GE(stats.queries_forwarded, 2u);  // equivalent pair + duplicate
+      EXPECT_GE(stats.branches_minimized, 2u);
+      EXPECT_EQ(stats.decision_facts > 0, mode == EarlyDecisionMode::kOn);
+    }
+  }
+}
+
+TEST(FilterEngineDtdTest, RandomDtdDocuments) {
+  // A recursive synthetic DTD stresses the unbounded-depth paths of the
+  // level-bound derivation.
+  constexpr char kDtdText[] = R"(
+<!ELEMENT r (s*, leaf?)>
+<!ELEMENT s (s?, t*, leaf?)>
+<!ELEMENT t (#PCDATA)>
+<!ELEMENT leaf EMPTY>
+<!ATTLIST leaf kind (hot|cold) #IMPLIED>
+)";
+  Result<dtd::Dtd> dtd = dtd::ParseDtd(kDtdText);
+  ASSERT_TRUE(dtd.ok());
+  Result<DtdStructure> structure = DtdStructure::Build(dtd.value());
+  ASSERT_TRUE(structure.ok()) << structure.status().ToString();
+
+  const std::vector<std::string> queries = {
+      "//s/t",         "//s[t]/leaf",     "//s[leaf][t]",
+      "//s[t][leaf]",  "/r/s/s//t",       "//leaf[@kind=\"hot\"]",
+      "//t/s",         // unsat: t is a leaf
+      "//r//r",        // unsat: r only at the root
+      "//s[//t][t]",  // redundant descendant branch
+  };
+  for (uint64_t seed : {3u, 11u, 31u, 59u}) {
+    dtd::GeneratorOptions gen;
+    gen.seed = seed;
+    gen.number_levels = 9;
+    gen.max_repeats = 3;
+    Result<std::string> doc = dtd::GenerateDocument(dtd.value(), "r", gen);
+    ASSERT_TRUE(doc.ok());
+
+    const std::vector<std::vector<xml::NodeId>> expected =
+        RunProduct(queries, doc.value());
+    for (EarlyDecisionMode mode :
+         {EarlyDecisionMode::kOff, EarlyDecisionMode::kOn}) {
+      EXPECT_EQ(RunWithDtd(queries, doc.value(), structure.value(), mode),
+                expected)
+          << "seed " << seed << " mode " << static_cast<int>(mode);
+    }
+  }
+}
+
+TEST(FilterEngineDtdTest, AllQueriesPrunedStillParses) {
+  // The DTD refutes both queries, so the trie is empty — but the document
+  // is still parsed, and a malformed one still fails.
+  VectorMultiQuerySink sink;
+  const std::vector<std::string> queries = {"//section/book",
+                                            "//title/author"};
+  auto engine = FilterEngine::Create(queries, &sink, core::EvaluatorOptions(),
+                                     &CollectionBookStructure());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value()->query_count(), 2u);
+  EXPECT_EQ(engine.value()->analysis_stats().queries_pruned(), 2u);
+  EXPECT_TRUE(engine.value()->index().nodes().empty());
+  Status s =
+      engine.value()->Consume({"<collection><book></collection>", false});
+  if (s.ok()) s = engine.value()->Consume({std::string_view(), true});
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(sink.items().empty());
+}
+
+TEST(FilterEngineDtdTest, ResetSupportsReplay) {
+  // A forwarded duplicate and an unsatisfiable query ride along: results
+  // keep fanning out to the caller's indices across Reset.
+  const std::vector<std::string> queries = {
+      "//section/title", "//section[p]/title", "//section/title",
+      "//title/author"};
+  const std::string doc =
+      "<collection><book><title/><author/><section id=\"s1\"><title/><p/>"
+      "</section></book></collection>";
+  VectorMultiQuerySink sink;
+  auto engine = FilterEngine::Create(queries, &sink, core::EvaluatorOptions(),
+                                     &CollectionBookStructure());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value()->analysis_stats().queries_forwarded, 1u);
+  EXPECT_EQ(engine.value()->analysis_stats().queries_unsatisfiable, 1u);
+  ASSERT_TRUE(engine.value()->Consume({doc, false}).ok());
+  ASSERT_TRUE(engine.value()->Consume({std::string_view(), true}).ok());
+  const std::vector<std::vector<xml::NodeId>> first =
+      Collect(sink, queries.size());
+  EXPECT_EQ(first, RunProduct(queries, doc));
+  EXPECT_EQ(first[0], (std::vector<xml::NodeId>{6}));
+  EXPECT_EQ(first[2], first[0]);
+  EXPECT_TRUE(first[3].empty());
+
+  engine.value()->Reset();
+  ASSERT_TRUE(engine.value()->Consume({doc, false}).ok());
+  ASSERT_TRUE(engine.value()->Consume({std::string_view(), true}).ok());
+  EXPECT_EQ(sink.items().size(), 2 * (first[0].size() + first[1].size() +
+                                      first[2].size()));
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 #include "common/random.h"
 #include "core/evaluator.h"
-#include "core/union_query.h"
+#include "filter/union_query.h"
 #include "gtest/gtest.h"
 #include "xml/dom.h"
 #include "xml/xml_writer.h"
@@ -113,7 +113,7 @@ TEST(FragmentPropertyTest, UnionAgreesWithBranchUnion) {
     const std::string q2 = RandomQuery(&rng);
 
     core::VectorResultSink sink;
-    auto proc = core::UnionQueryProcessor::Create(q1 + " | " + q2, &sink);
+    auto proc = filter::UnionQueryProcessor::Create(q1 + " | " + q2, &sink);
     ASSERT_TRUE(proc.ok()) << q1 << " | " << q2;
     ASSERT_TRUE(proc.value()->Consume({doc, false}).ok());
     ASSERT_TRUE(proc.value()->Consume({std::string_view(), true}).ok());

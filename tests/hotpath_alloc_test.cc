@@ -10,14 +10,15 @@
 #include <string>
 #include <vector>
 
+#include "baselines/multi_query_processor.h"
 #include "core/evaluator.h"
-#include "core/multi_query.h"
 #include "core/result_sink.h"
 #include "data/book.h"
 #include "data/datasets.h"
 #include "dtd/dtd_generator.h"
 #include "dtd/dtd_parser.h"
 #include "filter/filter_engine.h"
+#include "filter/union_query.h"
 #include "gtest/gtest.h"
 #include "index/index_builder.h"
 #include "index/index_reader.h"
@@ -91,10 +92,10 @@ TEST(HotpathAllocTest, MultiQuerySteadyStateAllocatesNothing) {
   CountSink sink;
   const std::vector<std::string> queries = {
       "//section/title", "//section[p]//figure", "/book//section[figure]"};
-  Result<std::unique_ptr<core::MultiQueryProcessor>> proc =
-      core::MultiQueryProcessor::Create(queries, &sink);
+  Result<std::unique_ptr<baselines::MultiQueryProcessor>> proc =
+      baselines::MultiQueryProcessor::Create(queries, &sink);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
-  core::MultiQueryProcessor& p = *proc.value();
+  baselines::MultiQueryProcessor& p = *proc.value();
 
   auto stream_once = [&]() {
     Status s = p.Consume({doc, false});
@@ -140,6 +141,37 @@ TEST(HotpathAllocTest, FilterEngineSteadyStateAllocatesNothing) {
     stream_once();
     EXPECT_EQ(obs::AllocHookNewCalls() - before, 0u) << "pass " << pass;
   }
+}
+
+// A union dedups branch results by id. Overlapping branches make every
+// //section/title match arrive twice, and each must be dropped without
+// allocating.
+TEST(HotpathAllocTest, UnionSteadyStateAllocatesNothing) {
+  const std::string doc = MakeDocument(17);
+  core::CountingResultSink sink;
+  Result<std::unique_ptr<filter::UnionQueryProcessor>> proc =
+      filter::UnionQueryProcessor::Create(
+          "//section/title | //section[p]/title | //figure | //*/title",
+          &sink);
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  filter::UnionQueryProcessor& p = *proc.value();
+
+  auto stream_once = [&]() {
+    Status s = p.Consume({doc, false});
+    if (s.ok()) s = p.Consume({std::string_view(), true});
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  };
+
+  stream_once();
+  const uint64_t warm_results = sink.count();
+  EXPECT_GT(warm_results, 0u);
+  for (int pass = 0; pass < 3; ++pass) {
+    p.Reset();
+    const uint64_t before = obs::AllocHookNewCalls();
+    stream_once();
+    EXPECT_EQ(obs::AllocHookNewCalls() - before, 0u) << "pass " << pass;
+  }
+  EXPECT_EQ(sink.count(), warm_results * 4);
 }
 
 // Capacity survives document *switches*, not just re-streams of the same

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "baselines/dom_eval.h"
+#include "baselines/multi_query_processor.h"
 #include "core/evaluator.h"
-#include "core/multi_query.h"
 #include "core/result_sink.h"
 #include "dtd/dtd_generator.h"
 #include "dtd/dtd_parser.h"
@@ -145,8 +145,8 @@ TEST(HotpathDifferentialTest, TwigMachineMatchesLegacyDispatch) {
 std::vector<Hit> RunMultiQuery(const std::vector<std::string>& queries,
                                const std::string& doc) {
   CollectingMultiSink sink;
-  Result<std::unique_ptr<core::MultiQueryProcessor>> proc =
-      core::MultiQueryProcessor::Create(queries, &sink);
+  Result<std::unique_ptr<baselines::MultiQueryProcessor>> proc =
+      baselines::MultiQueryProcessor::Create(queries, &sink);
   EXPECT_TRUE(proc.ok()) << proc.status().ToString();
   Status s = proc.value()->Consume({doc, false});
   if (s.ok()) s = proc.value()->Consume({std::string_view(), true});
@@ -202,8 +202,8 @@ TEST(HotpathDifferentialTest, ResetReuseMatchesLegacyDispatch) {
   const std::vector<std::string> docs = GenerateDocuments();
   CollectingMultiSink sink;
   core::EvaluatorOptions options;
-  Result<std::unique_ptr<core::MultiQueryProcessor>> proc =
-      core::MultiQueryProcessor::Create(TwigQueries(), &sink, options);
+  Result<std::unique_ptr<baselines::MultiQueryProcessor>> proc =
+      baselines::MultiQueryProcessor::Create(TwigQueries(), &sink, options);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   for (size_t d = 0; d < 20 && d < docs.size(); ++d) {
     sink.hits.clear();

@@ -1,4 +1,4 @@
-#include "core/multi_query.h"
+#include "baselines/multi_query_processor.h"
 
 #include <algorithm>
 #include <string>
@@ -8,9 +8,9 @@
 namespace twigm {
 namespace {
 
+using baselines::MultiQueryProcessor;
 using core::EngineKind;
 using core::EvaluatorOptions;
-using core::MultiQueryProcessor;
 using core::VectorMultiQuerySink;
 
 struct PerQuery {

@@ -13,9 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dtd_structure.h"
 #include "core/evaluator.h"
 #include "core/multi_query.h"
-#include "filter/analyzed_engine.h"
+#include "dtd/dtd_parser.h"
 #include "filter/filter_engine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -377,8 +378,17 @@ TEST(ExportMetricsTest, ReusedRegistryStorageGetsFreshCounters) {
       [&](MetricsRegistry* r) { filter.value()->ExportMetrics(r); },
       "filter.results", 3);
 
-  auto analyzed = filter::AnalyzedEngine::Create({"//b", "//b", "//d"},
-                                                 &multi_sink);
+  // Only an engine built with a DTD exports the analysis.* counters.
+  Result<dtd::Dtd> dtd = dtd::ParseDtd(
+      "<!ELEMENT a (b*, d?)>\n<!ELEMENT b (c?)>\n<!ELEMENT c EMPTY>\n"
+      "<!ELEMENT d EMPTY>\n");
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  Result<analysis::DtdStructure> structure =
+      analysis::DtdStructure::Build(dtd.value());
+  ASSERT_TRUE(structure.ok()) << structure.status().ToString();
+  auto analyzed = filter::FilterEngine::Create(
+      {"//b", "//b", "//d"}, &multi_sink, core::EvaluatorOptions(),
+      &structure.value());
   ASSERT_TRUE(analyzed.ok());
   ExpectExportLandsInReusedRegistry(
       [&](MetricsRegistry* r) { analyzed.value()->ExportMetrics(r); },
