@@ -45,7 +45,6 @@ void BM_TwigM_NoPrune(benchmark::State& state) {
   // behaviour-neutral here.
   const std::string doc = AdversarialDoc(static_cast<int>(state.range(0)));
   core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   options.twig.prune_static_failures = false;
   for (auto _ : state) {
     Result<std::vector<xml::NodeId>> ids =

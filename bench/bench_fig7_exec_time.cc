@@ -112,7 +112,6 @@ Status TimeVariant(int variant, const xpath::QueryTree& tree,
   }
   obs::Instrumentation instr;
   core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   options.instrumentation = variant == kObsOn ? &instr : nullptr;
   Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
       core::XPathStreamProcessor::Create(kOverheadQuery, &sink, options);

@@ -42,10 +42,7 @@ int Main() {
 
   const char* kQuery = "//section[title]//figure";
   core::CountingResultSink sink;
-  core::EvaluatorOptions eval_options;
-  eval_options.engine = core::EngineKind::kTwigM;
-  auto proc =
-      core::XPathStreamProcessor::Create(kQuery, &sink, eval_options);
+  auto proc = core::XPathStreamProcessor::Create(kQuery, &sink);
   if (!proc.ok()) {
     std::fprintf(stderr, "%s\n", proc.status().ToString().c_str());
     return 1;

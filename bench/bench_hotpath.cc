@@ -124,10 +124,8 @@ bool RunTwigCell(const DatasetRef& dataset, const data::QuerySpec& query,
                  CellResult* out) {
   const std::string& doc = dataset.get();
   core::CountingResultSink sink;
-  core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
-      core::XPathStreamProcessor::Create(query.text, &sink, options);
+      core::XPathStreamProcessor::Create(query.text, &sink);
   if (!proc.ok()) {
     std::fprintf(stderr, "skip %s/%s: %s\n", dataset.name, query.name.c_str(),
                  proc.status().ToString().c_str());
@@ -198,7 +196,6 @@ bool RunEarlyCell(const analysis::DtdStructure& dtds,
                   const std::string& doc, CellResult* out, EarlyStats* extra) {
   core::CountingResultSink sink;
   core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   options.enable_early_decisions = mode;
   Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
       core::XPathStreamProcessor::Create(query.text, &sink, options);

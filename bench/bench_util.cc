@@ -169,10 +169,8 @@ RunResult RunSystem(System system, const std::string& query,
   switch (system) {
     case System::kTwigM: {
       core::VectorResultSink sink;
-      core::EvaluatorOptions options;
-      options.engine = core::EngineKind::kTwigM;
       Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
-          core::XPathStreamProcessor::Create(query, &sink, options);
+          core::XPathStreamProcessor::Create(query, &sink);
       if (!proc.ok()) {
         out.status = proc.status();
         return out;

@@ -1,14 +1,16 @@
 // explain — shows how the library compiles a query: parsed form, query
 // tree classification, machine-node graph with edge labels and branch
-// slots, and which engine auto-selection picks.
+// slots, and when the machine emits (at startElement for a predicate-free
+// query).
 //
 //   $ ./explain '//a[d]//b[e]//c'
 //   $ ./explain '//section[figure[image]][@id]//section[p]/title'
 
 #include <cstdio>
 
-#include "core/evaluator.h"
 #include "core/machine_builder.h"
+#include "core/result_sink.h"
+#include "core/twig_machine.h"
 #include "filter/union_query.h"
 #include "xpath/query_tree.h"
 
@@ -39,10 +41,12 @@ int ExplainBranch(const std::string& query) {
   std::printf("%s", graph.value().ToString().c_str());
 
   twigm::core::VectorResultSink sink;
-  auto proc = twigm::core::XPathStreamProcessor::Create(query, &sink);
-  if (proc.ok()) {
-    std::printf("selected engine: %s\n",
-                twigm::core::EngineKindToString(proc.value()->engine_kind()));
+  auto machine = twigm::core::TwigMachine::Create(tree.value(), &sink);
+  if (machine.ok()) {
+    std::printf("emission       : %s\n",
+                machine.value()->predicate_free()
+                    ? "at startElement (predicate-free, section 3.1)"
+                    : "once the predicates resolve (endElement)");
   }
   return 0;
 }

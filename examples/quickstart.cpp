@@ -55,8 +55,6 @@ int main() {
                  processor.status().ToString().c_str());
     return 1;
   }
-  std::printf("engine: %s\n",
-              twigm::core::EngineKindToString(processor.value()->engine_kind()));
 
   // Feed the document in small chunks, as a network stream would arrive.
   const std::string_view doc(kCatalog);

@@ -136,8 +136,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("query:   %s\n", query);
-  std::printf("engine:  %s\n",
-              twigm::core::EngineKindToString(proc.value()->engine_kind()));
   std::printf("mode:    early decisions %s\n", mode_name);
   std::printf("dataset: Book, %s\n\n",
               twigm::HumanBytes(doc.value().size()).c_str());

@@ -30,7 +30,7 @@ Result<std::unique_ptr<MultiQueryProcessor>> MultiQueryProcessor::Create(
     }
     Entry entry;
     entry.tag_sink = std::make_unique<TaggingSink>(proc.get(), i);
-    Result<std::unique_ptr<core::StreamingMachine>> machine =
+    Result<std::unique_ptr<core::TwigMachine>> machine =
         core::CreateMachine(tree.value(), entry.tag_sink.get(), options,
                             offset_slot);
     if (!machine.ok()) return machine.status();

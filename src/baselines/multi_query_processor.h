@@ -1,8 +1,8 @@
 // Product-construction baseline for multi-query evaluation (the filtering
 // workload of the paper's related work, section 6): each query is compiled
-// to its own machine (PathM or TwigM, chosen by core::CreateMachine) and
-// every modified-SAX event fans out to all of them, so the document is
-// parsed once but per-event cost is the sum of the machines' costs.
+// to its own TwigM machine (core::CreateMachine) and every modified-SAX
+// event fans out to all of them, so the document is parsed once but
+// per-event cost is the sum of the machines' costs.
 //
 // The repo's multi-query engine is the shared-prefix filter::FilterEngine,
 // which reports through the same MultiQueryResultSink; this class stays as
@@ -48,9 +48,6 @@ class MultiQueryProcessor {
   void Reset();
 
   size_t query_count() const { return entries_.size(); }
-  core::EngineKind engine_kind(size_t query_index) const {
-    return entries_[query_index].machine->kind();
-  }
   const core::EngineStats& stats(size_t query_index) const {
     return entries_[query_index].machine->stats();
   }
@@ -100,7 +97,7 @@ class MultiQueryProcessor {
 
   struct Entry {
     std::unique_ptr<TaggingSink> tag_sink;
-    std::unique_ptr<core::StreamingMachine> machine;
+    std::unique_ptr<core::TwigMachine> machine;
   };
 
   MultiQueryProcessor() = default;

@@ -1,4 +1,4 @@
-// Parent-edge conditions ζ(v) of the TwigM/PathM machines (section 4.1).
+// Parent-edge conditions ζ(v) of the TwigM machine (section 4.1).
 //
 // An edge label is a pair (op, k) with op ∈ {=, ≥} and k ≥ 1: an XML node at
 // level l matches against a parent-stack entry at level l' iff

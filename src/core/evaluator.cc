@@ -2,37 +2,14 @@
 
 namespace twigm::core {
 
-namespace {
-
-// kAuto's choice: only a linear query (no predicates, no value tests) can
-// run on PathM; TwigM evaluates the rest of XP{/,//,*,[]}.
-EngineKind PickEngine(const xpath::QueryTree& query) {
-  if (query.is_linear() && !query.has_value_tests()) return EngineKind::kPathM;
-  return EngineKind::kTwigM;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<StreamingMachine>> CreateMachine(
+Result<std::unique_ptr<TwigMachine>> CreateMachine(
     const xpath::QueryTree& query, MatchObserver* observer,
     const EvaluatorOptions& options, const uint64_t* offset_slot) {
-  const EngineKind kind = options.engine == EngineKind::kAuto
-                              ? PickEngine(query)
-                              : options.engine;
-  std::unique_ptr<StreamingMachine> machine;
-  if (kind == EngineKind::kPathM) {
-    Result<std::unique_ptr<PathMachine>> m =
-        PathMachine::Create(query, observer);
-    if (!m.ok()) return m.status();
-    machine = std::move(m).value();
-  } else {
-    Result<std::unique_ptr<TwigMachine>> m =
-        TwigMachine::Create(query, observer, options.twig);
-    if (!m.ok()) return m.status();
-    machine = std::move(m).value();
-  }
-  machine->set_instrumentation(options.instrumentation);
-  machine->set_stream_offset(offset_slot);
+  Result<std::unique_ptr<TwigMachine>> machine =
+      TwigMachine::Create(query, observer, options.twig);
+  if (!machine.ok()) return machine.status();
+  machine.value()->set_instrumentation(options.instrumentation);
+  machine.value()->set_stream_offset(offset_slot);
   return machine;
 }
 
@@ -62,7 +39,7 @@ Result<std::unique_ptr<XPathStreamProcessor>> XPathStreamProcessor::Create(
   obs::Instrumentation* instr = options.instrumentation;
   uint64_t* offset_slot =
       instr != nullptr ? instr->byte_offset_slot() : &proc->stream_offset_;
-  Result<std::unique_ptr<StreamingMachine>> machine =
+  Result<std::unique_ptr<TwigMachine>> machine =
       CreateMachine(proc->query_, machine_observer, options, offset_slot);
   if (!machine.ok()) return machine.status();
   proc->machine_ = std::move(machine).value();

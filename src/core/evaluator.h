@@ -13,13 +13,12 @@
 // Bytes enter through the unified xml::ByteSource API: push one InputChunk
 // at a time with Consume, or pull a whole source with Pump.
 //
-// Everything optional hangs off EvaluatorOptions: engine selection
-// (EngineKind::kAuto: linear queries on PathM, everything with predicates
-// or value tests on TwigM — see CreateMachine) and
-// observability (instrumentation = an obs::Instrumentation* collects
-// per-stage wall time, registry metrics, per-query-node stack depth peaks
-// and trace events; null — the default — costs one predictable branch per
-// instrumented site).
+// Every query runs on TwigM (core/twig_machine.h); a predicate-free query
+// emits its results at startElement. Everything optional hangs off
+// EvaluatorOptions, observability among it (instrumentation = an
+// obs::Instrumentation* collects per-stage wall time, registry metrics,
+// per-query-node stack depth peaks and trace events; null — the default —
+// costs one predictable branch per instrumented site).
 
 #ifndef TWIGM_CORE_EVALUATOR_H_
 #define TWIGM_CORE_EVALUATOR_H_
@@ -33,9 +32,7 @@
 #include "core/decision_table.h"
 #include "core/fragment.h"
 #include "core/machine_stats.h"
-#include "core/path_machine.h"
 #include "core/result_sink.h"
-#include "core/streaming_machine.h"
 #include "core/twig_machine.h"
 #include "obs/instrumentation.h"
 #include "xml/byte_source.h"
@@ -45,8 +42,13 @@
 
 namespace twigm::core {
 
+/// Has no effect: every query runs on TwigM. The type and
+/// EvaluatorOptions::engine remain only so that callers which still set
+/// them compile.
+enum class EngineKind { kAuto, kTwigM };
+
 struct EvaluatorOptions {
-  EngineKind engine = EngineKind::kAuto;
+  EngineKind engine = EngineKind::kAuto;  // no effect; see EngineKind
   TwigMachineOptions twig;
   xml::SaxParserOptions sax;
   /// Observability hook; may be null (near-zero overhead). Not owned; must
@@ -60,13 +62,10 @@ struct EvaluatorOptions {
   EarlyDecisionMode enable_early_decisions = EarlyDecisionMode::kOff;
 };
 
-/// The one place a query's machine is chosen and built. `options.engine`
-/// kAuto follows the paper's structure: a linear query (no predicates, no
-/// value tests) runs on PathM, which emits at startElement; everything else
-/// runs on TwigM. A forced kind is built as asked (PathM rejects predicates
-/// with NotSupported). The machine reports to `observer`, is attached to
-/// `options.instrumentation` and stamps offsets from `offset_slot`.
-Result<std::unique_ptr<StreamingMachine>> CreateMachine(
+/// Builds the TwigM machine for `query` with `options.twig`. The machine
+/// reports to `observer`, is attached to `options.instrumentation` and
+/// stamps offsets from `offset_slot`.
+Result<std::unique_ptr<TwigMachine>> CreateMachine(
     const xpath::QueryTree& query, MatchObserver* observer,
     const EvaluatorOptions& options, const uint64_t* offset_slot);
 
@@ -98,7 +97,6 @@ class XPathStreamProcessor {
   void Reset();
 
   const EngineStats& stats() const { return machine_->stats(); }
-  EngineKind engine_kind() const { return machine_->kind(); }
   const xpath::QueryTree& query() const { return query_; }
 
   /// The compiled machine graph (input to static analysis passes such as
@@ -126,7 +124,7 @@ class XPathStreamProcessor {
   xpath::QueryTree query_;
   EvaluatorOptions options_;
 
-  std::unique_ptr<StreamingMachine> machine_;
+  std::unique_ptr<TwigMachine> machine_;
   std::unique_ptr<FragmentRecorder> recorder_;  // set in fragment mode
   std::unique_ptr<xml::EventDriver> driver_;
   std::unique_ptr<xml::SaxParser> parser_;

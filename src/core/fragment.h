@@ -118,7 +118,8 @@ class FragmentRecorder : public xml::StreamEventSink, public MatchObserver {
   std::vector<Recording> active_;
   // Completed fragments awaiting a result decision.
   std::unordered_map<xml::NodeId, std::string> completed_;
-  // Results whose fragment is still being recorded (PathM's eager emission).
+  // Results whose fragment is still being recorded (emitted at their start
+  // tag: predicate-free queries, early decisions).
   std::unordered_set<xml::NodeId> pending_results_;
 
   uint64_t buffered_bytes_ = 0;

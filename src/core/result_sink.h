@@ -49,8 +49,8 @@ class MatchObserver {
   virtual ~MatchObserver() = default;
 
   /// The element became a possible result; membership is not yet decided.
-  /// Called before OnResult for the same id (in the same event for PathM,
-  /// where candidacy and membership coincide).
+  /// Called before OnResult for the same id (in the same event for a
+  /// predicate-free query, where candidacy and membership coincide).
   virtual void OnCandidate(xml::NodeId id) { (void)id; }
 
   /// Membership proven. Each result id is reported exactly once.

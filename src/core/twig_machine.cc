@@ -70,18 +70,32 @@ Result<std::unique_ptr<TwigMachine>> TwigMachine::Create(
 
 TwigMachine::TwigMachine(MachineGraph graph, MatchObserver* observer,
                          TwigMachineOptions options)
-    : StreamingMachine(EngineKind::kTwigM, std::move(graph), observer),
-      options_(options) {
+    : graph_(std::move(graph)), sink_(observer), options_(options) {
   stacks_.resize(graph_.node_count());
+  // Section 3.1's condition: no node carries an obligation of its own.
+  predicate_free_ = true;
   for (const auto& node : graph_.nodes()) {
+    NodeStack& stack = stacks_[static_cast<size_t>(node->id)];
+    stack.parent = node->parent != nullptr ? node->parent->id : -1;
+    stack.edge = node->edge;
     if (node->is_wildcard) wildcard_nodes_.push_back(node->id);
     if (node->has_value_test) value_test_nodes_.push_back(node->id);
+    if (!node->on_output_path || node->has_value_test ||
+        !node->attr_tests.empty()) {
+      predicate_free_ = false;
+    }
   }
+  return_id_ = graph_.return_node() != nullptr ? graph_.return_node()->id : -1;
+  entry_bytes_ = sizeof(int) + (predicate_free_ ? 0 : sizeof(Entry));
 }
 
-void TwigMachine::BuildPostings(size_t symbol_count) {
-  start_postings_.assign(symbol_count, {});
-  end_postings_.assign(symbol_count, {});
+void TwigMachine::BindInterner(xml::TagInterner* interner) {
+  interner_ = interner;
+  for (const auto& node : graph_.nodes()) {
+    if (!node->is_wildcard) node->symbol = interner->Intern(node->label);
+  }
+  start_postings_.assign(interner->size(), {});
+  end_postings_.assign(interner->size(), {});
   for (const auto& node : graph_.nodes()) {
     if (!node->is_wildcard) {
       start_postings_[node->symbol].push_back(node->id);
@@ -94,6 +108,61 @@ void TwigMachine::BuildPostings(size_t symbol_count) {
     std::merge(start_postings_[s].begin(), start_postings_[s].end(),
                wildcard_nodes_.begin(), wildcard_nodes_.end(),
                std::back_inserter(end_postings_[s]));
+  }
+  RebuildSymToElem();
+}
+
+void TwigMachine::set_instrumentation(obs::Instrumentation* instr) {
+  if (instr != instr_) gap_hist_ = nullptr;
+  instr_ = instr;
+  if (instr_ != nullptr) {
+    instr_->EnsureNodeSlots(graph_.node_count());
+    RegisterGapHistogram();
+  }
+}
+
+void TwigMachine::set_decisions(std::shared_ptr<const DecisionTable> table,
+                                EarlyDecisionMode mode) {
+  decisions_ = std::move(table);
+  decision_mode_ = mode;
+  RebuildSymToElem();
+  RegisterGapHistogram();
+}
+
+void TwigMachine::RebuildSymToElem() {
+  sym_to_elem_.clear();
+  if (decisions_ == nullptr || interner_ == nullptr) return;
+  // Intern every DTD element name so document tags that are no query label
+  // still map to their fact row. Names interned after BindInterner fall
+  // outside the postings vectors, which already means wildcard-only
+  // dispatch — exactly the behaviour for any non-label tag.
+  const std::vector<std::string>& names = decisions_->element_names();
+  for (size_t e = 0; e < names.size(); ++e) {
+    const xml::SymbolId s = interner_->Intern(names[e]);
+    if (sym_to_elem_.size() <= s) sym_to_elem_.resize(s + 1, -1);
+    sym_to_elem_[s] = static_cast<int32_t>(e);
+  }
+}
+
+void TwigMachine::RegisterGapHistogram() {
+  if (instr_ == nullptr || gap_hist_ != nullptr) return;
+  if (decision_mode_ == EarlyDecisionMode::kOff) return;
+  gap_hist_ = instr_->registry().RegisterHistogram(
+      "engine.emission_gap_bytes", obs::ExponentialBuckets(1, 4, 16));
+}
+
+// hotpath
+void TwigMachine::NoteGap(uint64_t gap) {
+  stats_.NoteGap(gap);
+  if (gap_hist_ != nullptr) gap_hist_->Observe(gap);
+}
+
+// hotpath
+void TwigMachine::Emit(xml::NodeId id, int level) {
+  sink_->OnResult(MatchInfo{id, offset(), return_id_});
+  ++stats_.results;
+  if (instr_ != nullptr) {
+    instr_->Trace(obs::TraceEvent::Kind::kEmit, return_id_, level, id, 0);
   }
 }
 
@@ -146,8 +215,12 @@ void TwigMachine::RecordGap(xml::NodeId id) {
 }
 
 void TwigMachine::Reset() {
-  StreamingMachine::Reset();
-  for (auto& stack : stacks_) stack.clear();
+  stats_ = EngineStats();
+  cur_elem_ = -1;
+  for (NodeStack& stack : stacks_) {
+    stack.levels.clear();
+    stack.entries.clear();
+  }
   ClearEmitted();
   live_entries_ = 0;
   live_candidates_ = 0;
@@ -156,14 +229,15 @@ void TwigMachine::Reset() {
 
 uint64_t TwigMachine::pool_entries() const {
   uint64_t total = 0;
-  for (const auto& stack : stacks_) total += stack.pooled();
+  for (const NodeStack& stack : stacks_) total += stack.entries.pooled();
   return total;
 }
 
-void TwigMachine::UpdateMemoryStats() {
+// hotpath
+inline void TwigMachine::UpdateMemoryStats() {
   stats_.NoteEntries(live_entries_);
   stats_.NoteCandidates(live_candidates_);
-  stats_.NoteBytes(live_entries_ * sizeof(Entry) +
+  stats_.NoteBytes(live_entries_ * entry_bytes_ +
                    live_candidates_ * sizeof(xml::NodeId) + live_text_bytes_);
 }
 
@@ -171,17 +245,22 @@ template <typename Fn>
 // hotpath
 void TwigMachine::ForEachQualifyingParent(const MachineNode* v, int top_level,
                                           Fn&& fn) {
-  PooledStack<Entry>& pstack = stacks_[v->parent->id];
+  // fn never pushes or pops the parent's stacks, so the columns can be
+  // read through plain pointers.
+  NodeStack& parent = stacks_[static_cast<size_t>(v->parent->id)];
+  const int* levels = parent.levels.data();
+  const size_t size = parent.levels.size();
+  Entry* entries = parent.entries.begin();
   const int max_level = top_level - v->edge.distance;
   if (!v->edge.exact) {
-    for (Entry& e : pstack) {
-      if (e.level > max_level) break;
-      fn(e);
+    for (size_t i = 0; i < size && levels[i] <= max_level; ++i) {
+      fn(entries[i], levels[i]);
     }
   } else {
-    auto it = std::lower_bound(pstack.begin(), pstack.end(), max_level,
-                               [](const Entry& e, int l) { return e.level < l; });
-    if (it != pstack.end() && it->level == max_level) fn(*it);
+    const int* it = std::lower_bound(levels, levels + size, max_level);
+    if (it != levels + size && *it == max_level) {
+      fn(entries[it - levels], max_level);
+    }
   }
 }
 
@@ -211,19 +290,13 @@ void TwigMachine::EmitEarly(xml::NodeId id) {
   if (!MarkEmitted(id)) return;
   obs::TimerScope emit_timer(
       instr_ != nullptr ? instr_->stage_slot(obs::Stage::kEmit) : nullptr);
-  const int return_node =
-      graph_.return_node() != nullptr ? graph_.return_node()->id : -1;
-  sink_->OnResult(MatchInfo{id, offset(), return_node});
-  ++stats_.results;
+  Emit(id, -1);
   ++stats_.early_emitted;
   NoteGap(0);
-  if (instr_ != nullptr) {
-    instr_->Trace(obs::TraceEvent::Kind::kEmit, return_node, -1, id, 0);
-  }
 }
 
 // hotpath
-void TwigMachine::ResolveCertain(const MachineNode* v, Entry& e) {
+void TwigMachine::ResolveCertain(const MachineNode* v, int level, Entry& e) {
   if ((e.dflags & kResolved) != 0) return;
   e.dflags |= kResolved;
   if (v->parent == nullptr) {
@@ -242,11 +315,11 @@ void TwigMachine::ResolveCertain(const MachineNode* v, Entry& e) {
   const MachineNode* parent = v->parent;
   const uint64_t bit = uint64_t{1} << v->branch_slot;
   bool certain_parent = false;
-  ForEachQualifyingParent(v, e.level, [&](Entry& p) {
+  ForEachQualifyingParent(v, level, [&](Entry& p, int p_level) {
     if ((p.branch & bit) == 0) {
       p.branch |= bit;
       if ((p.dflags & kResolved) == 0 && EntrySatisfiedNow(parent, p)) {
-        ResolveCertain(parent, p);
+        ResolveCertain(parent, p_level, p);
       }
     }
     if ((p.dflags & kCertainOutput) != 0) certain_parent = true;
@@ -258,75 +331,58 @@ void TwigMachine::ResolveCertain(const MachineNode* v, Entry& e) {
 }
 
 // hotpath
-void TwigMachine::TryStartNode(int node_id, int level, xml::NodeId id,
-                               const std::vector<xml::Attribute>& attrs) {
-  const MachineNode* v = graph_.nodes()[node_id].get();
+inline bool TwigMachine::Qualifies(int node_id, int level) const {
   // Analyzer window: the DTD proves this node can never bind at this
   // level — skip the whole δs attempt.
   if (!level_bounds_.empty() &&
       !level_bounds_[static_cast<size_t>(node_id)].Allows(level)) {
-    return;
+    return false;
   }
-  // Qualification: the root checks the element level directly (the
-  // document root is at level 0); other nodes need a parent-stack entry
-  // whose level difference satisfies ζ(v).
-  // Stack levels are strictly increasing (entries belong to the chain of
-  // active ancestors), so qualification needs no scan: for '≥' edges the
-  // bottom (shallowest) entry is the best witness; for '=' edges the
-  // required level is unique and found by binary search.
-  bool qualified = false;
-  if (v->parent == nullptr) {
-    if (root_context_ == nullptr) {
-      qualified = v->edge.Satisfies(level);
-    } else if (!root_context_->empty()) {
-      // Anchored root: qualify against the external ancestor stack, which
-      // is sorted ascending like a machine stack.
-      if (!v->edge.exact) {
-        qualified = level - root_context_->front() >= v->edge.distance;
-      } else {
-        qualified = std::binary_search(root_context_->begin(),
-                                       root_context_->end(),
-                                       level - v->edge.distance);
-      }
-    }
-  } else {
-    const PooledStack<Entry>& pstack = stacks_[v->parent->id];
-    if (!pstack.empty()) {
-      if (!v->edge.exact) {
-        qualified = level - pstack[0].level >= v->edge.distance;
-      } else {
-        const int want = level - v->edge.distance;
-        auto it = std::lower_bound(
-            pstack.begin(), pstack.end(), want,
-            [](const Entry& e, int l) { return e.level < l; });
-        qualified = it != pstack.end() && it->level == want;
-      }
-    }
+  // A node needs an entry of its parent's stack whose level difference
+  // satisfies ζ(v); the root checks the element level directly (the
+  // document root is at level 0) unless it is anchored to an external
+  // ancestor stack. Stack levels are strictly increasing (entries belong
+  // to the chain of active ancestors), so this needs no scan: for '≥'
+  // edges the bottom (shallowest) entry is the best witness; for '=' edges
+  // the required level is unique and found by binary search.
+  const NodeStack& stack = stacks_[static_cast<size_t>(node_id)];
+  const std::vector<int>* context =
+      stack.parent >= 0 ? &stacks_[static_cast<size_t>(stack.parent)].levels
+                        : root_context_;
+  if (context == nullptr) return stack.edge.Satisfies(level);
+  if (context->empty()) return false;
+  if (!stack.edge.exact) {
+    return level - context->front() >= stack.edge.distance;
   }
-  if (!qualified) return;
+  return std::binary_search(context->begin(), context->end(),
+                            level - stack.edge.distance);
+}
 
+// hotpath
+bool TwigMachine::Admit(const MachineNode* v,
+                        const std::vector<xml::Attribute>& attrs,
+                        uint64_t* branch, const NodeDecision** dec) {
   // Earliest-decision skips: the DTD proves this subtree can never meet
   // v's obligations (refuted) or can never decide any output (useless), so
   // the entry would be dead weight. kObserve must not act — it exists to
   // measure what kOn would have done while staying byte-identical.
-  const NodeDecision* dec =
-      decision_mode_ != EarlyDecisionMode::kOff ? DecisionFor(node_id)
-                                                : nullptr;
-  if (dec != nullptr && decision_mode_ == EarlyDecisionMode::kOn) {
-    if (dec->refuted()) {
+  *dec = decision_mode_ != EarlyDecisionMode::kOff ? DecisionFor(v->id)
+                                                   : nullptr;
+  if (*dec != nullptr && decision_mode_ == EarlyDecisionMode::kOn) {
+    if ((*dec)->refuted()) {
       ++stats_.early_dropped;
-      return;
+      return false;
     }
-    if (dec->useless()) {
+    if ((*dec)->useless()) {
       ++stats_.states_skipped;
-      return;
+      return false;
     }
   }
-
-  // Resolve attribute tests now: attributes are fully known at
-  // startElement (footnote 2 of the paper).
-  uint64_t branch = 0;
-  bool attr_failed = false;
+  // Attributes are fully known at startElement (footnote 2 of the paper),
+  // so each test resolves now into its branch bit. An element whose tests
+  // failed is not pushed at all (unless prune_static_failures is off): its
+  // branch match can never become all-T.
+  bool failed = false;
   for (const AttributeTest& test : v->attr_tests) {
     ++stats_.predicate_checks;
     bool found = false;
@@ -344,59 +400,85 @@ void TwigMachine::TryStartNode(int node_id, int level, xml::NodeId id,
                            test.literal_is_number);
     }
     if (pass) {
-      branch |= uint64_t{1} << test.branch_slot;
+      *branch |= uint64_t{1} << test.branch_slot;
     } else {
-      attr_failed = true;
+      failed = true;
     }
   }
-  if (attr_failed && options_.prune_static_failures) return;
-
-  // Ancestor-ordering lemma: stack levels stay strictly increasing —
-  // every entry belongs to the chain of currently-open ancestors.
-  TWIGM_INVARIANT(
-      stacks_[node_id].empty() || stacks_[node_id].back().level < level,
-      "stack levels not strictly increasing at push", offset());
   // Attribute slots must stay within the node's declared branch slots.
-  TWIGM_INVARIANT(v->num_slots >= 64 || branch >> v->num_slots == 0,
+  TWIGM_INVARIANT(v->num_slots >= 64 || *branch >> v->num_slots == 0,
                   "initial branch bits outside the node's slot range",
                   offset());
+  return !failed || !options_.prune_static_failures;
+}
+
+// hotpath
+void TwigMachine::PushEntry(const MachineNode* v, int level, xml::NodeId id,
+                            uint64_t branch, const NodeDecision* dec) {
   // The pooled slot may hold a previous occupant's state: reset each field.
-  Entry& entry = stacks_[node_id].push();
-  entry.level = level;
+  Entry& entry = stacks_[static_cast<size_t>(v->id)].entries.push();
   entry.branch = branch;
   entry.implied = 0;
   entry.dflags = 0;
   entry.candidates.clear();
   entry.text.clear();
+  if (v->is_return) {
+    entry.candidates.push_back(id);
+    ++live_candidates_;
+  }
   if (decision_mode_ != EarlyDecisionMode::kOff) {
     if (dec != nullptr) {
       entry.implied = dec->implied_mask & v->required_mask;
       if (dec->value_implied()) entry.dflags |= kValueSure;
     }
     if (!v->has_value_test) entry.dflags |= kValueSure;
+    // Certain already at push (no open obligations, or all implied by the
+    // DTD): cascade now — this is what turns an opening tag into an
+    // earliest emission.
+    if (EntrySatisfiedNow(v, entry)) ResolveCertain(v, level, entry);
+  }
+}
+
+// hotpath
+inline void TwigMachine::Push(int node_id, int level, xml::NodeId id,
+                              const std::vector<xml::Attribute>& attrs) {
+  const MachineNode* v = graph_.nodes()[node_id].get();
+  uint64_t branch = 0;
+  const NodeDecision* dec = nullptr;
+  if ((decision_mode_ != EarlyDecisionMode::kOff ||
+       !v->attr_tests.empty()) &&
+      !Admit(v, attrs, &branch, &dec)) {
+    return;
+  }
+  // Ancestor-ordering lemma: stack levels stay strictly increasing —
+  // every entry belongs to the chain of currently-open ancestors.
+  std::vector<int>& levels = stacks_[static_cast<size_t>(node_id)].levels;
+  TWIGM_INVARIANT(levels.empty() || levels.back() < level,
+                  "stack levels not strictly increasing at push", offset());
+  levels.push_back(level);
+  ++stats_.pushes;
+  ++live_entries_;
+  if (instr_ != nullptr) {
+    instr_->NoteNodeDepth(node_id, levels.size());
+    instr_->Trace(obs::TraceEvent::Kind::kStackPush, node_id, level, id,
+                  levels.size());
   }
   if (v->is_return) {
-    entry.candidates.push_back(id);
-    ++live_candidates_;
     sink_->OnCandidate(id);
     if (instr_ != nullptr) {
       instr_->Trace(obs::TraceEvent::Kind::kCandidate, node_id, level, id, 1);
     }
   }
-  ++stats_.pushes;
-  ++live_entries_;
-  if (instr_ != nullptr) {
-    const uint64_t depth = stacks_[node_id].size();
-    instr_->NoteNodeDepth(node_id, depth);
-    instr_->Trace(obs::TraceEvent::Kind::kStackPush, node_id, level, id,
-                  depth);
-  }
-  // Certain already at push (no open obligations, or all implied by the
-  // DTD): cascade now — this is what turns an opening tag into an
-  // earliest emission.
-  if (decision_mode_ != EarlyDecisionMode::kOff &&
-      EntrySatisfiedNow(v, entry)) {
-    ResolveCertain(v, entry);
+  if (!predicate_free_) {
+    PushEntry(v, level, id, branch, dec);
+  } else if (v->is_return) {
+    // No node carries an obligation, so the entry is the level alone, and
+    // a candidate is a result the moment it is pushed (section 3.1): emit
+    // at startElement, the earliest point possible — gap 0.
+    obs::TimerScope emit_timer(
+        instr_ != nullptr ? instr_->stage_slot(obs::Stage::kEmit) : nullptr);
+    Emit(id, level);
+    if (decision_mode_ != EarlyDecisionMode::kOff) NoteGap(0);
   }
 }
 
@@ -425,10 +507,12 @@ void TwigMachine::StartElement(const xml::TagToken& tag, int level,
   // label: only wildcards can match.
   if (tag.symbol < start_postings_.size()) {
     for (int node_id : start_postings_[tag.symbol]) {
-      TryStartNode(node_id, level, id, attrs);
+      if (Qualifies(node_id, level)) Push(node_id, level, id, attrs);
     }
   }
-  for (int node_id : wildcard_nodes_) TryStartNode(node_id, level, id, attrs);
+  for (int node_id : wildcard_nodes_) {
+    if (Qualifies(node_id, level)) Push(node_id, level, id, attrs);
+  }
   UpdateMemoryStats();
 }
 
@@ -437,22 +521,35 @@ void TwigMachine::Text(std::string_view text, int level) {
   // Only nodes with value tests accumulate text, and only for the element
   // currently on top of their stack (direct character data).
   for (int node_id : value_test_nodes_) {
-    PooledStack<Entry>& stack = stacks_[node_id];
-    if (!stack.empty() && stack.back().level == level) {
-      stack.back().text.append(text);
+    NodeStack& stack = stacks_[static_cast<size_t>(node_id)];
+    if (!stack.levels.empty() && stack.levels.back() == level) {
+      stack.entries.back().text.append(text);
       live_text_bytes_ += text.size();
     }
   }
 }
 
 // hotpath
-void TwigMachine::PopNode(int node_id, int level) {
-  const MachineNode* v = graph_.nodes()[node_id].get();
-  PooledStack<Entry>& stack = stacks_[node_id];
-  if (stack.empty() || stack.back().level != level) return;
+inline void TwigMachine::Pop(int node_id, int level) {
+  std::vector<int>& levels = stacks_[static_cast<size_t>(node_id)].levels;
+  levels.pop_back();
+  ++stats_.pops;
+  --live_entries_;
+  if (instr_ != nullptr) {
+    instr_->Trace(obs::TraceEvent::Kind::kStackPop, node_id, level, 0,
+                  levels.size());
+  }
+  // A predicate-free entry has nothing to verify or propagate: its result
+  // was emitted at its push.
+  if (!predicate_free_) PopEntry(node_id, level);
+}
 
+// hotpath
+void TwigMachine::PopEntry(int node_id, int level) {
+  const MachineNode* v = graph_.nodes()[node_id].get();
   // Pop by reference: the slot stays valid (and pooled) until the next push
   // onto this stack, which cannot happen inside δe.
+  PooledStack<Entry>& stack = stacks_[static_cast<size_t>(node_id)].entries;
   Entry& top = stack.back();
   stack.pop();
   // Candidate-set lemma (Theorem 4.4's dedup argument): candidates are
@@ -467,14 +564,8 @@ void TwigMachine::PopNode(int node_id, int level) {
   TWIGM_INVARIANT(v->num_slots >= 64 || top.branch >> v->num_slots == 0,
                   "branch bits outside the node's slot range at pop",
                   offset());
-  ++stats_.pops;
-  --live_entries_;
   live_candidates_ -= top.candidates.size();
   live_text_bytes_ -= top.text.size();
-  if (instr_ != nullptr) {
-    instr_->Trace(obs::TraceEvent::Kind::kStackPop, node_id, level, 0,
-                  stack.size());
-  }
 
   ++stats_.predicate_checks;
   bool satisfied = (top.branch & v->required_mask) == v->required_mask;
@@ -497,19 +588,12 @@ void TwigMachine::PopNode(int node_id, int level) {
     // once at O(1) per candidate.
     obs::TimerScope emit_timer(
         instr_ != nullptr ? instr_->stage_slot(obs::Stage::kEmit) : nullptr);
-    const int return_node =
-        graph_.return_node() != nullptr ? graph_.return_node()->id : -1;
     for (xml::NodeId id : top.candidates) {
       if (!MarkEmitted(id)) continue;
-      sink_->OnResult(MatchInfo{id, offset(), return_node});
-      ++stats_.results;
+      Emit(id, level);
       if (decision_mode_ != EarlyDecisionMode::kOff) RecordGap(id);
-      if (instr_ != nullptr) {
-        instr_->Trace(obs::TraceEvent::Kind::kEmit, return_node, level, id,
-                      0);
-      }
     }
-    if (stack.empty()) ClearEmitted();
+    if (stacks_[static_cast<size_t>(node_id)].levels.empty()) ClearEmitted();
     return;
   }
 
@@ -517,7 +601,7 @@ void TwigMachine::PopNode(int node_id, int level) {
   // increasing, so '≥' edges match a prefix of the stack and '=' edges
   // match at most one entry.
   const uint64_t bit = uint64_t{1} << v->branch_slot;
-  ForEachQualifyingParent(v, top.level, [&](Entry& e) {
+  ForEachQualifyingParent(v, level, [&](Entry& e, int e_level) {
     // Branch-boolean monotonicity (δe correctness): propagation only
     // sets bits, and only the child's own slot.
     TWIGM_INVARIANT(v->parent->num_slots >= 64 ||
@@ -551,7 +635,7 @@ void TwigMachine::PopNode(int node_id, int level) {
     // value-test child that only resolves at its pop): cascade now.
     if (decision_mode_ != EarlyDecisionMode::kOff &&
         (e.dflags & kResolved) == 0 && EntrySatisfiedNow(v->parent, e)) {
-      ResolveCertain(v->parent, e);
+      ResolveCertain(v->parent, e_level, e);
     }
   });
 }
@@ -569,10 +653,20 @@ void TwigMachine::EndElement(const xml::TagToken& tag, int level) {
   const std::vector<int>& list = tag.symbol < end_postings_.size()
                                      ? end_postings_[tag.symbol]
                                      : wildcard_nodes_;
+  const uint64_t candidates_before = live_candidates_;
   for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
-    PopNode(*rit, level);
+    const std::vector<int>& levels = stacks_[static_cast<size_t>(*rit)].levels;
+    if (!levels.empty() && levels.back() == level) Pop(*rit, level);
   }
-  UpdateMemoryStats();
+  // Only candidate unions can raise a peak here: pops remove entries, and
+  // the text appended since the last event belongs to the entries this
+  // event pops.
+  if (live_candidates_ > candidates_before) {
+    UpdateMemoryStats();
+  } else {
+    stats_.live_stack_entries = live_entries_;
+    stats_.live_candidates = live_candidates_;
+  }
 }
 
 void TwigMachine::EndDocument() {

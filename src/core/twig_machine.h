@@ -1,4 +1,5 @@
-// TwigM — the paper's streaming XPath evaluation machine (sections 3.3, 4).
+// TwigM — the paper's streaming XPath evaluation machine (sections 3.3, 4),
+// the one machine every query runs on.
 //
 // One stack per machine node. A stack entry is the triple of section 4.1:
 //   (level, branch-match array, candidate set)
@@ -23,23 +24,42 @@
 //    A top with an F bit is simply discarded — pruning, without enumeration,
 //    every pattern match it participated in.
 //
+// Predicate-free queries (section 3.1, the paper's PathM class): when no
+// machine node has an attribute test, a value test or a child off the
+// output path, every entry's obligations are met by construction, so being
+// pushed onto the return node's stack already makes an element a result.
+// The machine detects this from its graph and then emits at startElement,
+// the earliest point possible; its entries carry only their level, and a
+// pop only pops. Every other query decides at endElement as above (or
+// earlier, from DTD facts — see set_decisions).
+//
 // Hot path: BindInterner() resolves the query labels to the parser's
 // SymbolIds once, and per-event dispatch indexes a per-symbol postings
-// vector — no tag bytes are hashed or compared. Stack entries live in
-// PooledStacks and candidate sets merge in place, so the steady state per
-// event performs zero heap allocations (DESIGN.md §10).
+// vector — no tag bytes are hashed or compared. Entry levels and the rest
+// of each entry live in two index-aligned per-node columns, so
+// qualification scans ints; the rest sits in PooledStacks and candidate
+// sets merge in place, so the steady state per event performs zero heap
+// allocations (DESIGN.md §10).
 
 #ifndef TWIGM_CORE_TWIG_MACHINE_H_
 #define TWIGM_CORE_TWIG_MACHINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "core/decision_table.h"
+#include "core/level_bounds.h"
+#include "core/machine_builder.h"
+#include "core/machine_stats.h"
 #include "core/pooled_stack.h"
-#include "core/streaming_machine.h"
+#include "core/result_sink.h"
+#include "obs/instrumentation.h"
+#include "xml/sax_event.h"
+#include "xml/tag_interner.h"
 #include "xpath/query_tree.h"
 
 namespace twigm::core {
@@ -56,13 +76,16 @@ struct TwigMachineOptions {
 /// The TwigM machine. Feed it modified SAX events (via xml::EventDriver or
 /// directly); candidates and results are reported to the MatchObserver
 /// incrementally.
-class TwigMachine final : public StreamingMachine {
+class TwigMachine final : public xml::StreamEventSink {
  public:
   /// Builds the machine for `query` (section 4.2 construction). `observer`
   /// must outlive the machine; not owned.
   static Result<std::unique_ptr<TwigMachine>> Create(
       const xpath::QueryTree& query, MatchObserver* observer,
       TwigMachineOptions options = TwigMachineOptions());
+
+  TwigMachine(const TwigMachine&) = delete;
+  TwigMachine& operator=(const TwigMachine&) = delete;
 
   // StreamEventSink:
   void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
@@ -71,8 +94,47 @@ class TwigMachine final : public StreamingMachine {
   void Text(std::string_view text, int level) override;
   void EndDocument() override;
 
-  /// Also clears the emitted set. Pooled stack capacity is retained.
-  void Reset() override;
+  /// Resolves every query label to a SymbolId in `interner` (interning on
+  /// first sight) and builds the machine's per-symbol dispatch postings.
+  /// Required: call once, with the interner of the parser that will feed
+  /// this machine, before streaming (the processors do this; hand-wired
+  /// machines pass parser.interner()). `interner` must outlive the
+  /// machine; not owned. Dispatch is by symbol only, so events carrying
+  /// symbols from any other interner would dispatch incorrectly, and an
+  /// unbound machine would match wildcards only — under
+  /// TWIGM_CHECK_INVARIANTS its first start event aborts instead.
+  void BindInterner(xml::TagInterner* interner);
+
+  /// Clears runtime state, statistics and the emitted set so the machine
+  /// can process another document. Stack capacity and the interner
+  /// binding are retained.
+  void Reset();
+
+  /// Optional: attaches observability (metrics, per-node stack depth,
+  /// trace events, emit-stage timing). Null detaches; not owned.
+  void set_instrumentation(obs::Instrumentation* instr);
+
+  /// Optional: source of the current stream byte offset (owned by the
+  /// processor, written by the parser before each event). Used to stamp
+  /// MatchInfo::byte_offset; null => offsets are 0.
+  void set_stream_offset(const uint64_t* offset) { stream_offset_ = offset; }
+
+  /// Optional: per-node document-level windows from static analysis
+  /// (analysis::ComputeMachineLevelBounds); indexed by machine-node id.
+  /// Events outside a node's window skip its push entirely. The windows
+  /// must be conservative for the streamed documents (they are, for
+  /// documents valid w.r.t. the analyzed DTD). Empty = no pruning.
+  void set_level_bounds(LevelBounds bounds) { level_bounds_ = std::move(bounds); }
+
+  /// Optional: earliest-query-answering. `table` carries the static DTD
+  /// facts (analysis::CompileDecisionTable; may be null) and `mode`
+  /// selects how the machine acts on certainty (see EarlyDecisionMode).
+  /// A predicate-free machine already emits at startElement (every gap is
+  /// 0); kOn still uses the table's useless/refuted facts to skip pushes.
+  /// Call any time before streaming; interacts with BindInterner in either
+  /// order.
+  void set_decisions(std::shared_ptr<const DecisionTable> table,
+                     EarlyDecisionMode mode);
 
   /// Optional: anchors the machine's root to an external ancestor stack
   /// instead of the document root. When set, the root node pushes at level l
@@ -85,14 +147,25 @@ class TwigMachine final : public StreamingMachine {
     root_context_ = levels;
   }
 
-  uint64_t pool_entries() const override;
+  const EngineStats& stats() const { return stats_; }
+  const MachineGraph& graph() const { return graph_; }
+
+  /// True when no machine node has an attribute test, a value test or a
+  /// child off the output path (section 3.1's condition): results are
+  /// emitted at startElement and entries carry only their level.
+  bool predicate_free() const { return predicate_free_; }
+
+  /// Total entry slots ever allocated across all machine nodes (pool
+  /// high-water mark; 0 for a predicate-free machine, whose entries are
+  /// levels only). Exported as hotpath.pool_entries.
+  uint64_t pool_entries() const;
 
  private:
-  // One stack entry: <level, branch match, candidates> (+ text buffer for
-  // value-test nodes). `implied`/`dflags` carry the entry's certainty state
-  // when early decisions are enabled (zeroed otherwise).
+  // One stack entry minus its level, which has its own column: the branch
+  // match, the candidate set and, for value-test nodes, the text buffer.
+  // `implied`/`dflags` carry the entry's certainty state when early
+  // decisions are enabled (zeroed otherwise).
   struct Entry {
-    int level = 0;
     uint64_t branch = 0;
     uint64_t implied = 0;  // statically implied branch bits (DTD facts)
     uint8_t dflags = 0;    // kValueSure | kResolved | kCertainOutput
@@ -110,22 +183,57 @@ class TwigMachine final : public StreamingMachine {
   TwigMachine(MachineGraph graph, MatchObserver* observer,
               TwigMachineOptions options);
 
-  void BuildPostings(size_t symbol_count) override;
+  void RebuildSymToElem();
+  void RegisterGapHistogram();
 
   void UpdateMemoryStats();
 
-  // δs for one machine node (the push attempt of Algorithm 1).
-  void TryStartNode(int node_id, int level, xml::NodeId id,
-                    const std::vector<xml::Attribute>& attrs);
-  // δe for one machine node (pop / verify / propagate).
-  void PopNode(int node_id, int level);
+  // δs for one machine node (the push attempt of Algorithm 1), in two
+  // parts: Qualifies is the level window and ζ(v) test, Push the rest for
+  // a node that qualified.
+  bool Qualifies(int node_id, int level) const;
+  void Push(int node_id, int level, xml::NodeId id,
+            const std::vector<xml::Attribute>& attrs);
+  /// Applies the DTD's skips (setting `*dec`) and resolves v's attribute
+  /// tests into `*branch`; false when the element must not be pushed.
+  bool Admit(const MachineNode* v, const std::vector<xml::Attribute>& attrs,
+             uint64_t* branch, const NodeDecision** dec);
+  /// Pushes the rest of a new entry of v (predicate machines only).
+  void PushEntry(const MachineNode* v, int level, xml::NodeId id,
+                 uint64_t branch, const NodeDecision* dec);
+  // δe for one machine node whose top entry has `level`: Pop removes the
+  // level, PopEntry verifies and propagates the rest of the entry.
+  void Pop(int node_id, int level);
+  void PopEntry(int node_id, int level);
+
+  /// Static facts for (node, current start tag); null when unknown.
+  // hotpath
+  const NodeDecision* DecisionFor(int node_id) const {
+    if (cur_elem_ < 0 || decisions_ == nullptr) return nullptr;
+    return &decisions_->at(static_cast<size_t>(node_id),
+                           static_cast<size_t>(cur_elem_));
+  }
+
+  /// Current stream offset, 0 without a source.
+  // hotpath
+  uint64_t offset() const {
+    return stream_offset_ != nullptr ? *stream_offset_ : 0;
+  }
+
+  /// Reports `id` as a result now (the caller holds the emit timer).
+  void Emit(xml::NodeId id, int level);
+
+  /// Records one earliest-vs-actual emission gap in the stats and, when
+  /// attached, the gap histogram.
+  void NoteGap(uint64_t gap);
 
   // --- Earliest-decision machinery (DESIGN.md §13) ---------------------
-  /// Applies `fn(Entry&)` to every parent-stack entry an entry of `v` at
-  /// `top_level` qualifies against — the exact propagation target set of δe
-  /// (a prefix for '≥' edges, at most one entry for '=' edges). Shared by
-  /// the pop propagation and the early certainty cascade, which is sound
-  /// precisely because this set is identical at push time and pop time.
+  /// Applies `fn(Entry&, int level)` to every parent-stack entry an entry
+  /// of `v` at `top_level` qualifies against — the exact propagation target
+  /// set of δe (a prefix for '≥' edges, at most one entry for '=' edges).
+  /// Shared by the pop propagation and the early certainty cascade, which
+  /// is sound precisely because this set is identical at push time and pop
+  /// time.
   template <typename Fn>
   void ForEachQualifyingParent(const MachineNode* v, int top_level, Fn&& fn);
 
@@ -137,7 +245,7 @@ class TwigMachine final : public StreamingMachine {
   /// every qualifying parent entry (the bits δe would set), recursing when
   /// a parent becomes certain, and marks e kCertainOutput (flushing its
   /// candidates) when a certain root entry is reachable.
-  void ResolveCertain(const MachineNode* v, Entry& e);
+  void ResolveCertain(const MachineNode* v, int level, Entry& e);
 
   /// Candidates of a kCertainOutput entry are certain results: kOn emits
   /// and drops them; kObserve stamps their earliest-proof offset.
@@ -152,11 +260,46 @@ class TwigMachine final : public StreamingMachine {
   /// Records the earliest-vs-actual gap for an emission happening now.
   void RecordGap(xml::NodeId id);
 
-  const std::vector<int>* root_context_ = nullptr;
-  TwigMachineOptions options_;
+  /// Stamps `id` emitted; returns false when it already was this epoch.
+  bool MarkEmitted(xml::NodeId id);
+  void ClearEmitted();
 
-  // stacks_[node->id] is ξ(v).
-  std::vector<PooledStack<Entry>> stacks_;
+  MachineGraph graph_;
+  MatchObserver* sink_;
+  TwigMachineOptions options_;
+  obs::Instrumentation* instr_ = nullptr;
+  const uint64_t* stream_offset_ = nullptr;
+  const std::vector<int>* root_context_ = nullptr;
+  LevelBounds level_bounds_;
+  EngineStats stats_;
+  obs::Histogram* gap_hist_ = nullptr;
+
+  // Section 3.1's condition, fixed at construction (see predicate_free()).
+  bool predicate_free_ = false;
+  int return_id_ = -1;       // the return node's id, stamped on every match
+  size_t entry_bytes_ = 0;   // bytes one entry occupies across both columns
+
+  // Earliest-decision state. sym_to_elem_ maps event SymbolIds to the
+  // table's dense DTD element ids (-1 = no facts); cur_elem_ caches the
+  // mapping for the start tag being dispatched.
+  std::shared_ptr<const DecisionTable> decisions_;
+  EarlyDecisionMode decision_mode_ = EarlyDecisionMode::kOff;
+  xml::TagInterner* interner_ = nullptr;  // set by BindInterner
+  std::vector<int32_t> sym_to_elem_;
+  int32_t cur_elem_ = -1;
+
+  // ξ(v) of one machine node, as two index-aligned columns: `levels`
+  // holds each entry's level (strictly increasing bottom to top),
+  // `entries` the rest of each entry, which only machines with predicates
+  // push. `parent` and `edge` copy what δs reads of the node, so dispatch
+  // scans this array instead of chasing MachineNode pointers.
+  struct NodeStack {
+    int parent = -1;  // parent node id; -1 for the root
+    EdgeCondition edge;
+    std::vector<int> levels;
+    PooledStack<Entry> entries;
+  };
+  std::vector<NodeStack> stacks_;  // indexed by machine-node id
 
   std::vector<int> wildcard_nodes_;   // '*' machine-node ids, pre-order
   std::vector<int> value_test_nodes_; // nodes that accumulate text
@@ -178,7 +321,9 @@ class TwigMachine final : public StreamingMachine {
   // O(1) per candidate, cleared in O(1) by bumping the epoch (whenever the
   // root stack empties — after that point no live entry can still hold an
   // already-emitted candidate), and its capacity survives Reset() so
-  // steady-state passes never allocate here.
+  // steady-state passes never allocate here. A predicate-free machine
+  // pushes each element onto the return stack at most once, so it needs
+  // no guard.
   std::vector<uint32_t> emitted_stamp_;
   uint32_t emitted_epoch_ = 1;
 
@@ -186,10 +331,6 @@ class TwigMachine final : public StreamingMachine {
   // and sharing its epoch: proved iff proved_stamp_[id] == emitted_epoch_.
   std::vector<uint32_t> proved_stamp_;
   std::vector<uint64_t> proved_offset_;
-
-  /// Stamps `id` emitted; returns false when it already was this epoch.
-  bool MarkEmitted(xml::NodeId id);
-  void ClearEmitted();
 
   uint64_t live_entries_ = 0;
   uint64_t live_candidates_ = 0;

@@ -12,8 +12,8 @@
 // '//' stays polynomial. On startElement(tag, level, id), the children of
 // the virtual root and of every *active* trie node (non-empty stack) whose
 // name test matches push `level`; a push onto an accepting node emits
-// (query, id) immediately — linear queries keep the earliest-emission
-// property of PathM. On endElement, stacks whose top carries the closing
+// (query, id) immediately — linear queries emit at their start tag, as a
+// predicate-free TwigM does (section 3.1). On endElement, stacks whose top carries the closing
 // level pop. Queries with predicates demultiplex at their anchor node into
 // a per-query TwigM tail machine whose root is attached to the
 // anchor's stack (set_root_context); a tail only receives events while it
@@ -65,9 +65,8 @@ namespace twigm::filter {
 class FilterEngine {
  public:
   /// Compiles the index and tail machines. `sink` must outlive the engine;
-  /// not owned. `options.engine` is ignored (linear queries run in the
-  /// trie, predicate tails on TwigM); `options.twig` and `options.sax`
-  /// apply. `dtd` (may be null; not owned, must outlive the engine) turns
+  /// not owned. Linear queries run in the trie, predicate tails on TwigM;
+  /// `options.twig` and `options.sax` apply. `dtd` (may be null; not owned, must outlive the engine) turns
   /// on the static analysis described above; a query set the DTD prunes
   /// entirely still parses, so malformed input still fails.
   static Result<std::unique_ptr<FilterEngine>> Create(

@@ -83,7 +83,7 @@ class SaxHandler {
 /// Node identifier: position in document order (pre-order), starting at 1.
 using NodeId = uint64_t;
 
-/// The paper's modified SAX event stream. Machines (PathM/TwigM) and
+/// The paper's modified SAX event stream. TwigM, the filter engine and the
 /// baselines implement this interface.
 class StreamEventSink {
  public:

@@ -22,7 +22,6 @@
 namespace twigm {
 namespace {
 
-using core::EngineKind;
 using core::VectorResultSink;
 
 // ---------- random document generation ----------
@@ -160,10 +159,8 @@ std::vector<xml::NodeId> OracleEval(const xpath::QueryTree& query,
 }
 
 std::vector<xml::NodeId> StreamEval(std::string_view query,
-                                    std::string_view doc, EngineKind kind,
-                                    bool prune) {
+                                    std::string_view doc, bool prune) {
   core::EvaluatorOptions options;
-  options.engine = kind;
   options.twig.prune_static_failures = prune;
   Result<std::vector<xml::NodeId>> result =
       core::EvaluateToIds(query, doc, options);
@@ -219,10 +216,10 @@ TEST(DifferentialTest, TwigMMatchesOracleOnFullFragment) {
     ASSERT_TRUE(tree.ok()) << query << ": " << tree.status().ToString();
     const std::vector<xml::NodeId> expected = OracleEval(tree.value(), doc);
     const std::vector<xml::NodeId> twig =
-        StreamEval(query, doc, EngineKind::kTwigM, /*prune=*/true);
+        StreamEval(query, doc, /*prune=*/true);
     ASSERT_EQ(twig, expected) << "query " << query << "\ndoc " << doc;
     const std::vector<xml::NodeId> twig_noprune =
-        StreamEval(query, doc, EngineKind::kTwigM, /*prune=*/false);
+        StreamEval(query, doc, /*prune=*/false);
     ASSERT_EQ(twig_noprune, expected) << "query " << query << "\ndoc " << doc;
     if (!expected.empty()) ++nonempty;
   }
@@ -242,9 +239,8 @@ TEST(DifferentialTest, PathMAndLazyDfaMatchOracleOnLinearFragment) {
     Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
     ASSERT_TRUE(tree.ok()) << query;
     const std::vector<xml::NodeId> expected = OracleEval(tree.value(), doc);
-    ASSERT_EQ(StreamEval(query, doc, EngineKind::kPathM, true), expected)
-        << "PathM, query " << query << "\ndoc " << doc;
-    ASSERT_EQ(StreamEval(query, doc, EngineKind::kTwigM, true), expected)
+    // TwigM runs these predicate-free, emitting at startElement.
+    ASSERT_EQ(StreamEval(query, doc, true), expected)
         << "TwigM, query " << query << "\ndoc " << doc;
     ASSERT_EQ(LazyDfaEval(tree.value(), doc), expected)
         << "LazyDfa, query " << query << "\ndoc " << doc;
@@ -254,8 +250,8 @@ TEST(DifferentialTest, PathMAndLazyDfaMatchOracleOnLinearFragment) {
 }
 
 // XP{/,[]}, the query class of the paper's BranchM (section 3.2). TwigM
-// evaluates it; kAuto sends its linear queries to PathM and the rest to
-// TwigM, so both selection paths are checked.
+// evaluates it; its linear queries run predicate-free, the rest decide at
+// endElement, so both emission paths are checked.
 TEST(DifferentialTest, BranchMMatchesOracleOnChildOnlyFragment) {
   Rng rng(0xB0B);
   QueryParams params;
@@ -272,9 +268,7 @@ TEST(DifferentialTest, BranchMMatchesOracleOnChildOnlyFragment) {
     Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
     ASSERT_TRUE(tree.ok()) << query;
     const std::vector<xml::NodeId> expected = OracleEval(tree.value(), doc);
-    ASSERT_EQ(StreamEval(query, doc, EngineKind::kAuto, true), expected)
-        << "auto, query " << query << "\ndoc " << doc;
-    ASSERT_EQ(StreamEval(query, doc, EngineKind::kTwigM, true), expected)
+    ASSERT_EQ(StreamEval(query, doc, true), expected)
         << "TwigM, query " << query << "\ndoc " << doc;
     if (!expected.empty()) ++nonempty;
   }
@@ -310,10 +304,7 @@ TEST(DifferentialTest, ResultsNeverContainDuplicates) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::string doc = RandomDocument(&rng);
     const std::string query = RandomQuery(&rng, params);
-    core::EvaluatorOptions options;
-    options.engine = EngineKind::kTwigM;
-    Result<std::vector<xml::NodeId>> result =
-        core::EvaluateToIds(query, doc, options);
+    Result<std::vector<xml::NodeId>> result = core::EvaluateToIds(query, doc);
     ASSERT_TRUE(result.ok());
     std::vector<xml::NodeId> ids = result.value();
     std::sort(ids.begin(), ids.end());

@@ -1,5 +1,5 @@
-// Tests for the XPathStreamProcessor facade: engine selection, chunked
-// feeding, reuse, and error propagation.
+// Tests for the XPathStreamProcessor facade: when results are emitted,
+// chunked feeding, reuse, and error propagation.
 
 #include "core/evaluator.h"
 
@@ -12,56 +12,62 @@
 namespace twigm {
 namespace {
 
-using core::EngineKind;
-using core::EvaluatorOptions;
 using core::VectorResultSink;
 using core::XPathStreamProcessor;
 using testing::Ids;
 using testing::MustEvaluate;
 
-TEST(EvaluatorTest, AutoSelectsPathMForLinearQueries) {
+// Runs `query` over `doc` in one chunk and returns each result's
+// (id, byte offset) in emission order.
+std::vector<std::pair<xml::NodeId, uint64_t>> Emissions(
+    std::string_view query, std::string_view doc) {
   VectorResultSink sink;
-  auto proc = XPathStreamProcessor::Create("//a//b", &sink);
-  ASSERT_TRUE(proc.ok());
-  EXPECT_EQ(proc.value()->engine_kind(), EngineKind::kPathM);
+  auto proc = XPathStreamProcessor::Create(query, &sink);
+  EXPECT_TRUE(proc.ok()) << proc.status().ToString();
+  std::vector<std::pair<xml::NodeId, uint64_t>> out;
+  if (!proc.ok()) return out;
+  EXPECT_TRUE(proc.value()->Consume({doc, true}).ok());
+  for (const core::MatchInfo& m : sink.matches()) {
+    out.emplace_back(m.id, m.byte_offset);
+  }
+  return out;
+}
+
+using Hits = std::vector<std::pair<xml::NodeId, uint64_t>>;
+
+TEST(EvaluatorTest, AutoSelectsPathMForLinearQueries) {
+  // A linear query (the paper's PathM class, section 3.1) emits each
+  // result at its own start tag.
+  const std::string doc = "<a><b/><x><b/></x></a>";  // a=1 b=2 x=3 b=4
+  EXPECT_EQ(Emissions("//a//b", doc),
+            (Hits{{2, doc.find("<b/>")}, {4, doc.rfind("<b/>")}}));
 }
 
 TEST(EvaluatorTest, AutoSelectsTwigMForChildOnlyPredicates) {
   // XP{/,[]} (the paper's BranchM class, section 3.2) runs on TwigM: with
   // only '/' edges each TwigM stack holds at most one live entry, which is
-  // exactly BranchM's single state.
-  VectorResultSink sink;
-  auto proc = XPathStreamProcessor::Create("/a/b[c]", &sink);
-  ASSERT_TRUE(proc.ok());
-  EXPECT_EQ(proc.value()->engine_kind(), EngineKind::kTwigM);
+  // exactly BranchM's single state. The result is output when the root
+  // entry pops.
+  const std::string doc = "<a><b><c/></b></a>";  // a=1 b=2 c=3
+  EXPECT_EQ(Emissions("/a/b[c]", doc), (Hits{{2, doc.find("</a>")}}));
 }
 
 TEST(EvaluatorTest, AutoSelectsTwigMForTheRest) {
-  VectorResultSink sink;
-  auto proc = XPathStreamProcessor::Create("//a[b]//c", &sink);
-  ASSERT_TRUE(proc.ok());
-  EXPECT_EQ(proc.value()->engine_kind(), EngineKind::kTwigM);
-
-  VectorResultSink sink2;
-  auto proc2 = XPathStreamProcessor::Create("/a/*[b]", &sink2);
-  ASSERT_TRUE(proc2.ok());
-  EXPECT_EQ(proc2.value()->engine_kind(), EngineKind::kTwigM);
-
-  // Linear query with a value test also needs TwigM (PathM has no state
-  // for text accumulation).
-  VectorResultSink sink3;
-  auto proc3 = XPathStreamProcessor::Create("//a[.=\"x\"]", &sink3);
-  ASSERT_TRUE(proc3.ok());
-  EXPECT_EQ(proc3.value()->engine_kind(), EngineKind::kTwigM);
+  // Predicates, wildcards with predicates, and value tests all wait for
+  // the end tag that decides them.
+  const std::string doc = "<a><b/><c/></a>";  // a=1 b=2 c=3
+  EXPECT_EQ(Emissions("//a[b]//c", doc), (Hits{{3, doc.find("</a>")}}));
+  EXPECT_EQ(Emissions("/*[b]", doc), (Hits{{1, doc.find("</a>")}}));
+  const std::string text = "<r><a>x</a></r>";  // r=1 a=2
+  EXPECT_EQ(Emissions("//a[.=\"x\"]", text),
+            (Hits{{2, text.find("</a>")}}));
 }
 
 TEST(EvaluatorTest, AllEnginesAgreeWhereApplicable) {
   const std::string doc =
       "<a><b><c/></b><b><c/><d/></b></a>";  // a=1 b=2 c=3 b=4 c=5 d=6
-  EXPECT_EQ(MustEvaluate("//a//c", doc, EngineKind::kPathM),
-            MustEvaluate("//a//c", doc, EngineKind::kTwigM));
-  EXPECT_EQ(MustEvaluate("/a/b[d]/c", doc, EngineKind::kAuto),
-            MustEvaluate("/a/b[d]/c", doc, EngineKind::kTwigM));
+  EXPECT_EQ(MustEvaluate("//a//c", doc), Ids({3, 5}));
+  EXPECT_EQ(MustEvaluate("/a/b[d]/c", doc), Ids({5}));
 }
 
 TEST(EvaluatorTest, InvalidQueryFailsAtCreate) {
@@ -93,8 +99,7 @@ TEST(EvaluatorTest, ChunkedFeedingMatchesWholeDocument) {
   doc += "</root>";
 
   const char* kQuery = "//a//c[@at]";
-  const std::vector<xml::NodeId> expected =
-      MustEvaluate(kQuery, doc, EngineKind::kTwigM);
+  const std::vector<xml::NodeId> expected = MustEvaluate(kQuery, doc);
 
   for (size_t chunk : {1u, 3u, 7u, 64u, 1000u}) {
     VectorResultSink sink;
@@ -126,25 +131,10 @@ TEST(EvaluatorTest, ResetAllowsSecondDocument) {
   EXPECT_EQ(sink.ids().size(), 3u);
 }
 
-TEST(EvaluatorTest, ForcedEngineRejectsUnsupportedQuery) {
-  VectorResultSink sink;
-  EvaluatorOptions options;
-  options.engine = EngineKind::kPathM;
-  auto proc = XPathStreamProcessor::Create("//a[b]", &sink, options);
-  ASSERT_FALSE(proc.ok());
-  EXPECT_EQ(proc.status().code(), StatusCode::kNotSupported);
-}
-
 TEST(EvaluatorTest, NullSinkRejected) {
   auto proc = XPathStreamProcessor::Create("//a", nullptr);
   ASSERT_FALSE(proc.ok());
   EXPECT_EQ(proc.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EvaluatorTest, EngineKindNames) {
-  EXPECT_STREQ(EngineKindToString(EngineKind::kAuto), "auto");
-  EXPECT_STREQ(EngineKindToString(EngineKind::kPathM), "PathM");
-  EXPECT_STREQ(EngineKindToString(EngineKind::kTwigM), "TwigM");
 }
 
 TEST(EvaluatorTest, StatsAccessibleAfterRun) {

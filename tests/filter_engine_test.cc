@@ -32,7 +32,6 @@ namespace {
 
 using analysis::DtdStructure;
 using core::EarlyDecisionMode;
-using core::EngineKind;
 using core::VectorMultiQuerySink;
 using filter::FilterEngine;
 using filter::FilterIndex;

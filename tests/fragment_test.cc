@@ -1,6 +1,6 @@
 // Tests for XML-fragment result delivery (footnote 3): the recorder must
-// capture exactly the subtrees of result elements, across engines, nesting,
-// eager emission (PathM), and undecided candidates.
+// capture exactly the subtrees of result elements, across nesting, eager
+// emission (predicate-free queries), and undecided candidates.
 
 #include "core/fragment.h"
 
@@ -13,8 +13,6 @@
 namespace twigm {
 namespace {
 
-using core::EngineKind;
-using core::EvaluatorOptions;
 using core::VectorFragmentSink;
 using core::XPathStreamProcessor;
 
@@ -24,14 +22,11 @@ struct FragmentRun {
 };
 
 FragmentRun RunFragments(std::string_view query, std::string_view doc,
-                         EngineKind engine = EngineKind::kAuto,
                          size_t chunk = 0) {
   // VectorFragmentSink::wants_fragments() turns fragment capture on — no
   // separate creation path.
   VectorFragmentSink sink;
-  EvaluatorOptions options;
-  options.engine = engine;
-  auto proc = XPathStreamProcessor::Create(query, &sink, options);
+  auto proc = XPathStreamProcessor::Create(query, &sink);
   EXPECT_TRUE(proc.ok()) << proc.status().ToString();
   FragmentRun run;
   if (!proc.ok()) return run;
@@ -73,25 +68,23 @@ TEST(FragmentTest, TextEscapedOnOutput) {
 TEST(FragmentTest, PredicateDecidedAfterSubtreeCloses) {
   // Result proven only when <d> appears, long after </b>.
   const FragmentRun run =
-      RunFragments("//a[d]/b", "<a><b><c/></b><d/></a>",
-                   EngineKind::kTwigM);
+      RunFragments("//a[d]/b", "<a><b><c/></b><d/></a>");
   ASSERT_EQ(run.fragments.size(), 1u);
   EXPECT_EQ(run.fragments[0].xml, "<b><c></c></b>");
 }
 
 TEST(FragmentTest, FailedCandidatesProduceNothing) {
   const FragmentRun run =
-      RunFragments("//a[x]/b", "<a><b><c/></b><d/></a>",
-                   EngineKind::kTwigM);
+      RunFragments("//a[x]/b", "<a><b><c/></b><d/></a>");
   EXPECT_TRUE(run.fragments.empty());
   EXPECT_TRUE(run.ids.empty());
 }
 
 TEST(FragmentTest, EagerPathMEmission) {
-  // PathM announces the result at startElement; the fragment must still be
-  // complete when delivered.
+  // A predicate-free query (the paper's PathM class) announces the result
+  // at startElement; the fragment must still be complete when delivered.
   const FragmentRun run =
-      RunFragments("//a/b", "<a><b><c>deep</c></b></a>", EngineKind::kPathM);
+      RunFragments("//a/b", "<a><b><c>deep</c></b></a>");
   ASSERT_EQ(run.fragments.size(), 1u);
   EXPECT_EQ(run.fragments[0].xml, "<b><c>deep</c></b>");
   EXPECT_EQ(run.ids.size(), 1u);
@@ -109,8 +102,8 @@ TEST(FragmentTest, NestedResults) {
 // Child-only predicates (the paper's BranchM class): the candidate's
 // fragment is buffered until [d] resolves after it.
 TEST(FragmentTest, BranchMFragments) {
-  const FragmentRun run = RunFragments(
-      "/a[d]/b", "<a><b><c/></b><d/></a>", EngineKind::kAuto);
+  const FragmentRun run =
+      RunFragments("/a[d]/b", "<a><b><c/></b><d/></a>");
   ASSERT_EQ(run.fragments.size(), 1u);
   EXPECT_EQ(run.fragments[0].xml, "<b><c></c></b>");
 }
@@ -130,7 +123,7 @@ TEST(FragmentTest, ChunkedFeedingIdentical) {
   const FragmentRun whole = RunFragments("//a[d]//b", doc);
   for (size_t chunk : {1u, 3u, 5u}) {
     const FragmentRun chunked =
-        RunFragments("//a[d]//b", doc, EngineKind::kAuto, chunk);
+        RunFragments("//a[d]//b", doc, chunk);
     ASSERT_EQ(chunked.fragments.size(), whole.fragments.size());
     for (size_t i = 0; i < whole.fragments.size(); ++i) {
       EXPECT_EQ(chunked.fragments[i].xml, whole.fragments[i].xml);
@@ -209,7 +202,7 @@ TEST(FragmentTest, DeepRecursiveCandidates) {
   const int n = 50;
   for (int i = 0; i < n; ++i) doc += "<a>";
   for (int i = 0; i < n; ++i) doc += "</a>";
-  const FragmentRun run = RunFragments("//a", doc, EngineKind::kTwigM);
+  const FragmentRun run = RunFragments("//a", doc);
   ASSERT_EQ(run.fragments.size(), static_cast<size_t>(n));
   // Innermost result is the empty chain.
   EXPECT_EQ(run.fragments[0].xml, "<a></a>");

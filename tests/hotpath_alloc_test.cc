@@ -56,11 +56,8 @@ TEST(HotpathAllocTest, HookIsLinked) {
 TEST(HotpathAllocTest, TwigMachineSteadyStateAllocatesNothing) {
   const std::string doc = MakeDocument(7);
   core::CountingResultSink sink;
-  core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
-      core::XPathStreamProcessor::Create("//section[title]//figure", &sink,
-                                         options);
+      core::XPathStreamProcessor::Create("//section[title]//figure", &sink);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   core::XPathStreamProcessor& p = *proc.value();
 
@@ -182,11 +179,8 @@ TEST(HotpathAllocTest, ResetRetainsCapacityAcrossDocuments) {
   for (uint64_t seed : {21, 22, 23, 24}) docs.push_back(MakeDocument(seed));
 
   core::CountingResultSink sink;
-  core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
-      core::XPathStreamProcessor::Create("//section[title]//figure", &sink,
-                                         options);
+      core::XPathStreamProcessor::Create("//section[title]//figure", &sink);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   core::XPathStreamProcessor& p = *proc.value();
 

@@ -122,12 +122,10 @@ std::vector<Hit> RunPerQuery(const std::vector<std::string>& queries,
 
 TEST(HotpathDifferentialTest, TwigMachineMatchesLegacyDispatch) {
   const std::vector<std::string> docs = GenerateDocuments();
-  core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (const std::string& query : TwigQueries()) {
       Result<std::vector<xml::NodeId>> streamed =
-          core::EvaluateToIds(query, docs[d], options);
+          core::EvaluateToIds(query, docs[d]);
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
       std::vector<xml::NodeId> ids = std::move(streamed).value();
       std::sort(ids.begin(), ids.end());

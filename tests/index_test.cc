@@ -479,8 +479,12 @@ std::string RandomSteps(Rng* rng, int pred_depth, bool first_is_anchored) {
 
 // Checks one (document, query) pair: the indexed ids equal the DOM oracle's
 // and streaming TwigM's, come out in document order, and carry their start
-// tags' byte offsets. Returns the number of matches.
-size_t ExpectIndexedAgrees(const std::string& doc, const std::string& query) {
+// tags' byte offsets. A predicate-free query streams each match at its start
+// tag (section 3.1), so its streaming offsets must equal the indexed ones;
+// `*start_tag_checked` counts the queries whose matches were so checked.
+// Returns the number of matches.
+size_t ExpectIndexedAgrees(const std::string& doc, const std::string& query,
+                           int* start_tag_checked) {
   Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
   EXPECT_TRUE(tree.ok()) << query << ": " << tree.status().ToString();
   if (!tree.ok()) return 0;
@@ -494,11 +498,14 @@ size_t ExpectIndexedAgrees(const std::string& doc, const std::string& query) {
   std::sort(expected.begin(), expected.end());
 
   // Streaming TwigM.
-  Result<std::vector<xml::NodeId>> stream =
-      core::EvaluateToIds(query, doc, core::EvaluatorOptions());
-  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
-  if (!stream.ok()) return 0;
-  std::vector<xml::NodeId> stream_ids = std::move(stream).value();
+  core::VectorResultSink stream;
+  Result<std::unique_ptr<core::XPathStreamProcessor>> proc =
+      core::XPathStreamProcessor::Create(query, &stream);
+  EXPECT_TRUE(proc.ok()) << proc.status().ToString();
+  if (!proc.ok()) return 0;
+  const Status fed = proc.value()->Consume({doc, /*last=*/true});
+  EXPECT_TRUE(fed.ok()) << fed.ToString();
+  std::vector<xml::NodeId> stream_ids = stream.ids();
   std::sort(stream_ids.begin(), stream_ids.end());
   EXPECT_EQ(stream_ids, expected) << "query " << query << "\ndoc " << doc;
 
@@ -524,20 +531,31 @@ size_t ExpectIndexedAgrees(const std::string& doc, const std::string& query) {
       EXPECT_EQ(doc[off], '<');
     }
   }
+  if (!tree.value().has_predicates() && !tree.value().has_value_tests() &&
+      !stream.matches().empty()) {
+    for (const core::MatchInfo& m : stream.matches()) {
+      EXPECT_EQ(m.byte_offset, reader.value()->byte_offset()[m.id - 1])
+          << "streamed match " << m.id << " of query " << query << "\ndoc "
+          << doc;
+    }
+    ++*start_tag_checked;
+  }
   return expected.size();
 }
 
 TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOn100Documents) {
   Rng rng(0x1DEC5);
   int nonempty = 0;
+  int start_tag_checked = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const std::string doc = RandomDocument(&rng);
     const std::string query = RandomSteps(&rng, 0, /*first_is_anchored=*/true);
-    const size_t matches = ExpectIndexedAgrees(doc, query);
+    const size_t matches = ExpectIndexedAgrees(doc, query, &start_tag_checked);
     if (::testing::Test::HasFailure()) return;
     if (matches > 0) ++nonempty;
   }
   EXPECT_GT(nonempty, 20);
+  EXPECT_GT(start_tag_checked, 20);
 }
 
 // Deep documents with same-tag recursion and wildcard-heavy queries: after
@@ -622,10 +640,11 @@ TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOnDeepWildcardQueries) {
   // Folded edges seen, by [ancestor side (predicate) / descendant side
   // (output path)][exact / at least].
   int folded[2][2] = {};
+  int start_tag_checked = 0;
   for (int trial = 0; trial < 1200; ++trial) {
     const std::string doc = RandomDeepDocument(&rng);
     const std::string query = WildSteps(&rng, 0, /*first_is_anchored=*/true);
-    const size_t matches = ExpectIndexedAgrees(doc, query);
+    const size_t matches = ExpectIndexedAgrees(doc, query, &start_tag_checked);
     if (::testing::Test::HasFailure()) return;
     if (matches > 0) ++nonempty;
     Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
@@ -638,6 +657,7 @@ TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOnDeepWildcardQueries) {
     }
   }
   EXPECT_GT(nonempty, 250);
+  EXPECT_GT(start_tag_checked, 200);
   for (int side = 0; side < 2; ++side) {
     for (int op = 0; op < 2; ++op) {
       EXPECT_GT(folded[side][op], 20) << "side " << side << " op " << op;

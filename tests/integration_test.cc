@@ -39,11 +39,9 @@ void CheckDataset(const std::string& doc,
     const std::vector<xml::NodeId> expected = OracleIds(spec.text, dom.value());
     total += expected.size();
 
-    // TwigM (forced) must agree on every query.
-    core::EvaluatorOptions twig;
-    twig.engine = core::EngineKind::kTwigM;
+    // TwigM must agree on every query.
     Result<std::vector<xml::NodeId>> got =
-        core::EvaluateToIds(spec.text, doc, twig);
+        core::EvaluateToIds(spec.text, doc);
     ASSERT_TRUE(got.ok()) << spec.name;
     std::vector<xml::NodeId> ids = std::move(got).value();
     std::sort(ids.begin(), ids.end());
@@ -150,10 +148,8 @@ TEST(IntegrationTest, StreamingMemoryIndependentOfDataSize) {
 
   auto peak_for = [&](const std::string& doc) {
     core::VectorResultSink sink;
-    core::EvaluatorOptions options;
-    options.engine = core::EngineKind::kTwigM;
     auto proc = core::XPathStreamProcessor::Create(
-        "//section[title]//figure", &sink, options);
+        "//section[title]//figure", &sink);
     EXPECT_TRUE(proc.ok());
     EXPECT_TRUE(proc.value()->Consume({doc, false}).ok());
     EXPECT_TRUE(proc.value()->Consume({std::string_view(), true}).ok());

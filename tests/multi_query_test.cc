@@ -9,8 +9,6 @@ namespace twigm {
 namespace {
 
 using baselines::MultiQueryProcessor;
-using core::EngineKind;
-using core::EvaluatorOptions;
 using core::VectorMultiQuerySink;
 
 struct PerQuery {
@@ -61,13 +59,26 @@ TEST(MultiQueryTest, MatchesSingleQueryProcessors) {
 }
 
 TEST(MultiQueryTest, EnginesPickedPerQuery) {
-  VectorMultiQuerySink sink;
+  // Each query's machine decides when it emits: the predicate-free one at
+  // its result's start tag, the others once their predicates resolve.
+  using Hits = std::vector<std::pair<xml::NodeId, uint64_t>>;
+  class OffsetSink : public core::MultiQueryResultSink {
+   public:
+    void OnResult(size_t query_index, const core::MatchInfo& match) override {
+      hits[query_index].emplace_back(match.id, match.byte_offset);
+    }
+    std::vector<Hits> hits = std::vector<Hits>(3);
+  };
+  const std::string doc = "<a><b><c/></b><b/></a>";  // a=1 b=2 c=3 b=4
+  OffsetSink sink;
   auto proc = MultiQueryProcessor::Create(
       {"//a//b", "/a/b[c]", "//a[b]//c"}, &sink);
   ASSERT_TRUE(proc.ok());
-  EXPECT_EQ(proc.value()->engine_kind(0), EngineKind::kPathM);
-  EXPECT_EQ(proc.value()->engine_kind(1), EngineKind::kTwigM);
-  EXPECT_EQ(proc.value()->engine_kind(2), EngineKind::kTwigM);
+  ASSERT_TRUE(proc.value()->Consume({doc, true}).ok());
+  const std::vector<Hits>& got = sink.hits;
+  EXPECT_EQ(got[0], (Hits{{2, doc.find("<b>")}, {4, doc.find("<b/>")}}));
+  EXPECT_EQ(got[1], (Hits{{2, doc.find("</a>")}}));
+  EXPECT_EQ(got[2], (Hits{{3, doc.find("</a>")}}));
 }
 
 TEST(MultiQueryTest, BadQueryNamesItsIndex) {

@@ -16,8 +16,6 @@
 namespace twigm {
 namespace {
 
-using core::EngineKind;
-
 // A corpus of documents exercising recursion, attributes, text, siblings.
 const std::vector<std::string>& Corpus() {
   static const std::vector<std::string>* kDocs = new std::vector<std::string>{
@@ -46,11 +44,8 @@ std::vector<xml::NodeId> Oracle(const std::string& query,
 }
 
 std::vector<xml::NodeId> Stream(const std::string& query,
-                                const std::string& doc, EngineKind kind) {
-  core::EvaluatorOptions options;
-  options.engine = kind;
-  Result<std::vector<xml::NodeId>> ids =
-      core::EvaluateToIds(query, doc, options);
+                                const std::string& doc) {
+  Result<std::vector<xml::NodeId>> ids = core::EvaluateToIds(query, doc);
   EXPECT_TRUE(ids.ok()) << ids.status().ToString();
   std::vector<xml::NodeId> out =
       ids.ok() ? std::move(ids).value() : std::vector<xml::NodeId>{};
@@ -65,7 +60,7 @@ class TwigAgreementTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(TwigAgreementTest, MatchesOracleOnCorpus) {
   const std::string query = GetParam();
   for (const std::string& doc : Corpus()) {
-    EXPECT_EQ(Stream(query, doc, EngineKind::kTwigM), Oracle(query, doc))
+    EXPECT_EQ(Stream(query, doc), Oracle(query, doc))
         << "query " << query << " doc " << doc;
   }
 }
@@ -81,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(
         "//*[@y]", "//a[b]//c", "//a//b[c]", "/a[b][c]/b", "//b//c",
         "//a[c][b/c]", "//a/b[c]/c"));
 
-// ---- linear queries: all four streaming/oracle implementations agree ----
+// ---- linear queries: TwigM (predicate-free), LazyDfa and the oracle ----
 
 class LinearAgreementTest : public ::testing::TestWithParam<const char*> {};
 
@@ -89,9 +84,7 @@ TEST_P(LinearAgreementTest, PathMTwigMDfaAgree) {
   const std::string query = GetParam();
   for (const std::string& doc : Corpus()) {
     const std::vector<xml::NodeId> expected = Oracle(query, doc);
-    EXPECT_EQ(Stream(query, doc, EngineKind::kPathM), expected)
-        << "PathM " << query << " " << doc;
-    EXPECT_EQ(Stream(query, doc, EngineKind::kTwigM), expected)
+    EXPECT_EQ(Stream(query, doc), expected)
         << "TwigM " << query << " " << doc;
     core::VectorResultSink sink;
     Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
@@ -122,8 +115,7 @@ TEST_P(ChunkSizeTest, ResultsIndependentOfChunking) {
   const std::string doc =
       "<a><b x=\"1\">alpha<c/></b><b>beta</b><c><b><d/></b></c></a>";
   const char* kQuery = "//a//b[@x]/c";
-  const std::vector<xml::NodeId> expected =
-      Stream(kQuery, doc, EngineKind::kTwigM);
+  const std::vector<xml::NodeId> expected = Stream(kQuery, doc);
 
   core::VectorResultSink sink;
   auto proc = core::XPathStreamProcessor::Create(kQuery, &sink);
@@ -173,42 +165,32 @@ TEST_P(AdversarialScalingTest, OneResultAndLinearState) {
 INSTANTIATE_TEST_SUITE_P(Ns, AdversarialScalingTest,
                          ::testing::Values(1, 2, 3, 4, 8, 16, 32, 64, 128));
 
-// ---- engine-forced evaluation over the Figure 6 book queries ----
+// ---- small queries that once ran forced onto a chosen engine ----
 
-struct EngineQueryCase {
-  const char* query;
-  EngineKind engine;
-};
-
-// The query is a std::string, not a const char*: gtest prints a char pointer
-// with its address, which ASLR changes on every run, so the test names would
-// differ from one test discovery to the next.
+// Each row is (query, engine code): the code names the machine the row
+// forced when EvaluatorOptions::engine still chose one, 1 for PathM and 2
+// for TwigM. Every query now runs on TwigM, so the code only keeps the test
+// names stable. The query is a std::string, not a const char*: gtest prints
+// a char pointer with its address, which ASLR changes on every run, so the
+// test names would differ from one test discovery to the next.
 class EngineForcingTest
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(EngineForcingTest, ForcedEngineMatchesOracle) {
   const std::string query = std::get<0>(GetParam());
-  const EngineKind kind = static_cast<EngineKind>(std::get<1>(GetParam()));
   const std::string doc =
       "<a><b><c/><d/></b><a><b><c/></b></a><c/></a>";
-  EXPECT_EQ(Stream(query, doc, kind), Oracle(query, doc)) << query;
+  EXPECT_EQ(Stream(query, doc), Oracle(query, doc)) << query;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ForcedEngines, EngineForcingTest,
-    ::testing::Values(
-        std::make_tuple(std::string("//a//c"),
-                        static_cast<int>(EngineKind::kPathM)),
-        std::make_tuple(std::string("//a//c"),
-                        static_cast<int>(EngineKind::kTwigM)),
-        std::make_tuple(std::string("/a/b"),
-                        static_cast<int>(EngineKind::kTwigM)),
-        std::make_tuple(std::string("/a/b[c]"),
-                        static_cast<int>(EngineKind::kTwigM)),
-        std::make_tuple(std::string("/a/b[c][d]"),
-                        static_cast<int>(EngineKind::kTwigM)),
-        std::make_tuple(std::string("//a[b/c]//c"),
-                        static_cast<int>(EngineKind::kTwigM))));
+    ::testing::Values(std::make_tuple(std::string("//a//c"), 1),
+                      std::make_tuple(std::string("//a//c"), 2),
+                      std::make_tuple(std::string("/a/b"), 2),
+                      std::make_tuple(std::string("/a/b[c]"), 2),
+                      std::make_tuple(std::string("/a/b[c][d]"), 2),
+                      std::make_tuple(std::string("//a[b/c]//c"), 2)));
 
 }  // namespace
 }  // namespace twigm

@@ -69,7 +69,7 @@ TEST(RobustnessTest, ErrorsAfterPartialResultsLeaveEmittedResultsValid) {
   auto proc = core::XPathStreamProcessor::Create("//b", &sink);
   ASSERT_TRUE(proc.ok());
   ASSERT_TRUE(proc.value()->Consume({"<a><b/><b/>", false}).ok());
-  EXPECT_EQ(sink.ids().size(), 2u);  // PathM emits eagerly
+  EXPECT_EQ(sink.ids().size(), 2u);  // emitted at startElement
   EXPECT_FALSE(proc.value()->Consume({"</c>", false}).ok());
   EXPECT_FALSE(proc.value()->Consume({"<b/>", false}).ok());  // poisoned
   EXPECT_EQ(sink.ids().size(), 2u);
@@ -78,9 +78,7 @@ TEST(RobustnessTest, ErrorsAfterPartialResultsLeaveEmittedResultsValid) {
 TEST(RobustnessTest, HugeFlatDocumentStaysBoundedMemory) {
   // 200k siblings; engine state must remain tiny (no growth with |D|).
   core::VectorResultSink sink;
-  core::EvaluatorOptions options;
-  options.engine = core::EngineKind::kTwigM;
-  auto proc = core::XPathStreamProcessor::Create("//row[v]", &sink, options);
+  auto proc = core::XPathStreamProcessor::Create("//row[v]", &sink);
   ASSERT_TRUE(proc.ok());
   ASSERT_TRUE(proc.value()->Consume({"<table>", false}).ok());
   for (int i = 0; i < 200000; ++i) {

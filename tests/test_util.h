@@ -14,15 +14,12 @@
 
 namespace twigm::testing {
 
-/// Evaluates `query` over `document` with the given engine and returns the
-/// result ids sorted ascending (document order). Fails the test on error.
-inline std::vector<xml::NodeId> MustEvaluate(
-    std::string_view query, std::string_view document,
-    core::EngineKind engine = core::EngineKind::kTwigM) {
-  core::EvaluatorOptions options;
-  options.engine = engine;
+/// Evaluates `query` over `document` and returns the result ids sorted
+/// ascending (document order). Fails the test on error.
+inline std::vector<xml::NodeId> MustEvaluate(std::string_view query,
+                                             std::string_view document) {
   Result<std::vector<xml::NodeId>> result =
-      core::EvaluateToIds(query, document, options);
+      core::EvaluateToIds(query, document);
   EXPECT_TRUE(result.ok()) << "query '" << query
                            << "': " << result.status().ToString();
   std::vector<xml::NodeId> ids =

@@ -14,7 +14,6 @@
 namespace twigm {
 namespace {
 
-using core::EngineKind;
 using core::TwigMachine;
 using core::TwigMachineOptions;
 using core::VectorResultSink;
@@ -306,12 +305,11 @@ TEST(TwigMachineTest, ResultsEmittedIncrementally) {
 // XP{/,[]} — child axes and predicates, no '//' or '*' — is the query class
 // of the paper's single-state BranchM (section 3.2). TwigM evaluates it
 // directly: with only '/' edges each stack holds at most one live entry.
-// Each case runs forced onto TwigM and under kAuto (which sends the linear
-// ones to PathM).
+// The linear cases among them run predicate-free, emitting at
+// startElement.
 void ExpectChildOnly(const std::string& query, const std::string& doc,
                      const std::vector<xml::NodeId>& expected) {
-  EXPECT_EQ(MustEvaluate(query, doc, EngineKind::kTwigM), expected) << query;
-  EXPECT_EQ(MustEvaluate(query, doc, EngineKind::kAuto), expected) << query;
+  EXPECT_EQ(MustEvaluate(query, doc), expected) << query;
 }
 
 TEST(ChildOnlyPredicateTest, ChildOnlyPredicates) {
@@ -362,6 +360,113 @@ TEST(ChildOnlyPredicateTest, StateResetBetweenSiblings) {
   const std::string doc = "<a><b><d/><c/></b><b><c/></b></a>";
   // ids: a=1 b=2 d=3 c=4 b=5 c=6
   ExpectChildOnly("/a/b[d]/c", doc, Ids({4}));
+}
+
+// XP{/,//,*} — the query class of the paper's PathM (section 3.1). With no
+// attribute test, value test or off-path child anywhere in the graph, TwigM
+// emits each result at its start tag and keeps levels only.
+
+// Runs `query` hand-wired over `document` in `mode`, feeding `prefix`
+// first; `emitted_after_prefix` reports the results already out by then.
+struct PredicateFreeRun {
+  size_t emitted_after_prefix = 0;
+  std::vector<core::MatchInfo> matches;
+  core::EngineStats stats;
+  bool predicate_free = false;
+};
+
+PredicateFreeRun RunPredicateFree(std::string_view query,
+                                  std::string_view prefix,
+                                  std::string_view rest,
+                                  core::EarlyDecisionMode mode) {
+  PredicateFreeRun run;
+  Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  if (!tree.ok()) return run;
+  VectorResultSink sink;
+  Result<std::unique_ptr<TwigMachine>> machine =
+      TwigMachine::Create(tree.value(), &sink);
+  EXPECT_TRUE(machine.ok()) << machine.status().ToString();
+  if (!machine.ok()) return run;
+  uint64_t offset = 0;
+  xml::EventDriver driver(machine.value().get());
+  xml::SaxParser parser(&driver);
+  parser.set_offset_slot(&offset);
+  machine.value()->set_stream_offset(&offset);
+  machine.value()->BindInterner(parser.interner());
+  machine.value()->set_decisions(nullptr, mode);
+  EXPECT_TRUE(parser.Consume({prefix, false}).ok());
+  run.emitted_after_prefix = sink.ids().size();
+  EXPECT_TRUE(parser.Consume({rest, true}).ok());
+  run.matches = sink.matches();
+  run.stats = machine.value()->stats();
+  run.predicate_free = machine.value()->predicate_free();
+  return run;
+}
+
+TEST(PredicateFreeTest, LinearQueries) {
+  const std::string doc = "<a><b><c/></b><c/></a>";
+  EXPECT_EQ(MustEvaluate("/a/c", doc), Ids({4}));
+  EXPECT_EQ(MustEvaluate("/a//c", doc), Ids({3, 4}));
+  EXPECT_EQ(MustEvaluate("//c", doc), Ids({3, 4}));
+}
+
+TEST(PredicateFreeTest, WildcardsAndCollapse) {
+  const std::string doc = "<a><x><b/></x><b/></a>";  // a=1 x=2 b=3 b=4
+  EXPECT_EQ(MustEvaluate("//a/*/b", doc), Ids({3}));
+  EXPECT_EQ(MustEvaluate("//*", doc), Ids({1, 2, 3, 4}));
+}
+
+TEST(PredicateFreeTest, RecursiveData) {
+  const std::string doc = "<a><a><b/></a></a>";  // a=1 a=2 b=3
+  EXPECT_EQ(MustEvaluate("//a//b", doc), Ids({3}));
+  EXPECT_EQ(MustEvaluate("//a//a", doc), Ids({2}));
+}
+
+TEST(PredicateFreeTest, DetectsSectionThreeOneCondition) {
+  const core::EarlyDecisionMode off = core::EarlyDecisionMode::kOff;
+  for (const char* query : {"//a", "/a/b", "//a//*/c", "//*"}) {
+    EXPECT_TRUE(RunPredicateFree(query, "<a/>", "", off).predicate_free)
+        << query;
+  }
+  for (const char* query : {"//a[b]", "//a[@x]", "//a[.=\"x\"]", "//a/b[*]",
+                            "//a[b]/c"}) {
+    EXPECT_FALSE(RunPredicateFree(query, "<a/>", "", off).predicate_free)
+        << query;
+  }
+}
+
+TEST(PredicateFreeTest, EmitsAtStartElement) {
+  // The result is delivered the instant its start tag is seen, stamped
+  // with that tag's offset, while the stream is still open — in every
+  // early-decision mode. Under kObserve and kOn that emission is the
+  // earliest point possible, so the one recorded gap is 0.
+  const std::string prefix = "<a><b>";
+  for (core::EarlyDecisionMode mode :
+       {core::EarlyDecisionMode::kOff, core::EarlyDecisionMode::kObserve,
+        core::EarlyDecisionMode::kOn}) {
+    const PredicateFreeRun run =
+        RunPredicateFree("//a/b", prefix, "</b></a>", mode);
+    const int m = static_cast<int>(mode);
+    EXPECT_TRUE(run.predicate_free) << m;
+    EXPECT_EQ(run.emitted_after_prefix, 1u) << m;
+    ASSERT_EQ(run.matches.size(), 1u) << m;
+    EXPECT_EQ(run.matches[0].id, 2u) << m;
+    EXPECT_EQ(run.matches[0].byte_offset, prefix.find("<b>")) << m;
+    const bool gaps = mode != core::EarlyDecisionMode::kOff;
+    EXPECT_EQ(run.stats.gap_count, gaps ? 1u : 0u) << m;
+    EXPECT_EQ(run.stats.gap_sum_bytes, 0u) << m;
+  }
+}
+
+TEST(PredicateFreeTest, StatsTrackStackDepth) {
+  const PredicateFreeRun run = RunPredicateFree(
+      "//a//a", "<a><a><a/></a></a>", "", core::EarlyDecisionMode::kOff);
+  EXPECT_EQ(run.stats.results, 2u);
+  // Stacks: node0 holds 3 a's, node1 holds 2 => peak 5.
+  EXPECT_EQ(run.stats.peak_stack_entries, 5u);
+  // Entries are levels only.
+  EXPECT_EQ(run.stats.peak_state_bytes, 5 * sizeof(int));
 }
 
 #if defined(TWIGM_CHECK_INVARIANTS)

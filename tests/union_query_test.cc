@@ -68,8 +68,8 @@ TEST(UnionQueryTest, OverlappingBranchesDeduplicate) {
 TEST(UnionQueryTest, MixedEngineBranches) {
   const std::string doc =
       "<r><a><b/></a><c><d/></c></r>";  // r=1 a=2 b=3 c=4 d=5
-  // A PathM branch and two TwigM branches (child-only and descendant) in
-  // one union.
+  // A linear branch and two predicate branches (child-only and
+  // descendant) in one union.
   EXPECT_EQ(RunUnion("//b | /r/c[d] | //c[d]//d", doc),
             (std::vector<xml::NodeId>{3, 4, 5}));
 }
