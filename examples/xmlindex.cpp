@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,6 +126,36 @@ int Stats(const char* index_path) {
               twigm::HumanBytes(reader.file_bytes()).c_str());
   std::printf("document bytes: %s\n",
               twigm::HumanBytes(reader.document_bytes()).c_str());
+  const double doc_bytes = static_cast<double>(reader.document_bytes());
+  auto per_doc_byte = [&](uint64_t bytes) {
+    return doc_bytes > 0 ? static_cast<double>(bytes) / doc_bytes : 0.0;
+  };
+  std::printf("image bytes per document byte: %.3f (format version %u)\n",
+              per_doc_byte(reader.file_bytes()),
+              static_cast<unsigned>(twigm::index::kFormatVersion));
+  static constexpr const char* kSectionNames[] = {
+      "dictionary",        "post",
+      "level",             "symbol",
+      "byte offset",       "postings index",
+      "postings data",     "text offsets",
+      "text blob",         "attribute index",
+      "attribute pre ids", "attribute value offsets",
+      "attribute blob",
+  };
+  static_assert(std::size(kSectionNames) == twigm::index::kSectionCount);
+  std::printf("sections:\n");
+  uint64_t framing = reader.file_bytes();
+  for (uint32_t id = 1; id <= twigm::index::kSectionCount; ++id) {
+    const uint64_t bytes =
+        reader.section_bytes(static_cast<twigm::index::SectionId>(id));
+    std::printf("  %-24s %10llu B  %.3f per document byte\n",
+                kSectionNames[id - 1], static_cast<unsigned long long>(bytes),
+                per_doc_byte(bytes));
+    framing -= bytes;
+  }
+  std::printf("  %-24s %10llu B  %.3f per document byte\n",
+              "header, table, padding",
+              static_cast<unsigned long long>(framing), per_doc_byte(framing));
   std::printf("elements:       %llu\n",
               static_cast<unsigned long long>(reader.element_count()));
   std::printf("symbols:        %llu (tags + attribute names)\n",

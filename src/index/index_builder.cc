@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "xml/tag_interner.h"
@@ -55,27 +56,31 @@ void IndexBuilder::OnStart(const xml::TagToken& tag,
         "many elements");
     return;
   }
+  if (open_.size() >= kMaxLevel) {
+    error_ = Status::ResourceExhausted(
+        "index format stores levels in 16 bits; document nests deeper than " +
+        std::to_string(kMaxLevel) + " elements");
+    return;
+  }
   const uint32_t pre = static_cast<uint32_t>(post_.size()) + 1;
   post_.push_back(0);  // patched at OnEnd
-  level_.push_back(static_cast<uint32_t>(open_.size()) + 1);
+  level_.push_back(static_cast<uint16_t>(open_.size() + 1));
   // The parser interned the name: its symbol is the corpus tag id.
   symbol_.push_back(tag.symbol);
   offset_.push_back(construct_offset_);
 
   for (const xml::Attribute& attr : attrs) {
-    AttrEntry entry;
-    entry.pre = pre;
-    entry.name_symbol = parser_->interner()->Intern(attr.name);
-    entry.offset = attr_blob_.size();
-    entry.length = static_cast<uint32_t>(attr.value.size());
-    entry.reserved = 0;
-    attr_blob_.append(attr.value);
-    attr_entries_.push_back(entry);
+    const xml::SymbolId name = parser_->interner()->Intern(attr.name);
+    if (name >= attr_groups_.size()) attr_groups_.resize(name + 1);
+    AttrGroup& group = attr_groups_[name];
+    group.values.append(attr.value);
+    group.pre.push_back(pre);
+    group.value_end.push_back(static_cast<uint32_t>(group.values.size()));
+    ++attr_count_;
+    attr_value_bytes_ += attr.value.size();
   }
 
-  // The text slot is reserved now, so slots stay in pre order; OnEnd fills
-  // it and Serialize drops the slots left empty.
-  text_slots_.push_back(TextEntry{pre, 0, 0});
+  text_spans_.emplace_back();  // filled at OnEnd
 
   const size_t depth = open_.size();
   if (depth == text_pool_.size()) text_pool_.emplace_back();
@@ -90,11 +95,8 @@ void IndexBuilder::OnEnd() {
   post_[top.pre - 1] = ++post_counter_;
   std::string& text = text_pool_[top.depth];
   if (!text.empty()) {
-    TextEntry& slot = text_slots_[top.pre - 1];
-    slot.length = static_cast<uint32_t>(text.size());
-    slot.offset = text_blob_.size();
+    text_spans_[top.pre - 1] = Span{text_blob_.size(), text.size()};
     text_blob_.append(text);
-    ++text_entry_count_;
     text.clear();
   }
 }
@@ -140,8 +142,17 @@ Status IndexBuilder::Serialize(std::string* out) const {
         "last=true chunk consumed)");
   }
 
+  if (text_blob_.size() > kMaxBlobBytes ||
+      attr_value_bytes_ > kMaxBlobBytes) {
+    return Status::ResourceExhausted(
+        "index format addresses direct text and attribute values with "
+        "32-bit offsets; document has more than " +
+        std::to_string(kMaxBlobBytes) + " bytes of one of them");
+  }
+
   const uint64_t elements = element_count();
   const uint64_t symbols = symbol_count();
+  const uint64_t attributes = attr_count_;
   constexpr uint32_t kCount = kSectionCount;
   constexpr size_t kTableEnd =
       sizeof(FileHeader) + kCount * sizeof(SectionEntry);
@@ -155,17 +166,19 @@ Status IndexBuilder::Serialize(std::string* out) const {
   // Section sizes, indexed by SectionId - 1 (ids are dense from 1 and the
   // sections are laid out in id order).
   const uint64_t sizes[kCount] = {
-      out->size() - kTableEnd,                    // kDictionary
-      elements * sizeof(uint32_t),                // kPost
-      elements * sizeof(uint32_t),                // kLevel
-      elements * sizeof(uint32_t),                // kSymbol
-      elements * sizeof(uint64_t),                // kByteOffset
-      symbols * sizeof(PostingsRange),            // kPostingsIndex
-      elements * sizeof(uint32_t),                // kPostingsData
-      text_entry_count_ * sizeof(TextEntry),      // kTextIndex
-      text_blob_.size(),                          // kTextBlob
-      attr_entries_.size() * sizeof(AttrEntry),   // kAttrIndex
-      attr_blob_.size(),                          // kAttrBlob
+      out->size() - kTableEnd,                // kDictionary
+      elements * sizeof(uint32_t),            // kPost
+      elements * sizeof(uint16_t),            // kLevel
+      elements * sizeof(uint32_t),            // kSymbol
+      elements * sizeof(uint64_t),            // kByteOffset
+      symbols * sizeof(PostingsRange),        // kPostingsIndex
+      elements * sizeof(uint32_t),            // kPostingsData
+      (elements + 1) * sizeof(uint32_t),      // kTextOffsets
+      text_blob_.size(),                      // kTextBlob
+      symbols * sizeof(PostingsRange),        // kAttrIndex
+      attributes * sizeof(uint32_t),          // kAttrPre
+      (attributes + 1) * sizeof(uint32_t),    // kAttrValueOffsets
+      attr_value_bytes_,                      // kAttrBlob
   };
   SectionEntry table[kCount];
   uint64_t cursor = kTableEnd;
@@ -185,6 +198,10 @@ Status IndexBuilder::Serialize(std::string* out) const {
   // Copies a section whose payload the builder already holds contiguously.
   auto place = [&](SectionId id, const void* payload) {
     Put(at(id), payload, table[static_cast<uint32_t>(id) - 1].size);
+  };
+  auto put_u32 = [](char* column, uint64_t i, uint64_t value) {
+    const uint32_t v = static_cast<uint32_t>(value);
+    std::memcpy(column + i * sizeof(v), &v, sizeof(v));
   };
 
   place(SectionId::kPost, post_.data());
@@ -206,23 +223,61 @@ Status IndexBuilder::Serialize(std::string* out) const {
   char* const postings_data = at(SectionId::kPostingsData);
   for (uint64_t i = 0; i < elements; ++i) {
     PostingsRange& range = postings_index[symbol_[i]];
-    const uint32_t pre = static_cast<uint32_t>(i + 1);
-    std::memcpy(postings_data + (range.begin + range.count) * sizeof(pre),
-                &pre, sizeof(pre));
+    put_u32(postings_data, range.begin + range.count, i + 1);
     ++range.count;
   }
   place(SectionId::kPostingsIndex, postings_index.data());
 
-  // Text slots are in pre order already; only the filled ones are stored.
-  char* text_index = at(SectionId::kTextIndex);
-  for (const TextEntry& slot : text_slots_) {
-    if (slot.length == 0) continue;
-    std::memcpy(text_index, &slot, sizeof(slot));
-    text_index += sizeof(slot);
+  // Direct text, gathered into pre order: element pre's span ends where
+  // the next one's starts. Spans already adjacent in the builder's blob
+  // (the usual case: text-bearing elements without text-bearing
+  // descendants end in pre order) are copied as one run.
+  char* const text_offsets = at(SectionId::kTextOffsets);
+  char* const text_blob = at(SectionId::kTextBlob);
+  uint64_t text_end = 0;
+  Span run;  // pending copy: builder bytes [offset, offset + length)
+  uint64_t run_at = 0;  // its destination in the section
+  put_u32(text_offsets, 0, 0);
+  for (uint64_t i = 0; i < elements; ++i) {
+    const Span span = text_spans_[i];
+    if (span.length != 0 && span.offset != run.offset + run.length) {
+      Put(text_blob + run_at, text_blob_.data() + run.offset, run.length);
+      run = Span{span.offset, 0};
+      run_at = text_end;
+    }
+    run.length += span.length;
+    text_end += span.length;
+    put_u32(text_offsets, i + 1, text_end);
   }
-  place(SectionId::kTextBlob, text_blob_.data());
-  place(SectionId::kAttrIndex, attr_entries_.data());
-  place(SectionId::kAttrBlob, attr_blob_.data());
+  Put(text_blob + run_at, text_blob_.data() + run.offset, run.length);
+
+  // Per-name attribute postings: each name's group is already in pre
+  // order, so it is copied whole; its value ends are rebased onto the
+  // shared blob.
+  // Names that no element carries as an attribute get empty slices at the
+  // end.
+  std::vector<PostingsRange> attr_index(symbols,
+                                        PostingsRange{attributes, 0});
+  char* const attr_pre = at(SectionId::kAttrPre);
+  char* const value_offsets = at(SectionId::kAttrValueOffsets);
+  char* const attr_blob = at(SectionId::kAttrBlob);
+  uint64_t attr_at = 0;
+  uint64_t value_at = 0;
+  put_u32(value_offsets, 0, 0);
+  for (size_t name = 0; name < attr_groups_.size(); ++name) {
+    const AttrGroup& group = attr_groups_[name];
+    const uint64_t count = group.pre.size();
+    attr_index[name] = PostingsRange{attr_at, count};
+    Put(attr_pre + attr_at * sizeof(uint32_t), group.pre.data(),
+        count * sizeof(uint32_t));
+    for (uint64_t k = 0; k < count; ++k) {
+      put_u32(value_offsets, attr_at + k + 1, value_at + group.value_end[k]);
+    }
+    Put(attr_blob + value_at, group.values.data(), group.values.size());
+    attr_at += count;
+    value_at += group.values.size();
+  }
+  place(SectionId::kAttrIndex, attr_index.data());
 
   for (SectionEntry& entry : table) {
     entry.crc32 = Crc32(image + entry.offset, entry.size);
@@ -235,7 +290,7 @@ Status IndexBuilder::Serialize(std::string* out) const {
   header.symbol_count = symbols;
   header.document_bytes = document_bytes();
   header.table_crc32 = Crc32(table, sizeof(table));
-  header.reserved = 0;
+  header.header_crc32 = Crc32(&header, kHeaderCrcBytes);
   std::memcpy(image, &header, sizeof(header));
   std::memcpy(image + sizeof(header), table, sizeof(table));
   return Status::Ok();

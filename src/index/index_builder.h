@@ -13,8 +13,9 @@
 //
 // After the last chunk, Serialize/WriteFile emit the single-file format of
 // index_format.h: versioned header, checksummed section table,
-// column-ordered label arrays, and per-symbol postings lists sorted by
-// pre-order.
+// column-ordered label arrays, per-symbol postings lists sorted by
+// pre-order, per-element direct-text spans, and per-attribute-name
+// postings with their value spans.
 //
 //   IndexBuilder builder;
 //   TWIGM_RETURN_IF_ERROR(builder.Pump(&source));
@@ -44,16 +45,19 @@ class IndexBuilder {
   IndexBuilder& operator=(const IndexBuilder&) = delete;
 
   /// Ingests one chunk of the document (chunk.last declares end of input).
-  /// Errors (malformed XML, element-count overflow) are sticky.
+  /// Errors (malformed XML, more elements than 32-bit pre ids label,
+  /// nesting deeper than kMaxLevel) are sticky.
   Status Consume(const xml::InputChunk& chunk);
 
   /// Pulls chunks from `source` until it is exhausted or a chunk fails.
   Status Pump(xml::ByteSource* source);
 
   /// Serializes the index image. Requires a completed document (a last
-  /// chunk was consumed without error). `out` is sized once and every
-  /// section is written straight into its aligned final offset; header
-  /// and section table go in last, with the CRCs of the written bytes.
+  /// chunk was consumed without error) whose text and attribute values
+  /// each fit the u32 blob offsets (kMaxBlobBytes). `out` is sized once
+  /// and every section is written straight into its aligned final offset;
+  /// header and section table go in last, with the CRCs of the written
+  /// bytes.
   Status Serialize(std::string* out) const;
 
   /// Serialize + write to `path` (atomic enough for our purposes: written
@@ -86,7 +90,7 @@ class IndexBuilder {
 
   // Label columns, indexed by pre - 1.
   std::vector<uint32_t> post_;
-  std::vector<uint32_t> level_;
+  std::vector<uint16_t> level_;
   std::vector<uint32_t> symbol_;
   std::vector<uint64_t> offset_;
 
@@ -101,15 +105,28 @@ class IndexBuilder {
   std::vector<OpenElement> open_;
   std::vector<std::string> text_pool_;
 
-  // Fact sections. One text slot per element, indexed by pre - 1 and
-  // reserved at its start tag; OnEnd fills the slot of an element with
-  // direct text (length 0 means none), so the filled slots are already in
-  // pre order. The blob itself is appended at end-tag time.
-  std::vector<TextEntry> text_slots_;
-  uint64_t text_entry_count_ = 0;  // filled slots
+  // Direct text. One span per element, indexed by pre - 1: reserved at
+  // the start tag and filled at the end tag, when the text (appended to
+  // text_blob_ then) is complete. Length 0 means none. Serialize gathers
+  // the blob into pre order.
+  struct Span {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+  std::vector<Span> text_spans_;
   std::string text_blob_;
-  std::vector<AttrEntry> attr_entries_;
-  std::string attr_blob_;
+
+  // Attributes, grouped by name as the parser reports them, so each
+  // name's pre ids and values are already in pre order and Serialize
+  // copies each group whole.
+  struct AttrGroup {
+    std::vector<uint32_t> pre;
+    std::vector<uint32_t> value_end;  // into `values`
+    std::string values;
+  };
+  std::vector<AttrGroup> attr_groups_;  // indexed by name symbol
+  uint64_t attr_count_ = 0;
+  uint64_t attr_value_bytes_ = 0;
 };
 
 }  // namespace twigm::index

@@ -13,17 +13,21 @@
 // comparable with the streaming machines' match sets.
 //
 // Payloads are column-ordered arrays (one section per column) so an
-// IndexReader can expose zero-copy views straight into the mapping. All
-// section offsets are 8-byte aligned (mmap'd columns are dereferenced in
-// place; unaligned loads would be UB). Integers are host-endian: the index
-// is a same-machine cache, not an interchange format, and the header magic
-// + version gate refuse anything else.
+// IndexReader can expose zero-copy views straight into the mapping. The
+// local facts follow XISS/R's separate attribute and value tables keyed by
+// pre: per-attribute-name postings of pre ids with their value spans, and
+// one direct-text span per element. All section offsets are 8-byte aligned
+// (mmap'd columns are dereferenced in place; unaligned loads would be UB).
+// Integers are host-endian: the index is a same-machine cache, not an
+// interchange format, and the header magic + version gate refuse anything
+// else.
 //
-// Validation contract: IndexReader::Open checks magic, version, the CRC of
-// the section table, each section's payload CRC, and the structural sanity
-// of every cross-reference (postings ranges, blob offsets, label ranges)
-// before returning — a corrupt or truncated file fails closed with a
-// Status, never a crash (tests/index_reader_corruption_test.cc).
+// Validation contract: IndexReader::Open checks magic, version, the header
+// CRC, the CRC of the section table, each section's payload CRC, and the
+// structural sanity of every cross-reference (postings ranges, blob
+// offsets, label ranges) before returning — a corrupt or truncated file
+// fails closed with a Status, never a crash
+// (tests/index_reader_corruption_test.cc).
 
 #ifndef TWIGM_INDEX_INDEX_FORMAT_H_
 #define TWIGM_INDEX_INDEX_FORMAT_H_
@@ -33,12 +37,12 @@
 
 namespace twigm::index {
 
-/// First bytes of every index file. The trailing '1' is the major layout
-/// generation; incompatible layouts bump the magic, compatible additions
-/// bump kFormatVersion.
+/// First bytes of every index file: a fixed signature that names the file
+/// type. Its trailing '1' is not a version; FileHeader::version is the one
+/// version gate, and every layout change bumps kFormatVersion.
 inline constexpr char kMagic[8] = {'T', 'W', 'G', 'M', 'I', 'D', 'X', '1'};
 
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Section payload alignment within the file.
 inline constexpr size_t kSectionAlignment = 8;
@@ -46,13 +50,21 @@ inline constexpr size_t kSectionAlignment = 8;
 /// Hard cap on the section table (fail-closed bound for corrupt counts).
 inline constexpr uint32_t kMaxSections = 64;
 
+/// Deepest level the u16 level column holds; the builder refuses deeper
+/// documents.
+inline constexpr uint32_t kMaxLevel = UINT16_MAX;
+
+/// Largest text or attribute-value blob the u32 offset columns address;
+/// the builder refuses larger ones.
+inline constexpr uint64_t kMaxBlobBytes = UINT32_MAX;
+
 enum class SectionId : uint32_t {
   /// xml::TagInterner::Serialize bytes: the dense SymbolId dictionary
   /// shared by element tags and attribute names.
   kDictionary = 1,
   /// uint32_t[element_count]: post-order label, indexed by pre - 1.
   kPost = 2,
-  /// uint32_t[element_count]: depth (root = 1), indexed by pre - 1.
+  /// uint16_t[element_count]: depth (root = 1), indexed by pre - 1.
   kLevel = 3,
   /// uint32_t[element_count]: tag SymbolId, indexed by pre - 1.
   kSymbol = 4,
@@ -63,20 +75,26 @@ enum class SectionId : uint32_t {
   kPostingsIndex = 6,
   /// uint32_t[]: pre ids, ascending within each symbol's slice.
   kPostingsData = 7,
-  /// TextEntry[]: direct-text facts, strictly ascending by pre. Elements
-  /// without an entry have empty direct text.
-  kTextIndex = 8,
-  /// Concatenated direct-text bytes referenced by kTextIndex.
+  /// uint32_t[element_count + 1]: monotone offsets into kTextBlob; the
+  /// direct text of element pre is [offsets[pre - 1], offsets[pre]).
+  kTextOffsets = 8,
+  /// Direct-text bytes of every element, in pre order.
   kTextBlob = 9,
-  /// AttrEntry[]: attribute facts, non-decreasing by pre (one entry per
-  /// attribute, in document order).
+  /// PostingsRange[symbol_count]: per-attribute-name slice of kAttrPre.
   kAttrIndex = 10,
-  /// Concatenated attribute-value bytes referenced by kAttrIndex.
-  kAttrBlob = 11,
+  /// uint32_t[attribute_count]: pre ids of the elements carrying each
+  /// name, strictly ascending within the name's slice.
+  kAttrPre = 11,
+  /// uint32_t[attribute_count + 1]: monotone offsets into kAttrBlob; the
+  /// value of attribute k (position k in kAttrPre) is
+  /// [offsets[k], offsets[k + 1]).
+  kAttrValueOffsets = 12,
+  /// Attribute-value bytes, grouped by name and in pre order within one.
+  kAttrBlob = 13,
 };
 
-/// Number of distinct sections a version-1 file carries.
-inline constexpr uint32_t kSectionCount = 11;
+/// Number of distinct sections a version-2 file carries.
+inline constexpr uint32_t kSectionCount = 13;
 
 struct FileHeader {
   char magic[8];
@@ -89,9 +107,14 @@ struct FileHeader {
   uint64_t document_bytes;
   /// CRC-32 of the SectionEntry table that follows the header.
   uint32_t table_crc32;
-  uint32_t reserved;
+  /// CRC-32 of every header byte before this field.
+  uint32_t header_crc32;
 };
 static_assert(sizeof(FileHeader) == 48, "FileHeader layout is part of the format");
+
+/// Bytes of the header that header_crc32 covers.
+inline constexpr size_t kHeaderCrcBytes = offsetof(FileHeader, header_crc32);
+static_assert(kHeaderCrcBytes + sizeof(uint32_t) == sizeof(FileHeader));
 
 struct SectionEntry {
   uint32_t id;       // SectionId
@@ -102,28 +125,12 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 24,
               "SectionEntry layout is part of the format");
 
-/// Slice of kPostingsData owned by one symbol, in elements (not bytes).
+/// Slice of a postings array owned by one symbol, in elements (not bytes).
 struct PostingsRange {
   uint64_t begin;
   uint64_t count;
 };
 static_assert(sizeof(PostingsRange) == 16);
-
-struct TextEntry {
-  uint32_t pre;
-  uint32_t length;
-  uint64_t offset;  // into kTextBlob
-};
-static_assert(sizeof(TextEntry) == 16);
-
-struct AttrEntry {
-  uint32_t pre;
-  uint32_t name_symbol;
-  uint64_t offset;  // into kAttrBlob
-  uint32_t length;
-  uint32_t reserved;
-};
-static_assert(sizeof(AttrEntry) == 24);
 
 /// CRC-32 (IEEE, reflected) over `size` bytes. `seed` chains partial
 /// computations: pass the previous return value to continue. On x86-64

@@ -26,7 +26,7 @@ Status Corrupt(const std::string& what) {
 // bounds cannot wrap, and once a test fails the result is nonzero whatever
 // the later ones read.
 __attribute__((noinline)) uint32_t BadLabels(
-    const uint32_t* post, const uint32_t* level, const uint32_t* symbol,
+    const uint32_t* post, const uint16_t* level, const uint32_t* symbol,
     uint32_t n, uint32_t symbols, uint32_t* max_depth) {
   auto bad_at = [&](uint32_t i, uint32_t parent_level) -> uint32_t {
     const uint32_t p = post[i];
@@ -40,9 +40,20 @@ __attribute__((noinline)) uint32_t BadLabels(
   uint32_t depth = level[0];
   for (uint32_t i = 1; i < n; ++i) {
     bad |= bad_at(i, level[i - 1]);
-    depth = std::max(depth, level[i]);
+    depth = std::max<uint32_t>(depth, level[i]);
   }
   *max_depth = depth;
+  return bad;
+}
+
+// Nonzero iff the n + 1 offsets are not monotone from 0 up to exactly
+// `blob_size`, i.e. iff some span [offsets[i], offsets[i + 1]) is not
+// inside the blob. Branch-free, like BadLabels.
+__attribute__((noinline)) uint32_t BadOffsets(const uint32_t* offsets,
+                                              uint64_t n,
+                                              uint64_t blob_size) {
+  uint32_t bad = (offsets[0] != 0) | (offsets[n] != blob_size);
+  for (uint64_t i = 0; i < n; ++i) bad |= offsets[i + 1] < offsets[i];
   return bad;
 }
 
@@ -113,10 +124,21 @@ Status IndexReader::Attach() {
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt("bad magic (not a twigm structural index)");
   }
+  // The version is read before the header CRC: an image of another
+  // version gets this message, not a checksum error.
+  if (header.version == 1) {
+    return Corrupt(
+        "index format version 1 is no longer readable (this build reads "
+        "version " + std::to_string(kFormatVersion) +
+        "); rebuild the index from the document");
+  }
   if (header.version != kFormatVersion) {
     return Corrupt("unsupported format version " +
                    std::to_string(header.version) + " (this build reads " +
                    std::to_string(kFormatVersion) + ")");
+  }
+  if (Crc32(&header, kHeaderCrcBytes) != header.header_crc32) {
+    return Corrupt("header checksum mismatch");
   }
   if (header.section_count != kSectionCount ||
       header.section_count > kMaxSections) {
@@ -178,6 +200,8 @@ Status IndexReader::Attach() {
     if (!seen[id]) return Corrupt("missing section id " + std::to_string(id));
   }
 
+  std::copy(sizes, sizes + kSectionCount + 1, section_bytes_);
+
   auto section = [&](SectionId id) {
     return sections[static_cast<uint32_t>(id)];
   };
@@ -198,7 +222,7 @@ Status IndexReader::Attach() {
   TWIGM_RETURN_IF_ERROR(
       expect_size(SectionId::kPost, elements_ * sizeof(uint32_t), "post"));
   TWIGM_RETURN_IF_ERROR(
-      expect_size(SectionId::kLevel, elements_ * sizeof(uint32_t), "level"));
+      expect_size(SectionId::kLevel, elements_ * sizeof(uint16_t), "level"));
   TWIGM_RETURN_IF_ERROR(
       expect_size(SectionId::kSymbol, elements_ * sizeof(uint32_t), "symbol"));
   TWIGM_RETURN_IF_ERROR(expect_size(SectionId::kByteOffset,
@@ -207,14 +231,24 @@ Status IndexReader::Attach() {
   TWIGM_RETURN_IF_ERROR(expect_size(SectionId::kPostingsIndex,
                                     symbols_ * sizeof(PostingsRange),
                                     "postings-index"));
+  TWIGM_RETURN_IF_ERROR(expect_size(SectionId::kTextOffsets,
+                                    (elements_ + 1) * sizeof(uint32_t),
+                                    "text-offsets"));
+  TWIGM_RETURN_IF_ERROR(expect_size(SectionId::kAttrIndex,
+                                    symbols_ * sizeof(PostingsRange),
+                                    "attribute-index"));
   if (section_size(SectionId::kPostingsData) % sizeof(uint32_t) != 0 ||
-      section_size(SectionId::kTextIndex) % sizeof(TextEntry) != 0 ||
-      section_size(SectionId::kAttrIndex) % sizeof(AttrEntry) != 0) {
+      section_size(SectionId::kAttrPre) % sizeof(uint32_t) != 0) {
     return Corrupt("section size not a multiple of its entry size");
   }
+  const uint64_t attributes =
+      section_size(SectionId::kAttrPre) / sizeof(uint32_t);
+  TWIGM_RETURN_IF_ERROR(expect_size(SectionId::kAttrValueOffsets,
+                                    (attributes + 1) * sizeof(uint32_t),
+                                    "attribute-value-offsets"));
 
   post_ = reinterpret_cast<const uint32_t*>(section(SectionId::kPost));
-  level_ = reinterpret_cast<const uint32_t*>(section(SectionId::kLevel));
+  level_ = reinterpret_cast<const uint16_t*>(section(SectionId::kLevel));
   symbol_ = reinterpret_cast<const uint32_t*>(section(SectionId::kSymbol));
   offset_ =
       reinterpret_cast<const uint64_t*>(section(SectionId::kByteOffset));
@@ -224,16 +258,15 @@ Status IndexReader::Attach() {
       reinterpret_cast<const uint32_t*>(section(SectionId::kPostingsData));
   const uint64_t postings_total =
       section_size(SectionId::kPostingsData) / sizeof(uint32_t);
-  text_index_ =
-      reinterpret_cast<const TextEntry*>(section(SectionId::kTextIndex));
-  text_entries_ = section_size(SectionId::kTextIndex) / sizeof(TextEntry);
+  text_offsets_ =
+      reinterpret_cast<const uint32_t*>(section(SectionId::kTextOffsets));
   text_blob_ = section(SectionId::kTextBlob);
-  const uint64_t text_blob_size = section_size(SectionId::kTextBlob);
   attr_index_ =
-      reinterpret_cast<const AttrEntry*>(section(SectionId::kAttrIndex));
-  attr_entries_ = section_size(SectionId::kAttrIndex) / sizeof(AttrEntry);
+      reinterpret_cast<const PostingsRange*>(section(SectionId::kAttrIndex));
+  attr_pre_ = reinterpret_cast<const uint32_t*>(section(SectionId::kAttrPre));
+  attr_value_offsets_ = reinterpret_cast<const uint32_t*>(
+      section(SectionId::kAttrValueOffsets));
   attr_blob_ = section(SectionId::kAttrBlob);
-  const uint64_t attr_blob_size = section_size(SectionId::kAttrBlob);
 
   // ---- label sanity ---------------------------------------------------
   // The labels must describe a tree in pre order: the first element is the
@@ -307,36 +340,41 @@ Status IndexReader::Attach() {
   }
 
   // ---- fact sanity ----------------------------------------------------
-  uint32_t prev_pre = 0;
-  for (size_t i = 0; i < text_entries_; ++i) {
-    const TextEntry& e = text_index_[i];
-    if (e.pre == 0 || e.pre > elements_) {
-      return Corrupt("text entry pre id out of range");
-    }
-    if (e.pre <= prev_pre) {
-      return Corrupt("text entries not strictly ascending by pre");
-    }
-    if (e.offset > text_blob_size || e.length > text_blob_size - e.offset) {
-      return Corrupt("text entry extends past the text blob");
-    }
-    prev_pre = e.pre;
+  // Each offsets column is monotone from 0 to exactly its blob's size, so
+  // every span it gives lies inside the blob.
+  if (BadOffsets(text_offsets_, elements_,
+                 section_size(SectionId::kTextBlob)) != 0) {
+    return Corrupt("text offsets are not monotone inside the text blob");
   }
-  prev_pre = 0;
-  for (size_t i = 0; i < attr_entries_; ++i) {
-    const AttrEntry& e = attr_index_[i];
-    if (e.pre == 0 || e.pre > elements_) {
-      return Corrupt("attribute entry pre id out of range");
+  if (BadOffsets(attr_value_offsets_, attributes,
+                 section_size(SectionId::kAttrBlob)) != 0) {
+    return Corrupt(
+        "attribute value offsets are not monotone inside the attribute "
+        "blob");
+  }
+  // The per-name slices tile the pre ids in name order, so one pass over
+  // the ids checks every slice.
+  uint64_t next = 0;
+  for (uint64_t s = 0; s < symbols_; ++s) {
+    const PostingsRange& range = attr_index_[s];
+    if (range.begin != next || range.count > attributes - next) {
+      return Corrupt("attribute postings range out of place for symbol " +
+                     std::to_string(s));
     }
-    if (e.pre < prev_pre) {
-      return Corrupt("attribute entries not sorted by pre");
+    next += range.count;
+    uint32_t prev = 0;
+    for (uint64_t k = range.begin; k < next; ++k) {
+      const uint32_t pre = attr_pre_[k];
+      if (pre <= prev || pre > elements_) {
+        return Corrupt("attribute postings of symbol " + std::to_string(s) +
+                       " not strictly ascending pre ids in range");
+      }
+      prev = pre;
     }
-    if (e.name_symbol >= symbols_) {
-      return Corrupt("attribute name symbol out of range");
-    }
-    if (e.offset > attr_blob_size || e.length > attr_blob_size - e.offset) {
-      return Corrupt("attribute entry extends past the attribute blob");
-    }
-    prev_pre = e.pre;
+  }
+  if (next != attributes) {
+    return Corrupt("attribute postings cover " + std::to_string(next) +
+                   " of " + std::to_string(attributes) + " attributes");
   }
 
   // ---- dictionary -----------------------------------------------------
@@ -350,28 +388,6 @@ Status IndexReader::Attach() {
                    " names but header claims " + std::to_string(symbols_));
   }
   return Status::Ok();
-}
-
-std::string_view IndexReader::DirectText(uint32_t pre) const {
-  const TextEntry* begin = text_index_;
-  const TextEntry* end = text_index_ + text_entries_;
-  const TextEntry* it = std::lower_bound(
-      begin, end, pre,
-      [](const TextEntry& e, uint32_t p) { return e.pre < p; });
-  if (it == end || it->pre != pre) return std::string_view();
-  return std::string_view(text_blob_ + it->offset, it->length);
-}
-
-void IndexReader::AttrRange(uint32_t pre, size_t* begin, size_t* end) const {
-  const AttrEntry* first = attr_index_;
-  const AttrEntry* last = attr_index_ + attr_entries_;
-  const AttrEntry* lo = std::lower_bound(
-      first, last, pre,
-      [](const AttrEntry& e, uint32_t p) { return e.pre < p; });
-  const AttrEntry* hi = lo;
-  while (hi != last && hi->pre == pre) ++hi;
-  *begin = static_cast<size_t>(lo - first);
-  *end = static_cast<size_t>(hi - first);
 }
 
 }  // namespace twigm::index

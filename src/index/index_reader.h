@@ -2,10 +2,11 @@
 // index file (index_format.h, DESIGN.md §15).
 //
 // Open() memory-maps the file read-only and validates it completely before
-// returning: magic, version, checksummed section table, per-section payload
-// CRCs, and every structural cross-reference (column sizes vs the header's
-// element count, postings ranges and pre ids, text/attr blob offsets,
-// label ranges and tree shape, dictionary round-trip). A truncated,
+// returning: magic, version, header CRC, checksummed section table,
+// per-section payload CRCs, and every structural cross-reference (column
+// sizes vs the header's element count, postings ranges and pre ids,
+// text/attribute-value offsets, label ranges and tree shape, dictionary
+// round-trip). A truncated,
 // corrupt, or wrong-version file yields a descriptive non-OK Status — never
 // a crash and never a reader that can read out of bounds later. After Open
 // succeeds, every accessor is a pointer into the mapping (columns,
@@ -48,10 +49,14 @@ class IndexReader {
   uint64_t document_bytes() const { return document_bytes_; }
   /// Total bytes of the backing file / image.
   uint64_t file_bytes() const { return size_; }
+  /// Payload bytes of one section (padding excluded).
+  uint64_t section_bytes(SectionId id) const {
+    return section_bytes_[static_cast<uint32_t>(id)];
+  }
 
   // --- label columns, indexed by pre - 1 (pre in [1, element_count]) ----
   const uint32_t* post() const { return post_; }
-  const uint32_t* level() const { return level_; }
+  const uint16_t* level() const { return level_; }
   const uint32_t* symbol() const { return symbol_; }
   const uint64_t* byte_offset() const { return offset_; }
 
@@ -60,12 +65,23 @@ class IndexReader {
   /// lies in [1, max_depth()].
   uint32_t max_depth() const { return max_depth_; }
 
-  /// Pre id of the last element in `pre`'s subtree: the subtree is exactly
-  /// the pre ids (pre, pre_end(pre)]. Open() checks pre <= pre_end <=
-  /// element_count().
-  uint32_t pre_end(uint32_t pre) const {
-    return post_[pre - 1] + level_[pre - 1] - 1;
-  }
+  /// The post and level columns by value. A join holds them in locals, so
+  /// its stores (some through char-typed flags, which may alias anything)
+  /// do not make it reload the reader's pointers.
+  struct Labels {
+    const uint32_t* post = nullptr;
+    const uint16_t* level = nullptr;
+    /// Pre id of the last element in `pre`'s subtree: the subtree is
+    /// exactly the pre ids (pre, pre_end(pre)]. Open() checks pre <=
+    /// pre_end <= element_count().
+    uint32_t pre_end(uint32_t pre) const {
+      return post[pre - 1] + level[pre - 1] - 1;
+    }
+  };
+  Labels labels() const { return Labels{post_, level_}; }
+
+  /// As Labels::pre_end.
+  uint32_t pre_end(uint32_t pre) const { return labels().pre_end(pre); }
 
   /// XISS/R containment: is `a` a proper ancestor of `d`?
   bool IsAncestor(uint32_t a, uint32_t d) const {
@@ -89,33 +105,34 @@ class IndexReader {
   }
 
   /// The element's direct text (concatenation of character data
-  /// immediately inside it); empty when it had none. O(log #text-entries).
-  std::string_view DirectText(uint32_t pre) const;
+  /// immediately inside it); empty when it had none. O(1).
+  std::string_view DirectText(uint32_t pre) const {
+    return std::string_view(text_blob_ + text_offsets_[pre - 1],
+                            text_offsets_[pre] - text_offsets_[pre - 1]);
+  }
 
-  /// One stored attribute.
-  struct AttrFact {
-    xml::SymbolId name_symbol = xml::kNoSymbol;
-    std::string_view value;
+  /// The elements that carry one attribute name: their pre ids, strictly
+  /// ascending, and the value each one gives the attribute.
+  struct AttrPostings {
+    const uint32_t* pre = nullptr;
+    size_t size = 0;
+    const uint32_t* value_offsets = nullptr;  // size + 1 monotone offsets
+    const char* blob = nullptr;
+    /// Value of the attribute on element pre[k].
+    std::string_view value(size_t k) const {
+      return std::string_view(blob + value_offsets[k],
+                              value_offsets[k + 1] - value_offsets[k]);
+    }
   };
 
-  /// Attributes of element `pre` in document order, as a [begin, end)
-  /// index range for use with attr_at(). O(log #attr-entries).
-  void AttrRange(uint32_t pre, size_t* begin, size_t* end) const;
-
-  // Raw fact arrays, for callers that sweep elements in ascending pre
-  // order and keep their own monotone cursor instead of binary-searching
-  // per element (IndexedEvaluator's candidate filter).
-  const TextEntry* text_index() const { return text_index_; }
-  size_t text_entry_count() const { return text_entries_; }
-  std::string_view text_at(const TextEntry& entry) const {
-    return std::string_view(text_blob_ + entry.offset, entry.length);
-  }
-  const AttrEntry* attr_index() const { return attr_index_; }
-  size_t attr_entry_count() const { return attr_entries_; }
-  AttrFact attr_at(size_t i) const {
-    const AttrEntry& e = attr_index_[i];
-    return AttrFact{e.name_symbol,
-                    std::string_view(attr_blob_ + e.offset, e.length)};
+  /// Postings of attribute name `name`; empty for names no element carries
+  /// as an attribute (e.g. tags, or xml::kNoSymbol).
+  AttrPostings attributes(xml::SymbolId name) const {
+    if (name >= symbols_) return AttrPostings{};
+    const PostingsRange& range = attr_index_[name];
+    return AttrPostings{attr_pre_ + range.begin,
+                        static_cast<size_t>(range.count),
+                        attr_value_offsets_ + range.begin, attr_blob_};
   }
 
   /// The shared tag/attribute-name dictionary, rebuilt from the file.
@@ -141,18 +158,19 @@ class IndexReader {
   uint64_t symbols_ = 0;
   uint64_t document_bytes_ = 0;
   uint32_t max_depth_ = 0;
+  uint64_t section_bytes_[kSectionCount + 1] = {};  // by SectionId
 
   const uint32_t* post_ = nullptr;
-  const uint32_t* level_ = nullptr;
+  const uint16_t* level_ = nullptr;
   const uint32_t* symbol_ = nullptr;
   const uint64_t* offset_ = nullptr;
   const PostingsRange* postings_index_ = nullptr;
   const uint32_t* postings_data_ = nullptr;
-  const TextEntry* text_index_ = nullptr;
-  size_t text_entries_ = 0;
+  const uint32_t* text_offsets_ = nullptr;
   const char* text_blob_ = nullptr;
-  const AttrEntry* attr_index_ = nullptr;
-  size_t attr_entries_ = 0;
+  const PostingsRange* attr_index_ = nullptr;
+  const uint32_t* attr_pre_ = nullptr;
+  const uint32_t* attr_value_offsets_ = nullptr;
   const char* attr_blob_ = nullptr;
 
   xml::TagInterner dictionary_;

@@ -57,7 +57,7 @@ Result<std::unique_ptr<IndexedEvaluator>> IndexedEvaluator::Create(
   }
   const size_t max_nodes = static_cast<size_t>(eval->query_.node_count());
   eval->plans_.reserve(max_nodes);
-  eval->attr_symbols_.reserve(max_nodes);
+  eval->attr_tests_.reserve(max_nodes);
   eval->child_ids_.reserve(max_nodes);
   eval->AddPlan(eval->query_.root());
   const size_t n = eval->plans_.size();
@@ -78,16 +78,17 @@ int IndexedEvaluator::AddPlan(const xpath::QueryNode* q) {
   plan.node = node;
   plan.edge = step.edge;
   if (!node->is_wildcard) plan.symbol = reader_->FindSymbol(node->name);
-  plan.attr_begin = attr_symbols_.size();
+  plan.attr_begin = attr_tests_.size();
   size_t element_children = 0;
   for (const auto& child : node->children) {
     if (child->is_attribute) {
-      attr_symbols_.push_back(reader_->FindSymbol(child->name));
+      attr_tests_.push_back(
+          AttrTest{reader_->FindSymbol(child->name), child.get()});
     } else {
       ++element_children;
     }
   }
-  plan.attr_end = attr_symbols_.size();
+  plan.attr_end = attr_tests_.size();
   plan.has_local_tests =
       node->has_value_test || plan.attr_end > plan.attr_begin;
   plan.enumerated = node->is_wildcard && id != 0 && node->on_output_path &&
@@ -109,90 +110,94 @@ int IndexedEvaluator::AddPlan(const xpath::QueryNode* q) {
   return id;
 }
 
-// The per-candidate filter: the node's own value test plus its attribute
-// tests, evaluated against the stored text/attribute facts — the same
+// A node's list before its predicate joins: its tag's postings, kept by
+// the node's attribute tests and then by its value test — the same
 // semantics core::EvalValueTest gives the streaming machines and the DOM
-// oracle. Candidates arrive in ascending pre order, so `text_cursor` and
-// `attr_cursor` sweep the (pre-sorted) fact arrays monotonically: one
-// sequential pass over the facts per candidate list instead of a random
-// binary search per candidate.
-// hotpath
-bool IndexedEvaluator::PassesLocalTests(const NodePlan& plan, uint32_t pre,
-                                        size_t* text_cursor,
-                                        size_t* attr_cursor) const {
-  const xpath::QueryNode* node = plan.node;
-  if (node->has_value_test) {
-    const TextEntry* text_index = reader_->text_index();
-    const size_t text_count = reader_->text_entry_count();
-    size_t c = *text_cursor;
-    while (c < text_count && text_index[c].pre < pre) ++c;
-    *text_cursor = c;
-    std::string_view text;  // elements without a stored entry have ""
-    if (c < text_count && text_index[c].pre == pre) {
-      text = reader_->text_at(text_index[c]);
-    }
-    if (!core::EvalValueTest(text, node->op, node->literal,
-                             node->literal_is_number)) {
-      return false;
-    }
-  }
-  if (plan.attr_begin == plan.attr_end) return true;
-  const AttrEntry* attr_index = reader_->attr_index();
-  const size_t attr_count = reader_->attr_entry_count();
-  size_t begin = *attr_cursor;
-  while (begin < attr_count && attr_index[begin].pre < pre) ++begin;
-  *attr_cursor = begin;
-  size_t end = begin;
-  while (end < attr_count && attr_index[end].pre == pre) ++end;
-  size_t symbol_index = plan.attr_begin;
-  for (const auto& test : node->children) {
-    if (!test->is_attribute) continue;
-    const xml::SymbolId name_symbol = attr_symbols_[symbol_index++];
-    bool found = false;
-    for (size_t i = begin; i < end; ++i) {
-      const IndexReader::AttrFact fact = reader_->attr_at(i);
-      if (fact.name_symbol != name_symbol) continue;
-      if (!test->has_value_test ||
-          core::EvalValueTest(fact.value, test->op, test->literal,
-                              test->literal_is_number)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
-// A node's list before its predicate joins: its tag's postings (all
-// elements for '*'), kept by the local value/attribute tests. Without
-// tests a tag's list is the postings span itself — no copy.
+// oracle. A '*' starts from its first attribute test's postings (exactly
+// the elements that carry the name) or, without one, from all elements.
+// Without tests a tag's list is the postings span itself — no copy.
 // hotpath
 IndexedEvaluator::IdList IndexedEvaluator::BuildCandidates(
     const NodePlan& plan, Buffer* buf) {
-  const bool wildcard = plan.node->is_wildcard;
+  const xpath::QueryNode* node = plan.node;
+  const bool wildcard = node->is_wildcard;
   if (!wildcard && plan.symbol == xml::kNoSymbol) return IdList{};
   for (size_t a = plan.attr_begin; a < plan.attr_end; ++a) {
     // No element carries an attribute name the corpus never saw.
-    if (attr_symbols_[a] == xml::kNoSymbol) return IdList{};
+    if (attr_tests_[a].name == xml::kNoSymbol) return IdList{};
   }
-  const uint32_t n = static_cast<uint32_t>(reader_->element_count());
-  const IndexReader::U32Span postings =
-      wildcard ? IndexReader::U32Span{} : reader_->postings(plan.symbol);
-  const size_t size = wildcard ? n : postings.size;
-  stats_.postings_touched += size;
-  if (!wildcard && !plan.has_local_tests) {
-    return IdList{postings.data, postings.size};
+  IdList list;
+  if (!wildcard) {
+    const IndexReader::U32Span postings = reader_->postings(plan.symbol);
+    list = IdList{postings.data, postings.size};
+    stats_.postings_touched += list.size;
+    if (!plan.has_local_tests) return list;
+  } else if (plan.attr_end > plan.attr_begin) {
+    // Counted by the attribute merge below, which reads the same list.
+    const IndexReader::AttrPostings attrs =
+        reader_->attributes(attr_tests_[plan.attr_begin].name);
+    list = IdList{attrs.pre, attrs.size};
+  } else {
+    const size_t n = static_cast<size_t>(reader_->element_count());
+    uint32_t* all = Room(buf, n);
+    for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i + 1);
+    list = IdList{all, n};
+    stats_.postings_touched += n;
   }
-  uint32_t* out = Room(buf, size);
+  uint32_t* out = Room(buf, list.size);  // `list`'s own buffer if it is there
+  for (size_t a = plan.attr_begin; a < plan.attr_end && list.size > 0; ++a) {
+    list = KeepWithAttribute(list, attr_tests_[a], out);
+  }
+  if (node->has_value_test) list = KeepWithValue(list, node, out);
+  return list;
+}
+
+// Keeps the elements of `in` that carry `test`'s attribute with a value
+// that passes its value test: one forward merge of `in` against the name's
+// attribute postings, either side skipping ahead by exponential search,
+// and a compare on each hit. The output is an ordered subset of `in`,
+// written to `out` (in place when `in` already lives there: an element is
+// written at or before the position it was read from).
+// hotpath
+IndexedEvaluator::IdList IndexedEvaluator::KeepWithAttribute(
+    IdList in, const AttrTest& test, uint32_t* out) {
+  const IndexReader::AttrPostings attrs = reader_->attributes(test.name);
+  const xpath::QueryNode* node = test.node;
   size_t count = 0;
-  size_t text_cursor = 0;
-  size_t attr_cursor = 0;
-  for (size_t i = 0; i < size; ++i) {
-    const uint32_t pre = wildcard ? static_cast<uint32_t>(i + 1)
-                                  : postings.data[i];
-    if (!plan.has_local_tests ||
-        PassesLocalTests(plan, pre, &text_cursor, &attr_cursor)) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < in.size && j < attrs.size) {
+    const uint32_t pre = in.data[i];
+    const uint32_t holder = attrs.pre[j];
+    if (pre < holder) {
+      i = SkipTo(in.data, in.size, i, holder);
+    } else if (holder < pre) {
+      j = SkipTo(attrs.pre, attrs.size, j, pre);
+    } else {
+      if (!node->has_value_test ||
+          core::EvalValueTest(attrs.value(j), node->op, node->literal,
+                              node->literal_is_number)) {
+        out[count++] = pre;
+      }
+      ++i;
+      ++j;
+    }
+  }
+  stats_.postings_touched += attrs.size;
+  stats_.join_steps += i + j;
+  return IdList{out, count};
+}
+
+// Keeps the elements of `in` whose direct text passes `node`'s value test;
+// each text is one O(1) read. Filters into `out` like KeepWithAttribute.
+// hotpath
+IndexedEvaluator::IdList IndexedEvaluator::KeepWithValue(
+    IdList in, const xpath::QueryNode* node, uint32_t* out) const {
+  size_t count = 0;
+  for (size_t i = 0; i < in.size; ++i) {
+    const uint32_t pre = in.data[i];
+    if (core::EvalValueTest(reader_->DirectText(pre), node->op,
+                            node->literal, node->literal_is_number)) {
       out[count++] = pre;
     }
   }
@@ -205,7 +210,7 @@ IndexedEvaluator::IdList IndexedEvaluator::BuildCandidates(
 // hotpath
 IndexedEvaluator::IdList IndexedEvaluator::AnchorRoot(
     IdList roots, core::EdgeCondition edge, Buffer* buf) {
-  const uint32_t* level = reader_->level();
+  const uint16_t* level = reader_->level();
   uint32_t* out = Room(buf, roots.size);
   size_t count = 0;
   for (size_t i = 0; i < roots.size; ++i) {
@@ -246,7 +251,7 @@ IndexedEvaluator::IdList IndexedEvaluator::EnumerateSubtrees(
 // Resets the level-table entries the first `consumed` elements of `anc`
 // wrote, so the table is all zero again for the next join.
 void IndexedEvaluator::ClearLevelTable(IdList anc, size_t consumed) {
-  const uint32_t* level = reader_->level();
+  const uint16_t* level = reader_->level();
   for (size_t i = 0; i < consumed; ++i) {
     level_table_[level[anc.data[i] - 1]].end = 0;
   }
@@ -262,7 +267,8 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinAncestors(
     Buffer* buf) {
   if (anc.size == 0 || desc.size == 0) return IdList{};
   SnapshotJoinInput(anc);
-  const uint32_t* level = reader_->level();
+  const IndexReader::Labels labels = reader_->labels();
+  const uint16_t* level = labels.level;
   const uint32_t k = static_cast<uint32_t>(edge.distance);
   uint32_t* out = Room(buf, anc.size);
   size_t count = 0;
@@ -275,7 +281,7 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinAncestors(
       const uint32_t a = anc.data[i];
       j = SkipTo(desc.data, desc.size, j, a + 1);
       if (j == desc.size) break;
-      if (desc.data[j] <= reader_->pre_end(a)) out[count++] = a;
+      if (desc.data[j] <= labels.pre_end(a)) out[count++] = a;
     }
     stats_.join_steps += i + j;
     CheckJoinOutput(IdList{out, count});
@@ -289,6 +295,8 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinAncestors(
   // ≤ level(d) − k qualifies too; the walk up the levels stops at an entry
   // already marked, whose own enclosing entries were marked with it.
   matched_.assign(anc.size, 0);
+  uint8_t* const matched = matched_.data();
+  LevelEntry* const table = level_table_.data();
   size_t i = 0;
   size_t j = 0;
   uint32_t reach = 0;  // furthest pre_end among the consumed `anc`
@@ -296,8 +304,8 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinAncestors(
     const uint32_t d = desc.data[j];
     for (; i < anc.size && anc.data[i] < d; ++i) {
       const uint32_t a = anc.data[i];
-      const uint32_t end = reader_->pre_end(a);
-      level_table_[level[a - 1]] = LevelEntry{end, static_cast<uint32_t>(i)};
+      const uint32_t end = labels.pre_end(a);
+      table[level[a - 1]] = LevelEntry{end, static_cast<uint32_t>(i)};
       reach = std::max(reach, end);
     }
     if (d > reach) {  // d, and any desc before anc[i], is in no subtree
@@ -312,16 +320,16 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinAncestors(
     const uint32_t top = depth - k;
     const uint32_t bottom = edge.exact ? top : 1;
     for (uint32_t l = top; l >= bottom; --l) {
-      const LevelEntry entry = level_table_[l];
+      const LevelEntry entry = table[l];
       if (d > entry.end) continue;  // no open `anc` element at level l
-      if (matched_[entry.slot] != 0) break;
-      matched_[entry.slot] = 1;
+      if (matched[entry.slot] != 0) break;
+      matched[entry.slot] = 1;
     }
   }
   stats_.join_steps += i + j;
   ClearLevelTable(anc, i);
   for (size_t c = 0; c < anc.size; ++c) {
-    if (matched_[c] != 0) out[count++] = anc.data[c];
+    if (matched[c] != 0) out[count++] = anc.data[c];
   }
   CheckJoinOutput(IdList{out, count});
   return IdList{out, count};
@@ -337,7 +345,8 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinDescendants(
     Buffer* buf) {
   if (anc.size == 0 || desc.size == 0) return IdList{};
   SnapshotJoinInput(desc);
-  const uint32_t* level = reader_->level();
+  const IndexReader::Labels labels = reader_->labels();
+  const uint16_t* level = labels.level;
   const uint32_t k = static_cast<uint32_t>(edge.distance);
   uint32_t* out = Room(buf, desc.size);
   size_t count = 0;
@@ -347,13 +356,14 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinDescendants(
     // (=,k): d's ancestor at level(d) − k is the latest element at that
     // level before d; the level table holds the latest `anc` element per
     // level, which is that ancestor iff its subtree still contains d.
+    LevelEntry* const table = level_table_.data();
     uint32_t reach = 0;  // furthest pre_end among the consumed `anc`
     for (; j < desc.size; ++j) {
       const uint32_t d = desc.data[j];
       for (; i < anc.size && anc.data[i] < d; ++i) {
         const uint32_t a = anc.data[i];
-        const uint32_t end = reader_->pre_end(a);
-        level_table_[level[a - 1]].end = end;
+        const uint32_t end = labels.pre_end(a);
+        table[level[a - 1]].end = end;
         reach = std::max(reach, end);
       }
       if (d > reach) {  // d, and any desc before anc[i], is in no subtree
@@ -364,7 +374,7 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinDescendants(
         continue;
       }
       const uint32_t depth = level[d - 1];
-      if (depth > k && d <= level_table_[depth - k].end) out[count++] = d;
+      if (depth > k && d <= table[depth - k].end) out[count++] = d;
     }
     ClearLevelTable(anc, i);
   } else {
@@ -379,7 +389,7 @@ IndexedEvaluator::IdList IndexedEvaluator::JoinDescendants(
         const uint32_t a = anc.data[i];
         if (a > outer_end) {
           outer_level = level[a - 1];
-          outer_end = reader_->pre_end(a);
+          outer_end = labels.pre_end(a);
         }
       }
       if (d > outer_end) {  // d, and any desc before anc[i], is in no

@@ -8,11 +8,14 @@
 // part of the next node's edge label (op, k), so every join edge reads
 // "level delta exactly k" or "level delta at least k".
 //   1. Bottom-up over the machine nodes: each node's list starts as its
-//      tag's postings (all elements for '*'), filtered by the node's value
-//      test and attribute tests — the same facts the streaming machines
-//      test, read back from the index. A node with no such test uses its
-//      postings span in place. Each predicate child then shrinks the list
-//      by an ancestor-side semi-join.
+//      tag's postings (for '*', the postings of its first attribute test's
+//      name, or all elements), filtered by the node's attribute tests and
+//      value test — the same facts the streaming machines test, read back
+//      from the index. Each attribute test is one forward merge against
+//      that name's attribute postings; a value test reads the element's
+//      direct text in O(1). A node with no such test uses its postings span
+//      in place. Each predicate child then shrinks the list by an
+//      ancestor-side semi-join.
 //   2. Top-down along the output path: the root list is anchored by its
 //      edge against the document node (level 0), then each spine step keeps
 //      the descendant-side elements that have a surviving spine ancestor.
@@ -57,8 +60,9 @@ class IndexedEvaluator {
  public:
   /// Join accounting for one Evaluate() call.
   struct Stats {
-    uint64_t postings_touched = 0;  // candidate entries read (postings or
-                                    // enumerated pre ranges)
+    uint64_t postings_touched = 0;  // candidate entries read (tag or
+                                    // attribute postings, or enumerated
+                                    // pre ranges)
     uint64_t join_steps = 0;        // merge steps across all semi-joins
     uint64_t results = 0;           // matches emitted
   };
@@ -105,9 +109,8 @@ class IndexedEvaluator {
     /// Resolved tag symbol; kNoSymbol for a non-wildcard means the corpus
     /// never saw the tag (empty list).
     xml::SymbolId symbol = xml::kNoSymbol;
-    /// Name symbols of the node's attribute children, in query order, at
-    /// attr_symbols_[attr_begin, attr_end) (kNoSymbol: the corpus never
-    /// saw the name).
+    /// The node's attribute tests, in query order, at
+    /// attr_tests_[attr_begin, attr_end).
     size_t attr_begin = 0;
     size_t attr_end = 0;
     /// Element children (plan ids) at child_ids_[child_begin, child_end):
@@ -123,12 +126,20 @@ class IndexedEvaluator {
     bool enumerated = false;
   };
 
+  /// One attribute child: its name symbol (kNoSymbol: the corpus never
+  /// saw the name) and the query node holding its optional value test.
+  struct AttrTest {
+    xml::SymbolId name = xml::kNoSymbol;
+    const xpath::QueryNode* node = nullptr;
+  };
+
   int AddPlan(const xpath::QueryNode* q);
 
   static uint32_t* Room(Buffer* buf, size_t n);
   IdList BuildCandidates(const NodePlan& plan, Buffer* buf);
-  bool PassesLocalTests(const NodePlan& plan, uint32_t pre,
-                        size_t* text_cursor, size_t* attr_cursor) const;
+  IdList KeepWithAttribute(IdList in, const AttrTest& test, uint32_t* out);
+  IdList KeepWithValue(IdList in, const xpath::QueryNode* node,
+                       uint32_t* out) const;
   IdList AnchorRoot(IdList roots, core::EdgeCondition edge,
                     Buffer* buf);
   IdList EnumerateSubtrees(IdList anc, Buffer* buf);
@@ -143,7 +154,7 @@ class IndexedEvaluator {
   const IndexReader* reader_ = nullptr;
   xpath::QueryTree query_;
   std::vector<NodePlan> plans_;
-  std::vector<xml::SymbolId> attr_symbols_;
+  std::vector<AttrTest> attr_tests_;
   std::vector<int> child_ids_;
   int return_id_ = -1;
   Stats stats_;

@@ -208,8 +208,10 @@ TEST(HotpathAllocTest, ResetRetainsCapacityAcrossDocuments) {
 // Warm re-query of a stored index: after one Evaluate, every further
 // Evaluate of the same evaluator allocates nothing — postings are read in
 // place and the per-node buffers, match flags and level table keep their
-// capacity. Covers the Book queries and wildcard chains that fold into
-// (=,k) and (≥,k) edges on both join sides, plus an enumerated return '*'.
+// capacity. Covers the Book queries (Q6, Q8 and Q10 carry attribute and
+// value tests) and wildcard chains that fold into (=,k) and (≥,k) edges on
+// both join sides, plus an enumerated return '*', and attribute tests
+// merged against the per-name postings, on tags and on '*'.
 TEST(HotpathAllocTest, IndexedEvaluatorSteadyStateAllocatesNothing) {
   data::BookOptions book;
   book.seed = 5;
@@ -233,7 +235,9 @@ TEST(HotpathAllocTest, IndexedEvaluatorSteadyStateAllocatesNothing) {
   for (const char* q :
        {"//section/*/*/title", "/*//section//*", "//section[*/image]//p",
         "//book/*//figure/*", "//*[*//image]/title",
-        "//section[title=\"data\"]/*"}) {
+        "//section[title=\"data\"]/*", "//section[@id]", "//*[@id]",
+        "//figure[@width][@height>=10]", "//section[@id=\"id3\"]//figure",
+        "//*[@ghost]", "//*[title=\"data\"]"}) {
     queries.push_back(q);
   }
   for (const std::string& query : queries) {

@@ -2,7 +2,7 @@
 //
 // Every kernel must return the value of the classic byte-at-a-time table
 // loop for every length, alignment, seed and chaining split: section CRCs
-// are part of the version-1 image, so a kernel that disagrees would make
+// are part of the image format, so a kernel that disagrees would make
 // every index written by another build unreadable. The folding kernel is
 // reached directly and skipped on CPUs without PCLMULQDQ; the portable
 // kernel runs on every host.

@@ -2,19 +2,20 @@
 //
 // The image of every case below is folded into a 64-bit FNV-1a digest at
 // every chunk size and compared against digests committed here. They
-// were recorded from the builder that wrote each section through its own
-// intermediate copy and checksummed it with a byte-at-a-time CRC-32, so
-// any rewrite of the writer or of the checksum kernels must reproduce the
-// format-version-1 image byte for byte, on every CPU. Inputs: small
-// generated Book, XMark and Protein documents at fixed seeds, and edge
-// documents (an empty root, a text-only root, text interleaved with
-// children, attributes with entity references, 1000-deep nesting,
-// elements with no direct text). Chunk sizes: 1, 7, 4096 and the whole
-// document.
+// were recorded when the format became version 2 (per-name attribute
+// postings, the direct-text offset column, the u16 level column and the
+// header CRC), so any rewrite of the writer or of the checksum kernels
+// must reproduce the format-version-2 image byte for byte, on every CPU.
+// Inputs: small generated Book, XMark and Protein documents at fixed
+// seeds, and edge documents (an empty root, a text-only root, text
+// interleaved with children, attributes with entity references,
+// 1000-deep nesting, elements with no direct text). Chunk sizes: 1, 7,
+// 4096 and the whole document.
 //
 // A mismatch message prints the digest the builder produced. Existing
 // entries must never be regenerated to make a change pass; a new case
-// takes the digest its first run prints.
+// takes the digest its first run prints, and a new format version
+// re-records them all.
 
 #include <algorithm>
 #include <cstdint>
@@ -118,17 +119,17 @@ struct Golden {
   uint64_t digest;
 };
 
-// Digests of format-version-1 images; see the file comment before editing.
+// Digests of format-version-2 images; see the file comment before editing.
 constexpr Golden kGolden[] = {
-    {"book", 0x6d1decb7c3c091b6ull},
-    {"xmark", 0x62788c78286adeedull},
-    {"protein", 0x45c109bfa8ac815full},
-    {"empty_root", 0xd1b5533b8e9c9df0ull},
-    {"text_only_root", 0xbde1608df7f8522eull},
-    {"interleaved_text", 0x62690a94f850c7cdull},
-    {"attribute_entities", 0x6146177cfba364d3ull},
-    {"deep_1000", 0xf25b461e225c8b6aull},
-    {"no_direct_text", 0x6ea3bd32a598ee2dull},
+    {"book", 0x7dabd7bd6f8df229ull},
+    {"xmark", 0x1641a80326179338ull},
+    {"protein", 0x9322d0cc03c88334ull},
+    {"empty_root", 0xcb8cfba73f94bd63ull},
+    {"text_only_root", 0x30642adad0cc8b9dull},
+    {"interleaved_text", 0x94c5e0e96ce538abull},
+    {"attribute_entities", 0x66f7546373071695ull},
+    {"deep_1000", 0xb58042bd6ffe55f5ull},
+    {"no_direct_text", 0x6bafd38037f8970dull},
 };
 
 TEST(IndexBuilderTest, ImageDigestsMatchCommitted) {

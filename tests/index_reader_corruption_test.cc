@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -77,30 +78,38 @@ SectionEntry* FindSection(std::string* image, SectionId id) {
   return nullptr;
 }
 
-// Recomputes `section`'s payload CRC and the header's table CRC so the
-// image passes the checksum gates and exercises the *structural* checks.
-void Reseal(std::string* image, SectionEntry* section) {
-  section->crc32 = Crc32(image->data() + section->offset, section->size);
+// Recomputes the header's table CRC and then its header CRC.
+void ResealHeader(std::string* image) {
   FileHeader* header = HeaderOf(image);
   header->table_crc32 =
       Crc32(TableOf(image), header->section_count * sizeof(SectionEntry));
+  header->header_crc32 = Crc32(header, kHeaderCrcBytes);
 }
 
-// Bytes whose value no check reads: FileHeader::document_bytes and
-// FileHeader::reserved, and the padding between sections. Every other byte
-// is covered by a CRC or by a checked header field.
+// Recomputes `section`'s payload CRC and the header's CRCs so the image
+// passes the checksum gates and exercises the *structural* checks.
+void Reseal(std::string* image, SectionEntry* section) {
+  section->crc32 = Crc32(image->data() + section->offset, section->size);
+  ResealHeader(image);
+}
+
+// The payload of `id` as an array of T.
+template <typename T>
+T* Column(std::string* image, SectionId id) {
+  SectionEntry* section = FindSection(image, id);
+  EXPECT_NE(section, nullptr);
+  return reinterpret_cast<T*>(image->data() + section->offset);
+}
+
+// Bytes whose value no check reads: the padding between sections. Every
+// other byte is covered by a CRC; the header CRC covers the header's other
+// fields.
 std::vector<bool> UncheckedBytes(std::string image) {
   const uint32_t sections = HeaderOf(&image)->section_count;
   std::vector<bool> unchecked(image.size(), true);
   const size_t table_end =
       sizeof(FileHeader) + sections * sizeof(SectionEntry);
   for (size_t i = 0; i < table_end; ++i) unchecked[i] = false;
-  for (size_t i = 0; i < sizeof(FileHeader::document_bytes); ++i) {
-    unchecked[offsetof(FileHeader, document_bytes) + i] = true;
-  }
-  for (size_t i = 0; i < sizeof(FileHeader::reserved); ++i) {
-    unchecked[offsetof(FileHeader, reserved) + i] = true;
-  }
   const SectionEntry* table = TableOf(&image);
   for (uint32_t s = 0; s < sections; ++s) {
     for (uint64_t i = 0; i < table[s].size; ++i) {
@@ -149,9 +158,71 @@ TEST(IndexReaderCorruptionTest, BadMagicFails) {
 TEST(IndexReaderCorruptionTest, VersionMismatchFails) {
   std::string image = ValidImage();
   HeaderOf(&image)->version = kFormatVersion + 1;
+  ResealHeader(&image);
   const Status s = OpenStatus(std::move(image));
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.ToString();
+}
+
+// The image of "<a/>" that the format-version-1 builder wrote: header
+// (magic, version 1, 11 sections, 1 element, 1 symbol, 4 document bytes),
+// section table and payloads.
+std::string VersionOneImage() {
+  static const unsigned char kBytes[] = {
+      0x54, 0x57, 0x47, 0x4d, 0x49, 0x44, 0x58, 0x31, 0x01, 0x00, 0x00, 0x00,
+      0x0b, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xf8, 0x99, 0xc0, 0x0c, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x93, 0x78, 0xa7, 0xf6, 0x38, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x79, 0xb8, 0xf8, 0x99, 0x48, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x79, 0xb8, 0xf8, 0x99, 0x50, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x04, 0x00, 0x00, 0x00, 0x1c, 0xdf, 0x44, 0x21, 0x58, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x69, 0xdf, 0x22, 0x65, 0x60, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x06, 0x00, 0x00, 0x00, 0xcb, 0x4b, 0x11, 0x20, 0x68, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x07, 0x00, 0x00, 0x00, 0x79, 0xb8, 0xf8, 0x99, 0x78, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x61, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  return std::string(reinterpret_cast<const char*>(kBytes), sizeof(kBytes));
+}
+
+TEST(IndexReaderCorruptionTest, VersionOneImageAsksForARebuild) {
+  std::string v1 = VersionOneImage();
+  ASSERT_EQ(HeaderOf(&v1)->version, 1u);
+  const Status s = OpenStatus(v1);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("version 1"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("rebuild"), std::string::npos) << s.ToString();
+  EXPECT_EQ(s.message().find("checksum"), std::string::npos) << s.ToString();
+}
+
+TEST(IndexReaderCorruptionTest, FlippedHeaderFieldFailsHeaderCrc) {
+  // document_bytes is read by no other check; the header CRC covers it.
+  std::string image = ValidImage();
+  HeaderOf(&image)->document_bytes ^= 1;
+  const Status s = OpenStatus(std::move(image));
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("header checksum"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(IndexReaderCorruptionTest, AbsurdSectionCountFails) {
@@ -184,9 +255,10 @@ TEST(IndexReaderCorruptionTest, FlippedPayloadByteFailsCrc) {
 }
 
 TEST(IndexReaderCorruptionTest, EveryFlippedByteFailsClosedOrIsBenign) {
-  // A flip in a byte covered by a CRC or a checked header field must be
-  // rejected. Only the unchecked bytes (see UncheckedBytes) may open, and
-  // then the image must read the same element count. Either way: no crash
+  // A flip in a byte covered by a CRC must be rejected: every header and
+  // table byte, and every payload byte. Only the padding between sections
+  // (see UncheckedBytes) may open, and then the image must read the same
+  // element count. Either way: no crash
   // (ASan/UBSan legs verify).
   std::string large = LargeImage();
   for (uint32_t s = 0; s < HeaderOf(&large)->section_count; ++s) {
@@ -271,7 +343,7 @@ TEST(IndexReaderCorruptionTest, LabelsThatAreNotATreeFail) {
   const Case cases[] = {
       {"root below level 1", SectionId::kLevel, 1, 2},
       {"level skips a generation", SectionId::kLevel, 4, 5},
-      {"level far past any depth", SectionId::kLevel, 3, 1u << 30},
+      {"level far past any depth", SectionId::kLevel, 3, kMaxLevel},
       {"subtree ends past the last element", SectionId::kPost, 2, 7},
       {"subtree ends before it starts", SectionId::kPost, 7, 1},
   };
@@ -279,8 +351,12 @@ TEST(IndexReaderCorruptionTest, LabelsThatAreNotATreeFail) {
     std::string image = ValidImage();
     SectionEntry* column = FindSection(&image, c.column);
     ASSERT_NE(column, nullptr);
-    std::memcpy(image.data() + column->offset + (c.pre - 1) * sizeof(uint32_t),
-                &c.value, sizeof(c.value));
+    if (c.column == SectionId::kLevel) {
+      Column<uint16_t>(&image, c.column)[c.pre - 1] =
+          static_cast<uint16_t>(c.value);
+    } else {
+      Column<uint32_t>(&image, c.column)[c.pre - 1] = c.value;
+    }
     Reseal(&image, column);
     const Status s = OpenStatus(std::move(image));
     ASSERT_FALSE(s.ok()) << c.what;
@@ -304,27 +380,91 @@ TEST(IndexReaderCorruptionTest, PostingsRangeBeyondDataFails) {
 }
 
 TEST(IndexReaderCorruptionTest, TextBlobOverrunFails) {
-  std::string image = ValidImage();
-  SectionEntry* index = FindSection(&image, SectionId::kTextIndex);
-  ASSERT_NE(index, nullptr);
-  ASSERT_GE(index->size, sizeof(TextEntry));
-  TextEntry* entries =
-      reinterpret_cast<TextEntry*>(image.data() + index->offset);
-  entries[0].length = 0x7FFFFFFF;
-  Reseal(&image, index);
-  EXPECT_FALSE(OpenStatus(std::move(image)).ok());
+  // ValidImage(): pre 3 <title> holds "tea", at [offsets[2], offsets[3])
+  // = [0, 3), and pre 4 <b/> none. A span may not end past the blob, and
+  // the spans may not run backwards.
+  const std::pair<size_t, uint32_t> cases[] = {{3, 0x7FFFFFFFu}, {4, 1u}};
+  for (const auto& [at, bad] : cases) {
+    std::string image = ValidImage();
+    Column<uint32_t>(&image, SectionId::kTextOffsets)[at] = bad;
+    Reseal(&image, FindSection(&image, SectionId::kTextOffsets));
+    const Status s = OpenStatus(std::move(image));
+    ASSERT_FALSE(s.ok()) << at;
+    EXPECT_NE(s.message().find("text offsets"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(IndexReaderCorruptionTest, AttrEntryBeyondBlobFails) {
   std::string image = ValidImage();
-  SectionEntry* index = FindSection(&image, SectionId::kAttrIndex);
-  ASSERT_NE(index, nullptr);
-  ASSERT_GE(index->size, sizeof(AttrEntry));
-  AttrEntry* entries =
-      reinterpret_cast<AttrEntry*>(image.data() + index->offset);
-  entries[0].offset = ~0ULL / 2;
-  Reseal(&image, index);
-  EXPECT_FALSE(OpenStatus(std::move(image)).ok());
+  SectionEntry* offsets = FindSection(&image, SectionId::kAttrValueOffsets);
+  ASSERT_NE(offsets, nullptr);
+  ASSERT_GE(offsets->size, 2 * sizeof(uint32_t));
+  Column<uint32_t>(&image, SectionId::kAttrValueOffsets)[1] = 0x7FFFFFFF;
+  Reseal(&image, offsets);
+  const Status s = OpenStatus(std::move(image));
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("attribute value offsets"), std::string::npos)
+      << s.ToString();
+}
+
+// Attribute postings with valid CRCs but out of order, out of range, or
+// not tiling the pre-id array. ValidImage() carries two attributes: year
+// on pre 2 and note on pre 6.
+TEST(IndexReaderCorruptionTest, BadAttributePostingsFail) {
+  {
+    std::string image = ValidImage();
+    Column<uint32_t>(&image, SectionId::kAttrPre)[0] = 8;  // past pre 7
+    Reseal(&image, FindSection(&image, SectionId::kAttrPre));
+    EXPECT_FALSE(OpenStatus(std::move(image)).ok());
+  }
+  {
+    std::string image = ValidImage();
+    Column<uint32_t>(&image, SectionId::kAttrPre)[0] = 0;
+    Reseal(&image, FindSection(&image, SectionId::kAttrPre));
+    EXPECT_FALSE(OpenStatus(std::move(image)).ok());
+  }
+  {
+    // The year slice claims both ids, out of order (6, then 2).
+    std::string image = ValidImage();
+    xml::SymbolId year = xml::kNoSymbol;
+    {
+      auto reader = IndexReader::OpenBytes(image);
+      ASSERT_TRUE(reader.ok());
+      year = reader.value()->FindSymbol("year");
+      ASSERT_EQ(reader.value()->attributes(year).size, 1u);
+    }
+    const uint64_t symbols = HeaderOf(&image)->symbol_count;
+    PostingsRange* ranges =
+        Column<PostingsRange>(&image, SectionId::kAttrIndex);
+    uint64_t next = 0;
+    for (uint64_t sym = 0; sym < symbols; ++sym) {
+      ranges[sym] = {next, sym == year ? 2u : 0u};
+      next += ranges[sym].count;
+    }
+    uint32_t* pres = Column<uint32_t>(&image, SectionId::kAttrPre);
+    std::swap(pres[0], pres[1]);
+    Reseal(&image, FindSection(&image, SectionId::kAttrPre));
+    Reseal(&image, FindSection(&image, SectionId::kAttrIndex));
+    const Status s = OpenStatus(std::move(image));
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
+        << s.ToString();
+  }
+  {
+    // Slices that do not tile the ids (a crafted file could otherwise make
+    // every slice cover every id).
+    std::string image = ValidImage();
+    const uint64_t symbols = HeaderOf(&image)->symbol_count;
+    PostingsRange* ranges =
+        Column<PostingsRange>(&image, SectionId::kAttrIndex);
+    for (uint64_t sym = 0; sym < symbols; ++sym) ranges[sym] = {0, 1};
+    Reseal(&image, FindSection(&image, SectionId::kAttrIndex));
+    const Status s = OpenStatus(std::move(image));
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("attribute postings range"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(IndexReaderCorruptionTest, MisalignedSectionOffsetFails) {
@@ -349,9 +489,7 @@ TEST(IndexReaderCorruptionTest, MissingSectionFails) {
   SectionEntry* text = FindSection(&image, SectionId::kTextBlob);
   ASSERT_NE(text, nullptr);
   text->id = static_cast<uint32_t>(SectionId::kAttrBlob);
-  FileHeader* header = HeaderOf(&image);
-  header->table_crc32 =
-      Crc32(TableOf(&image), header->section_count * sizeof(SectionEntry));
+  ResealHeader(&image);
   EXPECT_FALSE(OpenStatus(std::move(image)).ok());
 }
 

@@ -7,12 +7,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "baselines/dom_eval.h"
 #include "common/random.h"
+#include "data/book.h"
+#include "data/protein.h"
+#include "data/xmark.h"
 #include "core/evaluator.h"
 #include "core/machine_builder.h"
 #include "core/result_sink.h"
@@ -85,7 +89,7 @@ TEST(IndexBuilderTest, LabelsPrePostLevel) {
   ASSERT_NE(reader, nullptr);
   ASSERT_EQ(reader->element_count(), 4u);
   const uint32_t* post = reader->post();
-  const uint32_t* level = reader->level();
+  const uint16_t* level = reader->level();
   EXPECT_EQ(post[0], 4u);
   EXPECT_EQ(post[1], 1u);
   EXPECT_EQ(post[2], 3u);
@@ -120,39 +124,118 @@ TEST(IndexBuilderTest, PostingsAreSortedPerSymbol) {
 }
 
 TEST(IndexBuilderTest, DirectTextConcatenatesAroundChildren) {
-  // Direct text of <a> is "xz" (the text inside <b> belongs to b).
-  std::unique_ptr<IndexReader> reader = MustOpen("<a>x<b>y</b>z</a>");
+  // Mixed content: the direct text of <a> is "xz" and of <c> "pq" (the
+  // text inside a child belongs to the child).
+  std::unique_ptr<IndexReader> reader =
+      MustOpen("<a>x<b>y</b>z<c>p<d/>q</c></a>");
   ASSERT_NE(reader, nullptr);
   EXPECT_EQ(reader->DirectText(1), "xz");
   EXPECT_EQ(reader->DirectText(2), "y");
+  EXPECT_EQ(reader->DirectText(3), "pq");
+  EXPECT_EQ(reader->DirectText(4), "");
 }
 
 TEST(IndexBuilderTest, ElementsWithoutTextReadAsEmpty) {
-  std::unique_ptr<IndexReader> reader = MustOpen("<a><b/><c>t</c></a>");
+  std::unique_ptr<IndexReader> reader = MustOpen("<a><b/><c>t</c><d></d></a>");
   ASSERT_NE(reader, nullptr);
   EXPECT_EQ(reader->DirectText(1), "");
   EXPECT_EQ(reader->DirectText(2), "");
   EXPECT_EQ(reader->DirectText(3), "t");
+  EXPECT_EQ(reader->DirectText(4), "");
+}
+
+// The pre ids of `reader`'s attribute postings for `name`.
+std::vector<uint32_t> AttrHolders(const IndexReader& reader,
+                                  std::string_view name) {
+  const IndexReader::AttrPostings attrs =
+      reader.attributes(reader.FindSymbol(name));
+  return std::vector<uint32_t>(attrs.pre, attrs.pre + attrs.size);
+}
+
+// The value element `pre` gives attribute `name`, or nullopt without one.
+std::optional<std::string_view> AttrValue(const IndexReader& reader,
+                                          uint32_t pre,
+                                          std::string_view name) {
+  const IndexReader::AttrPostings attrs =
+      reader.attributes(reader.FindSymbol(name));
+  const uint32_t* it = std::lower_bound(attrs.pre, attrs.pre + attrs.size, pre);
+  if (it == attrs.pre + attrs.size || *it != pre) return std::nullopt;
+  return attrs.value(static_cast<size_t>(it - attrs.pre));
 }
 
 TEST(IndexBuilderTest, AttributesStoredInDocumentOrder) {
-  std::unique_ptr<IndexReader> reader =
-      MustOpen("<a x=\"1\" y=\"two\"><b y=\"3\"/></a>");
+  // Each name's postings hold its elements in document (pre) order, with
+  // the value each one gives it; <a> carries several attributes.
+  std::unique_ptr<IndexReader> reader = MustOpen(
+      "<a x=\"1\" y=\"two\" z=\"\"><b y=\"3\"/><c/><b x=\"4\" y=\"5\"/></a>");
   ASSERT_NE(reader, nullptr);
-  size_t begin = 0;
-  size_t end = 0;
-  reader->AttrRange(1, &begin, &end);
-  ASSERT_EQ(end - begin, 2u);
-  EXPECT_EQ(reader->attr_at(begin).name_symbol, reader->FindSymbol("x"));
-  EXPECT_EQ(reader->attr_at(begin).value, "1");
-  EXPECT_EQ(reader->attr_at(begin + 1).name_symbol, reader->FindSymbol("y"));
-  EXPECT_EQ(reader->attr_at(begin + 1).value, "two");
-  reader->AttrRange(2, &begin, &end);
-  ASSERT_EQ(end - begin, 1u);
-  EXPECT_EQ(reader->attr_at(begin).value, "3");
-  // No attributes: empty range, not an error.
-  reader->AttrRange(3, &begin, &end);  // past the last element
-  EXPECT_EQ(begin, end);
+  EXPECT_EQ(AttrHolders(*reader, "x"), (std::vector<uint32_t>{1, 4}));
+  EXPECT_EQ(AttrHolders(*reader, "y"), (std::vector<uint32_t>{1, 2, 4}));
+  EXPECT_EQ(AttrHolders(*reader, "z"), (std::vector<uint32_t>{1}));
+  const IndexReader::AttrPostings y =
+      reader->attributes(reader->FindSymbol("y"));
+  ASSERT_EQ(y.size, 3u);
+  EXPECT_EQ(y.value(0), "two");
+  EXPECT_EQ(y.value(1), "3");
+  EXPECT_EQ(y.value(2), "5");
+  EXPECT_EQ(AttrValue(*reader, 1, "x"), std::optional<std::string_view>("1"));
+  EXPECT_EQ(AttrValue(*reader, 4, "x"), std::optional<std::string_view>("4"));
+  EXPECT_EQ(AttrValue(*reader, 2, "x"), std::nullopt);
+  EXPECT_EQ(AttrValue(*reader, 3, "x"), std::nullopt);  // no attributes
+  // An empty value is stored, and differs from an absent attribute.
+  EXPECT_EQ(AttrValue(*reader, 1, "z"), std::optional<std::string_view>(""));
+  EXPECT_EQ(AttrValue(*reader, 2, "z"), std::nullopt);
+  // Tags carry no attribute postings, and unknown names none either.
+  EXPECT_EQ(reader->attributes(reader->FindSymbol("b")).size, 0u);
+  EXPECT_EQ(reader->attributes(xml::kNoSymbol).size, 0u);
+}
+
+TEST(IndexBuilderTest, NameUsedAsTagAndAttributeKeepsBothPostings) {
+  // One symbol names both the <id> elements and the id attributes.
+  std::unique_ptr<IndexReader> reader =
+      MustOpen("<r id=\"r1\"><id>7</id><s id=\"s1\"><id/></s></r>");
+  ASSERT_NE(reader, nullptr);
+  const xml::SymbolId id = reader->FindSymbol("id");
+  ASSERT_NE(id, xml::kNoSymbol);
+  const IndexReader::U32Span tags = reader->postings(id);
+  EXPECT_EQ(std::vector<uint32_t>(tags.begin(), tags.end()),
+            (std::vector<uint32_t>{2, 4}));
+  EXPECT_EQ(AttrHolders(*reader, "id"), (std::vector<uint32_t>{1, 3}));
+  EXPECT_EQ(AttrValue(*reader, 3, "id"), std::optional<std::string_view>("s1"));
+  EXPECT_EQ(reader->DirectText(2), "7");
+  EXPECT_EQ(IndexedIds(*reader, "//*[@id]"), (std::vector<xml::NodeId>{1, 3}));
+  EXPECT_EQ(IndexedIds(*reader, "//*[id]"), (std::vector<xml::NodeId>{1, 3}));
+  EXPECT_EQ(IndexedIds(*reader, "//id"), (std::vector<xml::NodeId>{2, 4}));
+}
+
+TEST(IndexBuilderTest, NestingDeeperThanTheLevelColumnIsRefused) {
+  // The level column is 16 bits wide; the parser's own depth bound can be
+  // raised past it.
+  xml::SaxParserOptions sax;
+  sax.max_depth = static_cast<int>(kMaxLevel) + 10;
+  auto nested = [](size_t depth) {
+    std::string doc;
+    for (size_t i = 0; i < depth; ++i) doc += "<d>";
+    for (size_t i = 0; i < depth; ++i) doc += "</d>";
+    return doc;
+  };
+  {
+    IndexBuilder builder(sax);
+    ASSERT_TRUE(builder.Consume({nested(kMaxLevel), true}).ok());
+    std::string image;
+    ASSERT_TRUE(builder.Serialize(&image).ok());
+    Result<std::unique_ptr<IndexReader>> reader =
+        IndexReader::OpenBytes(std::move(image));
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ(reader.value()->max_depth(), kMaxLevel);
+  }
+  IndexBuilder builder(sax);
+  const Status s = builder.Consume({nested(kMaxLevel + 1), true});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_NE(s.message().find("16 bits"), std::string::npos) << s.ToString();
+  std::string image;
+  EXPECT_FALSE(builder.Serialize(&image).ok());
 }
 
 TEST(IndexBuilderTest, ByteOffsetsPointAtStartTags) {
@@ -663,6 +746,108 @@ TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOnDeepWildcardQueries) {
       EXPECT_GT(folded[side][op], 20) << "side " << side << " op " << op;
     }
   }
+}
+
+// Attribute and value tests over the generated corpora, answered from the
+// attribute postings and the direct-text column, with the index built at
+// several chunk sizes: the same ids as the DOM oracle, in document order,
+// each with its element's start-tag offset as a streaming run of "//*"
+// (which emits every element at its start tag) reports it.
+TEST(IndexedDifferentialTest, AttributeAndValueTestsOnCorpora) {
+  struct Corpus {
+    const char* name;
+    std::string doc;
+    std::vector<std::string> queries;
+  };
+  std::vector<Corpus> corpora;
+  {
+    data::BookOptions o;
+    o.seed = 11;
+    o.number_levels = 20;
+    o.max_repeats = 6;
+    o.min_bytes = 40000;
+    corpora.push_back(
+        {"book",
+         data::GenerateBook(o).value(),
+         {"//section[@id=\"id3\"]//figure", "//section[@id=\"id40\"]",
+          "//figure[@width>50]/image", "//figure[@width<=50]",
+          "//figure[@width][@height]", "//section[@id][@difficulty]//p",
+          "//*[@id]", "//*[@source]", "//section[@ghost]", "//*[@ghost]",
+          "//section[title=\"data\"]", "//*[title=\"data\"]//image",
+          "//book[@year]/title[@short]", "//*[@short!=\"data\"]",
+          "//section[@id][figure[@height>=10]]//section[p]/title"}});
+  }
+  {
+    data::XmarkOptions o;
+    o.seed = 4;
+    o.people = 20;
+    corpora.push_back(
+        {"xmark",
+         data::GenerateXmark(o).value(),
+         {"//person[@id=\"person3\"]/name", "//profile[@income>50000]",
+          "//profile[@income<60000][business=\"Yes\"]",
+          "//edge[@from][@to]", "//*[@id]", "//*[@person]",
+          "//open_auction[@id]//increase", "//item[@ghost]", "//*[@ghost]",
+          "//*[title=\"data\"]", "//address[country=\"United States\"]"}});
+  }
+  {
+    data::ProteinOptions o;
+    o.seed = 6;
+    o.entries = 40;
+    corpora.push_back(
+        {"protein",
+         data::GenerateProtein(o).value(),
+         {"//ProteinEntry[@id=\"PE3\"]//author", "//ProteinEntry[@id!=\"PE1\"]",
+          "//ProteinEntry[@id>3]", "//citation[@type=\"journal\"][@ghost]",
+          "//refinfo[@refid][citation[@type]]", "//*[@id]", "//*[@refid]",
+          "//*[@ghost]", "//*[title=\"data\"]",
+          "//organism[common=\"human\"]/source"}});
+  }
+  int nonempty = 0;
+  int queries = 0;
+  for (const Corpus& corpus : corpora) {
+    // Start-tag offsets by pre id, from the streaming engine.
+    core::VectorResultSink all;
+    auto proc = core::XPathStreamProcessor::Create("//*", &all);
+    ASSERT_TRUE(proc.ok());
+    ASSERT_TRUE(proc.value()->Consume({corpus.doc, true}).ok());
+    std::vector<uint64_t> start_tag(all.matches().size() + 1, 0);
+    for (const core::MatchInfo& m : all.matches()) {
+      ASSERT_LT(m.id, start_tag.size());
+      start_tag[m.id] = m.byte_offset;
+    }
+    for (size_t chunk : {size_t{7}, size_t{4096}, size_t{0}}) {
+      Result<std::unique_ptr<IndexReader>> reader =
+          IndexReader::OpenBytes(MustBuildImage(corpus.doc, chunk));
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      ASSERT_EQ(reader.value()->element_count() + 1, start_tag.size());
+      for (const std::string& query : corpus.queries) {
+        Result<xpath::QueryTree> tree = xpath::QueryTree::Parse(query);
+        ASSERT_TRUE(tree.ok()) << query;
+        Result<std::vector<xml::NodeId>> oracle =
+            baselines::EvaluateOnDom(tree.value(), corpus.doc);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        std::vector<xml::NodeId> expected = std::move(oracle).value();
+        std::sort(expected.begin(), expected.end());
+        const std::vector<core::MatchInfo> matches =
+            IndexedMatches(*reader.value(), query);
+        std::vector<xml::NodeId> ids;
+        for (const core::MatchInfo& m : matches) {
+          ids.push_back(m.id);
+          EXPECT_EQ(m.byte_offset, start_tag[m.id])
+              << corpus.name << " " << query << " id " << m.id;
+        }
+        EXPECT_EQ(ids, expected)
+            << corpus.name << " chunk " << chunk << ": " << query;
+        if (chunk == 0) {
+          ++queries;
+          if (!expected.empty()) ++nonempty;
+        }
+      }
+    }
+  }
+  // Most queries match something; the unknown-name ones cannot.
+  EXPECT_GE(nonempty, queries * 2 / 3) << nonempty << " of " << queries;
 }
 
 }  // namespace
