@@ -195,6 +195,8 @@ int Main() {
           {"speedup", cell.speedup},
           {"results_indexed", static_cast<double>(cell.indexed_results)},
           {"results_stream", static_cast<double>(cell.stream_results)},
+          {"postings_touched", static_cast<double>(cell.postings_touched)},
+          {"join_steps", static_cast<double>(cell.join_steps)},
       };
       BenchJson::Get().Add(std::move(record));
     }

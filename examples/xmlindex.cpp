@@ -12,7 +12,9 @@
 //   $ ./xmlindex stats book.twgmidx
 //
 // `query` prints each match as "pre @byte-offset" (the element's start
-// tag in the original document); -c prints only counts. `demo` runs the
+// tag in the original document); -c prints only counts. On stderr it
+// prints each query's match count, postings touched and join steps, then
+// the plan (IndexedEvaluator::Explain) with each step's list size. `demo` runs the
 // whole cycle on a small built-in document (it doubles as a smoke test).
 
 #include <algorithm>
@@ -110,6 +112,7 @@ int Query(bool count_only, const char* index_path, char** queries, int n) {
                      eval.value()->stats().postings_touched),
                  static_cast<unsigned long long>(
                      eval.value()->stats().join_steps));
+    std::fputs(eval.value()->Explain().c_str(), stderr);
     if (count_only) {
       std::printf("%llu\n",
                   static_cast<unsigned long long>(sink.matches().size()));

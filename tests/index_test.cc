@@ -467,6 +467,122 @@ TEST(IndexedEvaluatorTest, ReturnWildcardIsEnumeratedFromAncestors) {
             (std::vector<xml::NodeId>{2, 3, 4, 5, 6, 9, 10}));
 }
 
+// A '*' with an element predicate child and no attribute test starts from
+// the ancestors of its smallest predicate child's list at that child's edge
+// (one pass over the level column), not from all elements.
+std::string ExplainAfterEvaluate(const IndexReader& reader,
+                                 std::string_view query) {
+  Result<std::unique_ptr<IndexedEvaluator>> eval =
+      IndexedEvaluator::Create(query, &reader);
+  EXPECT_TRUE(eval.ok()) << query << ": " << eval.status().ToString();
+  if (!eval.ok()) return "";
+  core::VectorResultSink sink;
+  EXPECT_TRUE(eval.value()->Evaluate(&sink).ok());
+  return eval.value()->Explain();
+}
+
+TEST(IndexedEvaluatorTest, WildcardIsSeededFromItsPredicateChild) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  const uint64_t n = reader->element_count();
+  struct Case {
+    const char* query;
+    std::vector<xml::NodeId> ids;
+    const char* seed;  // the Explain() line naming the seed
+  };
+  const Case cases[] = {
+      // (=,1), and the folded (=,2) and (=,3).
+      {"//*[d]", {1, 2, 3, 8}, "seeded from node 1 d at (=,1)"},
+      {"//*[*/d]", {1, 2, 7}, "seeded from node 1 d at (=,2)"},
+      {"//*[*/*/d]", {1, 6}, "seeded from node 1 d at (=,3)"},
+      // (≥,k): every ancestor at least k levels up.
+      {"//*[*//d]", {1, 2, 6, 7}, "seeded from node 1 d at (>=,2)"},
+      {"//*[//d]", {1, 2, 3, 6, 7, 8}, "seeded from node 1 d at (>=,1)"},
+      // Root-anchored: the seed, then the level-1 anchor.
+      {"/*[b]", {1}, "seeded from node 1 b at (=,1)"},
+      {"/*[e]", {}, "seeded from node 1 e at (=,1)"},
+      // The root a's parent is the document node: no element.
+      {"//*[a]", {}, "seeded from node 1 a at (=,1)"},
+  };
+  for (const Case& c : cases) {
+    Result<std::unique_ptr<IndexedEvaluator>> eval =
+        IndexedEvaluator::Create(c.query, reader.get());
+    ASSERT_TRUE(eval.ok()) << c.query;
+    core::VectorResultSink sink;
+    ASSERT_TRUE(eval.value()->Evaluate(&sink).ok());
+    EXPECT_EQ(sink.ids(), c.ids) << c.query;
+    const std::string explain = eval.value()->Explain();
+    EXPECT_NE(explain.find(c.seed), std::string::npos)
+        << c.query << "\n" << explain;
+    EXPECT_EQ(explain.find("all elements"), std::string::npos) << explain;
+    // The seed reads its child's list, not all n elements.
+    EXPECT_LT(eval.value()->stats().postings_touched, n) << c.query;
+  }
+  // An element-only document: its one element has no element parent.
+  std::unique_ptr<IndexReader> single = MustOpen("<a/>");
+  ASSERT_NE(single, nullptr);
+  EXPECT_EQ(IndexedIds(*single, "//*[a]"), (std::vector<xml::NodeId>{}));
+  EXPECT_EQ(IndexedIds(*single, "//*[//a]"), (std::vector<xml::NodeId>{}));
+}
+
+TEST(IndexedEvaluatorTest, LargerPredicateJoinsAfterTheSeed) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  // Parents of a d are {1, 2, 3, 8}; of those, a1 (c6) and b2 (c3) have a
+  // c child. c's two postings seed the list; d's four join after it.
+  const std::string explain = ExplainAfterEvaluate(*reader, "//*[d][c]");
+  EXPECT_NE(explain.find("seeded from node 2 c at (=,1): 2"),
+            std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("join node 1 d at (=,1): 2"), std::string::npos)
+      << explain;
+  EXPECT_EQ(IndexedIds(*reader, "//*[d][c]"), (std::vector<xml::NodeId>{1, 2}));
+  EXPECT_EQ(IndexedIds(*reader, "//*[c][d]"), (std::vector<xml::NodeId>{1, 2}));
+  // Before any Evaluate the plan names the rule, not a child.
+  Result<std::unique_ptr<IndexedEvaluator>> fresh =
+      IndexedEvaluator::Create("//*[d][c]", reader.get());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_NE(fresh.value()->Explain().find(
+                "seeded from its smallest predicate child"),
+            std::string::npos);
+}
+
+TEST(IndexedEvaluatorTest, SeedBitmapIsClearedBetweenPasses) {
+  std::unique_ptr<IndexReader> reader = MustOpen(kJoinDoc);
+  ASSERT_NE(reader, nullptr);
+  // Two seeded nodes per Evaluate: '*[d]' (parents of a d: 1, 2, 3, 8) is
+  // seeded first, then '*[e]' (b7 only). A bit left over from the first
+  // pass would add 1, 2, 3 and 8 to the second and let 2, 3 match.
+  Result<std::unique_ptr<IndexedEvaluator>> eval =
+      IndexedEvaluator::Create("//*[e]/*[d]", reader.get());
+  ASSERT_TRUE(eval.ok());
+  for (int run = 0; run < 3; ++run) {
+    core::VectorResultSink sink;
+    ASSERT_TRUE(eval.value()->Evaluate(&sink).ok());
+    EXPECT_EQ(sink.ids(), (std::vector<xml::NodeId>{8})) << "run " << run;
+  }
+}
+
+TEST(IndexedEvaluatorTest, BookQ9SeedsTheWildcardFromFigure) {
+  data::BookOptions o;
+  o.seed = 11;
+  o.number_levels = 20;
+  o.max_repeats = 6;
+  o.min_bytes = 40000;
+  std::unique_ptr<IndexReader> reader =
+      MustOpen(data::GenerateBook(o).value());
+  ASSERT_NE(reader, nullptr);
+  const std::string explain =
+      ExplainAfterEvaluate(*reader, "//*[title][figure[image]]//p");
+  EXPECT_NE(explain.find("node 0 *"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("seeded from node 2 figure at (=,1)"),
+            std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("join node 1 title at (=,1)"), std::string::npos)
+      << explain;
+  EXPECT_EQ(explain.find("all elements"), std::string::npos) << explain;
+}
+
 // ---------------------------------------------------------------------------
 // Differential suite: random documents + random XP{/,//,*,[]} queries; the
 // indexed evaluator must agree with the DOM oracle and the streaming TwigM
@@ -746,6 +862,47 @@ TEST(IndexedDifferentialTest, MatchesOracleAndStreamingOnDeepWildcardQueries) {
       EXPECT_GT(folded[side][op], 20) << "side " << side << " op " << op;
     }
   }
+
+  // Seeded wildcards on the generated corpora: a '*' with predicates, one
+  // whose predicate folds to (=,2), and one with an enumerated '*' below.
+  // Book's rows are empty elsewhere; each corpus adds its own analogues.
+  data::BookOptions book;
+  book.seed = 11;
+  book.number_levels = 20;
+  book.max_repeats = 6;
+  book.min_bytes = 40000;
+  data::XmarkOptions xmark;
+  xmark.seed = 4;
+  xmark.people = 20;
+  data::ProteinOptions protein;
+  protein.seed = 6;
+  protein.entries = 40;
+  const std::vector<std::string> book_rows = {
+      "//*[title][figure[image]]", "//*[*/image]", "//*[figure]//*"};
+  const struct {
+    std::string doc;
+    std::vector<std::string> own;
+  } corpora[] = {
+      {data::GenerateBook(book).value(), {}},
+      {data::GenerateXmark(xmark).value(),
+       {"//*[name][profile[interest]]", "//*[*/increase]",
+        "//*[bidder]//*"}},
+      {data::GenerateProtein(protein).value(),
+       {"//*[header][protein[classification]]", "//*[*/author]",
+        "//*[citation]//*"}},
+  };
+  int corpus_nonempty = 0;
+  for (const auto& corpus : corpora) {
+    std::vector<std::string> rows = book_rows;
+    rows.insert(rows.end(), corpus.own.begin(), corpus.own.end());
+    for (const std::string& query : rows) {
+      if (ExpectIndexedAgrees(corpus.doc, query, &start_tag_checked) > 0) {
+        ++corpus_nonempty;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_EQ(corpus_nonempty, 9);
 }
 
 // Attribute and value tests over the generated corpora, answered from the
