@@ -73,9 +73,9 @@ BENCHMARK(BM_TimeVsQuerySize)->DenseRange(1, 13, 3)
 // SAX throughput on the Book dataset (discarding events).
 void BM_SaxThroughput(benchmark::State& state) {
   const std::string& doc = BookDataset();
-  xml::SaxHandler null_handler;
+  xml::StreamEventSink null_sink;
   for (auto _ : state) {
-    xml::SaxParser parser(&null_handler);
+    xml::SaxParser parser(&null_sink);
     if (!parser.ParseAll(doc).ok()) {
       state.SkipWithError("parse failed");
       return;

@@ -70,7 +70,7 @@ void RunCell(benchmark::State& state, const DatasetRef& dataset,
 
 // ---------------------------------------------------------------------------
 // Instrumentation overhead. Three variants stream the same Book query:
-//   handwired  — parser -> driver -> TwigMachine bound to the parser's
+//   handwired  — parser -> TwigMachine (the parser's one sink) bound to its
 //                interner, no processor wrapper (the shape the engine had
 //                before the observability layer, on the same symbol
 //                dispatch every processor runs);
@@ -105,8 +105,7 @@ Status TimeVariant(int variant, const xpath::QueryTree& tree,
     Result<std::unique_ptr<core::TwigMachine>> machine =
         core::TwigMachine::Create(tree, &sink);
     if (!machine.ok()) return machine.status();
-    xml::EventDriver driver(machine.value().get());
-    xml::SaxParser parser(&driver);
+    xml::SaxParser parser(machine.value().get());
     machine.value()->BindInterner(parser.interner());
     return stream(parser);
   }

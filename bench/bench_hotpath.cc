@@ -69,8 +69,7 @@ uint64_t CountDocumentEvents(const std::string& doc) {
     uint64_t events = 0;
   };
   Counter counter;
-  xml::EventDriver driver(&counter);
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(&counter);
   Status s = parser.Consume({doc, false});
   if (s.ok()) s = parser.Consume({std::string_view(), true});
   if (!s.ok()) {

@@ -82,8 +82,7 @@ LatencyResult EosLatency(const std::string& query, const std::string& doc) {
   PositionSink sink;
   auto engine = baselines::EosEngine::Create(query, &sink);
   if (!engine.ok()) return LatencyResult{};
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   return Drive(
       doc, &sink,
       [&](std::string_view chunk) { return parser.Consume({chunk, false}); },

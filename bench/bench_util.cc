@@ -193,8 +193,7 @@ RunResult RunSystem(System system, const std::string& query,
         out.status = engine.status();
         return out;
       }
-      xml::EventDriver driver(engine.value().get());
-      xml::SaxParser parser(&driver);
+      xml::SaxParser parser(engine.value().get());
       Stopwatch sw;
       out.status = parser.ParseAll(doc);
       out.seconds = sw.ElapsedSeconds();
@@ -217,8 +216,7 @@ RunResult RunSystem(System system, const std::string& query,
         out.status = engine.status();
         return out;
       }
-      xml::EventDriver driver(engine.value().get());
-      xml::SaxParser parser(&driver);
+      xml::SaxParser parser(engine.value().get());
       Stopwatch sw;
       Status s = parser.ParseAll(doc);
       out.seconds = sw.ElapsedSeconds();

@@ -39,10 +39,12 @@ Result<std::unique_ptr<MultiQueryProcessor>> MultiQueryProcessor::Create(
   }
 
   proc->fan_out_ = std::make_unique<FanOut>(proc.get());
-  proc->driver_ = std::make_unique<xml::EventDriver>(proc->fan_out_.get());
-  proc->driver_->set_instrumentation(instr);
-  proc->parser_ =
-      std::make_unique<xml::SaxParser>(proc->driver_.get(), options.sax);
+  xml::StreamEventSink* head = proc->fan_out_.get();
+  if (instr != nullptr) {
+    proc->timed_ = std::make_unique<xml::StageTimedSink>(head, instr);
+    head = proc->timed_.get();
+  }
+  proc->parser_ = std::make_unique<xml::SaxParser>(head, options.sax);
   proc->parser_->set_offset_slot(offset_slot);
   proc->parser_->set_scan_timer_slot(
       instr != nullptr ? instr->stage_slot(obs::Stage::kScan) : nullptr);
@@ -66,10 +68,9 @@ void MultiQueryProcessor::Reset() {
   for (Entry& e : entries_) e.machine->Reset();
   total_results_ = 0;
   stream_offset_ = 0;
-  // Rewind the parser and driver in place: the parser's interner holds the
-  // machines' symbol bindings and its buffers stay warm across documents.
+  // Rewind the parser in place: its interner holds the machines' symbol
+  // bindings and its buffers stay warm across documents.
   parser_->Reset();
-  driver_->Reset();
 }
 
 }  // namespace twigm::baselines

@@ -106,7 +106,8 @@ class MultiQueryProcessor {
   core::EvaluatorOptions options_;
   std::vector<Entry> entries_;
   std::unique_ptr<FanOut> fan_out_;
-  std::unique_ptr<xml::EventDriver> driver_;
+  // Stage timing in front of fan_out_; set only with instrumentation.
+  std::unique_ptr<xml::StageTimedSink> timed_;
   std::unique_ptr<xml::SaxParser> parser_;
   uint64_t total_results_ = 0;
   // Shared stream position (see XPathStreamProcessor::stream_offset_).

@@ -44,16 +44,17 @@ Result<std::unique_ptr<XPathStreamProcessor>> XPathStreamProcessor::Create(
   if (!machine.ok()) return machine.status();
   proc->machine_ = std::move(machine).value();
 
-  // In fragment mode the recorder sits between driver and machine.
+  // In fragment mode the recorder sits between parser and machine.
   xml::StreamEventSink* head = proc->machine_.get();
   if (fragments) {
     proc->recorder_->set_machine(head);
     head = proc->recorder_.get();
   }
-  proc->driver_ = std::make_unique<xml::EventDriver>(head);
-  proc->driver_->set_instrumentation(instr);
-  proc->parser_ = std::make_unique<xml::SaxParser>(proc->driver_.get(),
-                                                   options.sax);
+  if (instr != nullptr) {
+    proc->timed_ = std::make_unique<xml::StageTimedSink>(head, instr);
+    head = proc->timed_.get();
+  }
+  proc->parser_ = std::make_unique<xml::SaxParser>(head, options.sax);
   proc->parser_->set_offset_slot(offset_slot);
   proc->parser_->set_scan_timer_slot(
       instr != nullptr ? instr->stage_slot(obs::Stage::kScan) : nullptr);
@@ -83,11 +84,17 @@ void XPathStreamProcessor::Reset() {
   machine_->Reset();
   if (recorder_ != nullptr) recorder_->Reset();
   stream_offset_ = 0;
-  // Rewind the existing parser and driver in place rather than rebuilding
-  // them: the parser keeps its buffers and its interner (the machines'
-  // symbol bindings point at it), so repeat documents run allocation-free.
+  // Rewind the existing parser in place rather than rebuilding it: it
+  // keeps its buffers and its interner (the machine's symbol bindings point
+  // at it), so repeat documents run allocation-free.
   parser_->Reset();
-  driver_->Reset();
+}
+
+EngineStats XPathStreamProcessor::stats() const {
+  EngineStats s = machine_->stats();
+  s.start_events = parser_->elements_started();
+  s.end_events = parser_->elements_ended();
+  return s;
 }
 
 void XPathStreamProcessor::InstallDecisionTable(
@@ -96,7 +103,7 @@ void XPathStreamProcessor::InstallDecisionTable(
 }
 
 void XPathStreamProcessor::ExportMetrics(obs::MetricsRegistry* registry) const {
-  const EngineStats& s = stats();
+  const EngineStats s = stats();
   registry->SetCounter("engine.start_events", s.start_events);
   registry->SetCounter("engine.end_events", s.end_events);
   registry->SetCounter("engine.pushes", s.pushes);

@@ -1,5 +1,10 @@
-// Public entry point: a streaming XPath processor that wires the SAX parser,
-// the modified-SAX event driver, and a query machine together.
+// Public entry point: a streaming XPath processor that wires the SAX parser
+// to a query machine. The parser calls the machine directly (the one
+// xml::StreamEventSink), and skips the events the machine's EventFilter
+// does not read: start/end of elements no query node can match (all
+// elements when the query has a `*` node) and text unless a node has a
+// value test. In fragment mode the parser feeds the FragmentRecorder, which
+// reads everything and forwards to the machine.
 //
 //   VectorResultSink sink;
 //   auto proc = XPathStreamProcessor::Create("//a[d]//b[e]//c", &sink);
@@ -96,7 +101,10 @@ class XPathStreamProcessor {
   /// metrics).
   void Reset();
 
-  const EngineStats& stats() const { return machine_->stats(); }
+  /// The machine's statistics, with start_events and end_events counting
+  /// every element of the document (the parser's counts), including those
+  /// whose events the machine's filter skipped.
+  EngineStats stats() const;
   const xpath::QueryTree& query() const { return query_; }
 
   /// The compiled machine graph (input to static analysis passes such as
@@ -126,7 +134,9 @@ class XPathStreamProcessor {
 
   std::unique_ptr<TwigMachine> machine_;
   std::unique_ptr<FragmentRecorder> recorder_;  // set in fragment mode
-  std::unique_ptr<xml::EventDriver> driver_;
+  // Stage timing in front of the machine (or recorder); set only with
+  // instrumentation.
+  std::unique_ptr<xml::StageTimedSink> timed_;
   std::unique_ptr<xml::SaxParser> parser_;
 
   // Shared stream position: written by the parser before each construct,

@@ -1,7 +1,7 @@
 // XML-fragment result delivery (footnote 3 of the paper: "Our
 // implementation returns XML fragments instead of node ids").
 //
-// `FragmentRecorder` sits between the event driver and a query machine: it
+// `FragmentRecorder` sits between the parser and a query machine: it
 // forwards every modified-SAX event and, for each element the machine
 // reports as a *candidate* (MatchObserver::OnCandidate), re-serializes the
 // element's subtree while it streams past. The machine's candidate and
@@ -66,7 +66,9 @@ class VectorFragmentSink : public MatchObserver {
 /// Event tee that records candidate subtrees and pairs them with results.
 /// Wire-up (done by XPathStreamProcessor::Create when fragment capture is
 /// on):
-///   driver -> recorder (StreamEventSink) -> machine
+///   parser -> recorder (StreamEventSink) -> machine
+///   The recorder reads every event (no EventFilter), so the machine
+///   behind it is handed every event too.
 ///   machine's MatchObserver = recorder; recorder forwards to the user's
 ///   observer and adds OnFragment deliveries.
 class FragmentRecorder : public xml::StreamEventSink, public MatchObserver {
@@ -78,7 +80,7 @@ class FragmentRecorder : public xml::StreamEventSink, public MatchObserver {
   /// The machine events are forwarded to; must be set before streaming.
   void set_machine(xml::StreamEventSink* machine) { machine_ = machine; }
 
-  // StreamEventSink (from the event driver):
+  // StreamEventSink (from the parser):
   void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
                     const std::vector<xml::Attribute>& attrs) override;
   void EndElement(const xml::TagToken& tag, int level) override;

@@ -95,19 +95,34 @@ void TwigMachine::BindInterner(xml::TagInterner* interner) {
     if (!node->is_wildcard) node->symbol = interner->Intern(node->label);
   }
   start_postings_.assign(interner->size(), {});
-  end_postings_.assign(interner->size(), {});
   for (const auto& node : graph_.nodes()) {
     if (!node->is_wildcard) {
       start_postings_[node->symbol].push_back(node->id);
     }
   }
-  // δe needs one reversible pre-order list per symbol that covers label AND
-  // wildcard nodes: machine-node ids are assigned in pre-order, so merging
-  // the two sorted id lists preserves it.
-  for (size_t s = 0; s < end_postings_.size(); ++s) {
-    std::merge(start_postings_[s].begin(), start_postings_[s].end(),
-               wildcard_nodes_.begin(), wildcard_nodes_.end(),
-               std::back_inserter(end_postings_[s]));
+  // With wildcard nodes, δe needs one reversible pre-order list per symbol
+  // that covers label AND wildcard nodes: machine-node ids are assigned in
+  // pre-order, so merging the two sorted id lists preserves it. Without
+  // them each list would equal start_postings_[s], which δe walks instead.
+  end_postings_.clear();
+  if (!wildcard_nodes_.empty()) {
+    end_postings_.resize(interner->size());
+    for (size_t s = 0; s < end_postings_.size(); ++s) {
+      std::merge(start_postings_[s].begin(), start_postings_[s].end(),
+                 wildcard_nodes_.begin(), wildcard_nodes_.end(),
+                 std::back_inserter(end_postings_[s]));
+    }
+  }
+  // The events δs/δe act on: a '*' node matches every element; otherwise
+  // only label symbols can push or pop. Text matters only to value tests.
+  filter_ = xml::EventFilter();
+  filter_.text = !value_test_nodes_.empty();
+  if (wildcard_nodes_.empty()) {
+    filter_.other_elements = false;
+    filter_.elements.resize(start_postings_.size(), 0);
+    for (size_t s = 0; s < start_postings_.size(); ++s) {
+      filter_.elements[s] = start_postings_[s].empty() ? 0 : 1;
+    }
   }
   RebuildSymToElem();
 }
@@ -256,9 +271,16 @@ void TwigMachine::ForEachQualifyingParent(const MachineNode* v, int top_level,
     for (size_t i = 0; i < size && levels[i] <= max_level; ++i) {
       fn(entries[i], levels[i]);
     }
-  } else {
-    const int* it = std::lower_bound(levels, levels + size, max_level);
-    if (it != levels + size && *it == max_level) {
+  } else if (size > 0) {
+    // As in Qualifies: the top answers unless it is deeper than the
+    // required level.
+    const int top = levels[size - 1];
+    if (top <= max_level) {
+      if (top == max_level) fn(entries[size - 1], max_level);
+      return;
+    }
+    const int* it = std::lower_bound(levels, levels + size - 1, max_level);
+    if (it != levels + size - 1 && *it == max_level) {
       fn(entries[it - levels], max_level);
     }
   }
@@ -354,8 +376,12 @@ inline bool TwigMachine::Qualifies(int node_id, int level) const {
   if (!stack.edge.exact) {
     return level - context->front() >= stack.edge.distance;
   }
-  return std::binary_search(context->begin(), context->end(),
-                            level - stack.edge.distance);
+  // The top is the deepest entry: below the required level, no entry can
+  // hold it; at it, the top is the witness. Only a deeper top searches.
+  const int target = level - stack.edge.distance;
+  const int top = context->back();
+  if (top <= target) return top == target;
+  return std::binary_search(context->begin(), context->end() - 1, target);
 }
 
 // hotpath
@@ -525,6 +551,9 @@ void TwigMachine::Text(std::string_view text, int level) {
     if (!stack.levels.empty() && stack.levels.back() == level) {
       stack.entries.back().text.append(text);
       live_text_bytes_ += text.size();
+      // Text is the only state growth between events, and the events
+      // after it may be filtered out: note the peak here.
+      UpdateMemoryStats();
     }
   }
 }
@@ -650,8 +679,12 @@ void TwigMachine::EndElement(const xml::TagToken& tag, int level) {
   // The per-symbol end postings merge label and wildcard nodes into one
   // pre-order list precisely so this reverse walk stays child-before-parent
   // across both kinds.
-  const std::vector<int>& list = tag.symbol < end_postings_.size()
-                                     ? end_postings_[tag.symbol]
+  // Without wildcard nodes each per-symbol list is the start postings'
+  // own (end_postings_ is empty), and wildcard_nodes_ is empty too.
+  const std::vector<std::vector<int>>& postings =
+      wildcard_nodes_.empty() ? start_postings_ : end_postings_;
+  const std::vector<int>& list = tag.symbol < postings.size()
+                                     ? postings[tag.symbol]
                                      : wildcard_nodes_;
   const uint64_t candidates_before = live_candidates_;
   for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
@@ -659,8 +692,7 @@ void TwigMachine::EndElement(const xml::TagToken& tag, int level) {
     if (!levels.empty() && levels.back() == level) Pop(*rit, level);
   }
   // Only candidate unions can raise a peak here: pops remove entries, and
-  // the text appended since the last event belongs to the entries this
-  // event pops.
+  // Text notes its own peak.
   if (live_candidates_ > candidates_before) {
     UpdateMemoryStats();
   } else {

@@ -35,11 +35,17 @@
 //
 // Hot path: BindInterner() resolves the query labels to the parser's
 // SymbolIds once, and per-event dispatch indexes a per-symbol postings
-// vector — no tag bytes are hashed or compared. Entry levels and the rest
-// of each entry live in two index-aligned per-node columns, so
-// qualification scans ints; the rest sits in PooledStacks and candidate
-// sets merge in place, so the steady state per event performs zero heap
-// allocations (DESIGN.md §10).
+// vector — no tag bytes are hashed or compared. The machine is the parser's
+// sink (xml::StreamEventSink) and declares which events it reads
+// (event_filter): the start/end events of its label symbols, or of every
+// element when it has a '*' node, and text only when a node has a value
+// test. The parser skips the rest; skipping them is exact, because δs and
+// δe do nothing for an element no node matches, and a text run only ever
+// reaches the entry of the innermost open element at its level. Entry
+// levels and the rest of each entry live in two index-aligned per-node
+// columns, so qualification scans ints; the rest sits in PooledStacks and
+// candidate sets merge in place, so the steady state per event performs
+// zero heap allocations (DESIGN.md §10).
 
 #ifndef TWIGM_CORE_TWIG_MACHINE_H_
 #define TWIGM_CORE_TWIG_MACHINE_H_
@@ -73,9 +79,9 @@ struct TwigMachineOptions {
   bool prune_static_failures = true;
 };
 
-/// The TwigM machine. Feed it modified SAX events (via xml::EventDriver or
-/// directly); candidates and results are reported to the MatchObserver
-/// incrementally.
+/// The TwigM machine. Feed it modified SAX events (hand it to a SaxParser as
+/// its sink, or call it directly); candidates and results are reported to
+/// the MatchObserver incrementally.
 class TwigMachine final : public xml::StreamEventSink {
  public:
   /// Builds the machine for `query` (section 4.2 construction). `observer`
@@ -88,6 +94,10 @@ class TwigMachine final : public xml::StreamEventSink {
   TwigMachine& operator=(const TwigMachine&) = delete;
 
   // StreamEventSink:
+  /// Before BindInterner: everything. After: the label symbols bound then
+  /// (symbols interned later are no label), or every element when the
+  /// machine has a '*' node; text only when a node has a value test.
+  const xml::EventFilter* event_filter() const override { return &filter_; }
   void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
                     const std::vector<xml::Attribute>& attrs) override;
   void EndElement(const xml::TagToken& tag, int level) override;
@@ -95,7 +105,8 @@ class TwigMachine final : public xml::StreamEventSink {
   void EndDocument() override;
 
   /// Resolves every query label to a SymbolId in `interner` (interning on
-  /// first sight) and builds the machine's per-symbol dispatch postings.
+  /// first sight) and builds the machine's per-symbol dispatch postings and
+  /// its event filter.
   /// Required: call once, with the interner of the parser that will feed
   /// this machine, before streaming (the processors do this; hand-wired
   /// machines pass parser.interner()). `interner` must outlive the
@@ -147,6 +158,9 @@ class TwigMachine final : public xml::StreamEventSink {
     root_context_ = levels;
   }
 
+  /// start_events/end_events count the events this machine was handed;
+  /// behind a parser that is the events its filter reads
+  /// (XPathStreamProcessor::stats() counts every element).
   const EngineStats& stats() const { return stats_; }
   const MachineGraph& graph() const { return graph_; }
 
@@ -305,14 +319,19 @@ class TwigMachine final : public xml::StreamEventSink {
   std::vector<int> value_test_nodes_; // nodes that accumulate text
 
   // Symbol dispatch (built by BindInterner). start_postings_[s] holds the
-  // label nodes for symbol s in pre-order; end_postings_[s] additionally
-  // merges in the wildcard nodes (still pre-order) because δe iterates one
-  // list in reverse and child-before-parent must hold across label and
-  // wildcard nodes alike. Symbols interned after binding (document tags
-  // that are no query label) fall outside both vectors: δs tries only
-  // wildcards, δe walks wildcard_nodes_ reversed.
+  // label nodes for symbol s in pre-order. A machine with wildcard nodes
+  // also has end_postings_[s], which merges them in (still pre-order)
+  // because δe iterates one list in reverse and child-before-parent must
+  // hold across label and wildcard nodes alike; without wildcards δe walks
+  // start_postings_[s] itself and end_postings_ stays empty. Symbols
+  // interned after binding (document tags that are no query label) fall
+  // outside the vectors: δs tries only wildcards, δe walks wildcard_nodes_
+  // reversed.
   std::vector<std::vector<int>> start_postings_;
   std::vector<std::vector<int>> end_postings_;
+
+  // What the machine reads (see event_filter); built by BindInterner.
+  xml::EventFilter filter_;
 
   // Already-output results: guards against re-emission when a candidate
   // reached several root entries (recursive data matching the query root).

@@ -22,16 +22,16 @@ namespace {
 
 // Measures features in one SAX pass; recursion = a tag occurring twice on
 // the open-element path.
-class FeatureHandler : public xml::SaxHandler {
+class FeatureHandler : public xml::StreamEventSink {
  public:
   explicit FeatureHandler(DatasetFeatures* out) : out_(out) {}
 
-  void OnStartElement(const xml::TagToken& tag,
-                      const std::vector<xml::Attribute>& attrs) override {
+  void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
+                    const std::vector<xml::Attribute>& attrs) override {
+    (void)id;
     ++out_->elements;
     out_->attributes += attrs.size();
-    ++depth_;
-    if (depth_ > out_->max_depth) out_->max_depth = depth_;
+    if (level > out_->max_depth) out_->max_depth = level;
     // lint: allow-string-copy(offline dataset feature pass, not a stream path)
     auto [it, inserted] = open_counts_.try_emplace(std::string(tag.text), 0);
     if (++it->second > 1) out_->recursive = true;
@@ -39,20 +39,20 @@ class FeatureHandler : public xml::SaxHandler {
     path_.emplace_back(it->first);
   }
 
-  void OnEndElement(const xml::TagToken& tag) override {
+  void EndElement(const xml::TagToken& tag, int level) override {
     (void)tag;
-    --depth_;
+    (void)level;
     --open_counts_[path_.back()];
     path_.pop_back();
   }
 
-  void OnCharacters(std::string_view text) override {
+  void Text(std::string_view text, int level) override {
+    (void)level;
     out_->text_bytes += text.size();
   }
 
  private:
   DatasetFeatures* out_;
-  int depth_ = 0;
   std::unordered_map<std::string, int> open_counts_;
   std::vector<std::string> path_;
 };

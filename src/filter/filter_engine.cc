@@ -145,11 +145,13 @@ Result<std::unique_ptr<FilterEngine>> FilterEngine::Build(
   engine->event_sink_ = std::make_unique<EventSink>(engine.get());
   xml::TagInterner* interner = external_interner;
   if (external_interner == nullptr) {
-    engine->driver_ =
-        std::make_unique<xml::EventDriver>(engine->event_sink_.get());
-    engine->driver_->set_instrumentation(engine->instr_);
-    engine->parser_ =
-        std::make_unique<xml::SaxParser>(engine->driver_.get(), options.sax);
+    xml::StreamEventSink* head = engine->event_sink_.get();
+    if (engine->instr_ != nullptr) {
+      engine->timed_ =
+          std::make_unique<xml::StageTimedSink>(head, engine->instr_);
+      head = engine->timed_.get();
+    }
+    engine->parser_ = std::make_unique<xml::SaxParser>(head, options.sax);
     engine->parser_->set_offset_slot(engine->offset_slot_);
     engine->parser_->set_scan_timer_slot(
         engine->instr_ != nullptr
@@ -301,12 +303,11 @@ void FilterEngine::Reset() {
   rstats_ = FilterRuntimeStats();
   stream_offset_ = 0;
   cur_elem_ = -1;
-  // Rewind the parser and driver in place: the parser's interner carries
-  // the trie's and tail machines' symbol bindings, and its buffers (plus
-  // every trie stack's capacity) stay warm across documents. Event-fed
-  // engines own neither; their external interner outlives them.
+  // Rewind the parser in place: its interner carries the trie's and tail
+  // machines' symbol bindings, and its buffers (plus every trie stack's
+  // capacity) stay warm across documents. Event-fed engines own no parser;
+  // their external interner outlives them.
   if (parser_ != nullptr) parser_->Reset();
-  if (driver_ != nullptr) driver_->Reset();
 }
 
 // hotpath

@@ -76,7 +76,7 @@ class FilterEngine {
       const analysis::DtdStructure* dtd = nullptr);
 
   /// Event-fed mode (the sharded subscription service, src/serve/): builds
-  /// the engine WITHOUT an internal parser/driver. The caller delivers
+  /// the engine WITHOUT an internal parser. The caller delivers
   /// modified-SAX events directly through event_input(); trie and tail
   /// labels are bound to `interner` (not owned; must outlive the engine).
   /// The engine is single-threaded as ever — all event_input() calls,
@@ -103,9 +103,9 @@ class FilterEngine {
   /// for a new document.
   void Reset();
 
-  /// Modified-SAX entry point. In parser mode the internal driver feeds it;
-  /// event-fed callers (src/serve/ shard workers) dispatch events here with
-  /// levels and pre-order ids already assigned (EventDriver semantics).
+  /// Modified-SAX entry point. In parser mode the engine's own parser feeds
+  /// it; event-fed callers (src/serve/ shard workers) dispatch events here
+  /// with levels and pre-order ids already assigned, as the parser does.
   xml::StreamEventSink* event_input() { return event_sink_.get(); }
 
   /// The stream-offset word match emissions are stamped from. Event-fed
@@ -186,7 +186,7 @@ class FilterEngine {
   explicit FilterEngine(FilterIndex index) : index_(std::move(index)) {}
 
   // Shared construction. `external_interner` null => build and own a
-  // parser/driver; non-null => event-fed mode bound to that interner.
+  // parser; non-null => event-fed mode bound to that interner.
   static Result<std::unique_ptr<FilterEngine>> Build(
       const std::vector<std::string>& queries,
       core::MultiQueryResultSink* sink, core::EvaluatorOptions options,
@@ -256,7 +256,8 @@ class FilterEngine {
   int32_t cur_elem_ = -1;
 
   std::unique_ptr<EventSink> event_sink_;
-  std::unique_ptr<xml::EventDriver> driver_;
+  // Stage timing in front of event_sink_ (parser mode with instrumentation).
+  std::unique_ptr<xml::StageTimedSink> timed_;
   std::unique_ptr<xml::SaxParser> parser_;
 
   FilterRuntimeStats rstats_;

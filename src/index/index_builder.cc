@@ -19,20 +19,26 @@ void Put(char* dst, const void* src, size_t size) {
 
 }  // namespace
 
-// Private SAX adapter: forwards the three events the builder labels from.
-class IndexBuilder::Handler : public xml::SaxHandler {
+// Private event sink: forwards the three events the builder labels from.
+class IndexBuilder::Handler : public xml::StreamEventSink {
  public:
   explicit Handler(IndexBuilder* builder) : builder_(builder) {}
 
-  void OnStartElement(const xml::TagToken& tag,
-                      const std::vector<xml::Attribute>& attrs) override {
+  void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
+                    const std::vector<xml::Attribute>& attrs) override {
+    (void)level;  // the builder keeps its own open-element stack
+    (void)id;
     builder_->OnStart(tag, attrs);
   }
-  void OnEndElement(const xml::TagToken& tag) override {
+  void EndElement(const xml::TagToken& tag, int level) override {
     (void)tag;
+    (void)level;
     builder_->OnEnd();
   }
-  void OnCharacters(std::string_view text) override { builder_->OnText(text); }
+  void Text(std::string_view text, int level) override {
+    (void)level;
+    builder_->OnText(text);
+  }
 
  private:
   IndexBuilder* builder_;

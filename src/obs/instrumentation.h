@@ -1,10 +1,12 @@
 // The engine-facing observability hook.
 //
-// Every stream component (SaxParser via its offset slot, EventDriver, the
-// machines, FilterEngine, the baseline MultiQueryProcessor) accepts an
+// Every stream component (SaxParser via its offset slot, the machines,
+// FilterEngine, the baseline MultiQueryProcessor) accepts an
 // `Instrumentation*` that defaults to null. Null means *off*: each
 // instrumented site is a single predictable `if (instr_ == nullptr)` branch
-// and nothing else — no clock reads, no stores, no virtual calls — so the
+// and nothing else — no clock reads, no stores, no virtual calls; the
+// processors then hand their sink to the parser directly, and only with an
+// Instrumentation attached put an xml::StageTimedSink in between — so the
 // default configuration stays within noise of the un-instrumented engine
 // (bench_fig7_exec_time's Overhead pair verifies this; CI fails if the gap
 // exceeds 5%).
@@ -15,7 +17,7 @@
 //     into,
 //   * per-stage wall time via RAII TimerScopes — kTokenize (bytes in,
 //     the whole Consume call), kScan (the parser's structural scan, one
-//     timer per Consume), kDrive (modified-SAX dispatch), kMachine
+//     timer per Consume), kDrive (the parser-to-sink hop), kMachine
 //     (transition functions), kEmit (result delivery). kScan and kDrive
 //     both nest inside kTokenize; kMachine nests in kDrive and kEmit in
 //     kMachine, so exclusive times are differences (StageBreakdown
@@ -94,7 +96,7 @@ class Instrumentation {
 
   // --- Stream position ------------------------------------------------
   // The parser stores the byte offset of each SAX construct here before
-  // firing its handler; machines stamp emissions and trace events with it.
+  // calling its sink; machines stamp emissions and trace events with it.
   uint64_t* byte_offset_slot() { return &byte_offset_; }
   uint64_t byte_offset() const { return byte_offset_; }
 

@@ -13,8 +13,7 @@ namespace twigm::serve {
 ServerStream::ServerStream(SubscriptionServer* server, uint64_t stream_id)
     : server_(server),
       stream_id_(stream_id),
-      driver_(this),
-      parser_(&driver_, server->options_.engine_options.sax) {
+      parser_(this, server->options_.engine_options.sax) {
   parser_.set_offset_slot(&offset_);
   channels_.reserve(server_->shards_.size());
   for (std::unique_ptr<Shard>& shard : server_->shards_) {
@@ -68,7 +67,7 @@ Status ServerStream::FinishDocument() {
   if (!doc_open_) {
     return Status::InvalidArgument("no document in progress on this stream");
   }
-  Status finish = parser_.Consume({std::string_view(), true});  // fires EndDocument through the driver
+  Status finish = parser_.Consume({std::string_view(), true});  // fires EndDocument
   if (!finish.ok()) {
     // Poisoned document: shards never see an end marker for it, so close
     // the window explicitly to keep the barrier accounting in step.
@@ -87,7 +86,6 @@ Status ServerStream::FinishDocument() {
     return true;
   });
   parser_.Reset();
-  driver_.Reset();
   doc_open_ = false;
   return finish;
 }

@@ -81,7 +81,7 @@ class ServerStream : private xml::StreamEventSink {
   friend class SubscriptionServer;
   ServerStream(SubscriptionServer* server, uint64_t stream_id);
 
-  // xml::StreamEventSink (called by the driver on the feeding thread).
+  // xml::StreamEventSink (called by the parser on the feeding thread).
   void StartElement(const xml::TagToken& tag, int level, xml::NodeId id,
                     const std::vector<xml::Attribute>& attrs) override;
   void EndElement(const xml::TagToken& tag, int level) override;
@@ -98,7 +98,6 @@ class ServerStream : private xml::StreamEventSink {
 
   std::vector<std::shared_ptr<SessionChannel>> channels_;  // one per shard
 
-  xml::EventDriver driver_;
   xml::SaxParser parser_;
   uint64_t offset_ = 0;  // parser offset slot; copied into each record
 

@@ -41,17 +41,21 @@ DomDocument DomAssembler::TakeDocument() {
   return out;
 }
 
-void DomBuilder::OnStartElement(const TagToken& tag,
-                                const std::vector<Attribute>& attrs) {
+void DomBuilder::StartElement(const TagToken& tag, int level, NodeId id,
+                              const std::vector<Attribute>& attrs) {
+  (void)level;  // the assembler numbers and nests nodes itself
+  (void)id;
   assembler_.StartElement(tag.text, attrs);
 }
 
-void DomBuilder::OnEndElement(const TagToken& tag) {
+void DomBuilder::EndElement(const TagToken& tag, int level) {
   (void)tag;  // the parser already verified tag matching
+  (void)level;
   assembler_.EndElement();
 }
 
-void DomBuilder::OnCharacters(std::string_view text) {
+void DomBuilder::Text(std::string_view text, int level) {
+  (void)level;
   assembler_.Text(text);
 }
 

@@ -114,17 +114,17 @@ class DomAssembler {
   NodeId next_id_ = 0;
 };
 
-/// SAX handler that builds a DomDocument. Exposed so callers already holding
-/// a SAX stream (e.g. from a generator) can build a DOM without
+/// Event sink that builds a DomDocument. Exposed so callers already holding
+/// an event stream (e.g. from a generator) can build a DOM without
 /// re-serializing.
-class DomBuilder : public SaxHandler {
+class DomBuilder : public StreamEventSink {
  public:
   DomBuilder() = default;
 
-  void OnStartElement(const TagToken& tag,
-                      const std::vector<Attribute>& attrs) override;
-  void OnEndElement(const TagToken& tag) override;
-  void OnCharacters(std::string_view text) override;
+  void StartElement(const TagToken& tag, int level, NodeId id,
+                    const std::vector<Attribute>& attrs) override;
+  void EndElement(const TagToken& tag, int level) override;
+  void Text(std::string_view text, int level) override;
 
   /// Returns the finished document. Call after parsing succeeds.
   DomDocument TakeDocument();

@@ -1,14 +1,14 @@
-// Event model for streaming XML processing.
+// Event model for streaming XML processing: the paper's *modified SAX
+// events* (section 2), startElement(tag, level, id) / endElement(tag,
+// level), where `level` is the node's depth in the XML tree (root = 1) and
+// `id` is a unique identifier assigned in document order (pre-order).
 //
-// Two layers:
-//   * `SaxHandler` — raw SAX callbacks emitted by `SaxParser` (src/xml/
-//     sax_parser.h): start/end element with attributes, character data,
-//     comments, processing instructions.
-//   * `StreamEventSink` + `EventDriver` — the paper's *modified SAX events*
-//     (section 2): startElement(tag, level, id) / endElement(tag, level),
-//     where `level` is the node's depth in the XML tree (root = 1) and `id`
-//     is a unique identifier assigned in document order (pre-order). All
-//     query machines consume this layer.
+// `StreamEventSink` is the one event interface. SaxParser (src/xml/
+// sax_parser.h) assigns levels and ids itself and calls its sink directly,
+// one virtual call per event. A sink may declare, once per document, which
+// events it reads (`EventFilter`: a per-symbol element filter plus whether
+// it reads text); the parser then skips the calls nobody reads. TwigM
+// declares its label symbols (DESIGN.md §10).
 //
 // Tags travel as `TagToken`: the tag bytes plus the dense `SymbolId` the
 // parser's TagInterner assigned to that tag name. Machines bind their query
@@ -55,123 +55,162 @@ struct Attribute {
   std::string_view value;
 };
 
-/// Raw SAX callbacks. Default implementations ignore every event so
-/// subclasses override only what they need.
-class SaxHandler {
- public:
-  virtual ~SaxHandler() = default;
-
-  virtual void OnStartDocument() {}
-  virtual void OnEndDocument() {}
-  /// `tag` and `attrs` are only valid for the duration of the call.
-  virtual void OnStartElement(const TagToken& tag,
-                              const std::vector<Attribute>& attrs) {
-    (void)tag;
-    (void)attrs;
-  }
-  virtual void OnEndElement(const TagToken& tag) { (void)tag; }
-  /// Character data (entity-decoded). May be delivered in multiple pieces.
-  virtual void OnCharacters(std::string_view text) { (void)text; }
-  virtual void OnComment(std::string_view text) { (void)text; }
-  virtual void OnProcessingInstruction(std::string_view target,
-                                       std::string_view data) {
-    (void)target;
-    (void)data;
-  }
-};
-
 /// Node identifier: position in document order (pre-order), starting at 1.
 using NodeId = uint64_t;
 
-/// The paper's modified SAX event stream. TwigM, the filter engine and the
-/// baselines implement this interface.
+/// Which events a sink reads, declared once per document (DESIGN.md §10).
+/// The parser skips the start and end calls of elements the sink does not
+/// read and, unless `text` is set, every Text call. Everything else still
+/// happens for every construct: well-formedness checks, id and level
+/// assignment, byte offsets. So each event a sink does read carries exactly
+/// the id, level and offset an all-events sink would see with it.
+struct EventFilter {
+  /// elements[s] != 0: the sink reads the start and end events of symbol s.
+  std::vector<uint8_t> elements;
+  /// Whether the sink reads symbols at or past elements.size(), i.e. those
+  /// interned after the filter was built.
+  bool other_elements = true;
+  /// Whether the sink reads character data.
+  bool text = true;
+
+  bool ReadsElement(SymbolId s) const {
+    return s < elements.size() ? elements[s] != 0 : other_elements;
+  }
+};
+
+/// The one event interface: the paper's modified SAX events (section 2),
+/// startElement(tag, level, id) / endElement(tag, level), where `level` is
+/// the element's depth (root = 1) and `id` its pre-order position (first
+/// element = 1), plus character data and the document hooks. SaxParser
+/// assigns levels and ids itself and calls its sink directly; TwigM, the
+/// fragment recorder, the filter engine, the DOM and index builders and the
+/// baselines all implement this interface. Every callback defaults to a
+/// no-op, so a sink overrides only what it reads.
 class StreamEventSink {
  public:
   virtual ~StreamEventSink() = default;
 
+  /// Which events this sink reads; null (the default) reads everything.
+  /// The parser asks once per document, before that document's first
+  /// event, and keeps the pointer until the document ends: the filter must
+  /// stay valid and unchanged that long.
+  virtual const EventFilter* event_filter() const { return nullptr; }
+
+  /// Start of a document (before any other event of it).
+  virtual void StartDocument() {}
+
   /// startElement(tag, level, id). `attrs` carries the element's attributes
   /// so attribute predicates can be evaluated immediately (footnote 2 of the
   /// paper: the implementation supports attributes as well as elements).
-  virtual void StartElement(const TagToken& tag, int level, NodeId id,
-                            const std::vector<Attribute>& attrs) = 0;
+  /// `tag` and `attrs` are only valid for the duration of the call.
+  virtual void StartElement(const TagToken& /*tag*/, int /*level*/,
+                            NodeId /*id*/,
+                            const std::vector<Attribute>& /*attrs*/) {}
 
   /// endElement(tag, level).
-  virtual void EndElement(const TagToken& tag, int level) = 0;
+  virtual void EndElement(const TagToken& /*tag*/, int /*level*/) {}
 
-  /// Character data of the current node, used by value predicates.
-  /// `level` is the level of the innermost open element.
-  virtual void Text(std::string_view text, int level) { (void)text; (void)level; }
+  /// Character data (entity-decoded) of the innermost open element, at its
+  /// `level`. A run may be delivered in several pieces.
+  virtual void Text(std::string_view /*text*/, int /*level*/) {}
+
+  virtual void Comment(std::string_view /*text*/) {}
+  virtual void ProcessingInstruction(std::string_view /*target*/,
+                                     std::string_view /*data*/) {}
 
   /// End of stream.
   virtual void EndDocument() {}
 };
 
-/// Adapts raw SAX callbacks into modified SAX events: assigns levels
-/// (root = 1) and pre-order node ids (first element = 1), then forwards to a
-/// `StreamEventSink`.
-class EventDriver : public SaxHandler {
+/// The raw-SAX name of the one sink; the benchmark harness (perfbench/)
+/// still names it.
+using SaxHandler = StreamEventSink;
+
+/// Forwards every event to a sink and counts the elements it passes. Only
+/// the benchmark harness (perfbench/) uses it, to count elements beside a
+/// sink; the parser itself assigns levels and ids.
+class EventDriver final : public StreamEventSink {
  public:
   /// `sink` must outlive the driver. Does not take ownership.
   explicit EventDriver(StreamEventSink* sink) : sink_(sink) {}
 
-  /// Optional observability: with an Instrumentation attached the driver
-  /// accumulates the kDrive stage (its whole dispatch, inclusive) and the
-  /// kMachine stage (the sink call, inclusive of emission). Null detaches.
-  void set_instrumentation(obs::Instrumentation* instr) { instr_ = instr; }
-
-  void OnStartElement(const TagToken& tag,
-                      const std::vector<Attribute>& attrs) override {
-    obs::TimerScope drive(
-        instr_ != nullptr ? instr_->stage_slot(obs::Stage::kDrive) : nullptr);
-    ++level_;
-    ++next_id_;
-    obs::TimerScope machine(instr_ != nullptr
-                                ? instr_->stage_slot(obs::Stage::kMachine)
-                                : nullptr);
-    sink_->StartElement(tag, level_, next_id_, attrs);
+  void StartDocument() override { sink_->StartDocument(); }
+  void StartElement(const TagToken& tag, int level, NodeId id,
+                    const std::vector<Attribute>& attrs) override {
+    ++elements_;
+    sink_->StartElement(tag, level, id, attrs);
   }
-
-  void OnEndElement(const TagToken& tag) override {
-    obs::TimerScope drive(
-        instr_ != nullptr ? instr_->stage_slot(obs::Stage::kDrive) : nullptr);
-    {
-      obs::TimerScope machine(instr_ != nullptr
-                                  ? instr_->stage_slot(obs::Stage::kMachine)
-                                  : nullptr);
-      sink_->EndElement(tag, level_);
-    }
-    --level_;
+  void EndElement(const TagToken& tag, int level) override {
+    sink_->EndElement(tag, level);
   }
-
-  void OnCharacters(std::string_view text) override {
-    if (level_ > 0) {
-      obs::TimerScope drive(instr_ != nullptr
-                                ? instr_->stage_slot(obs::Stage::kDrive)
-                                : nullptr);
-      obs::TimerScope machine(instr_ != nullptr
-                                  ? instr_->stage_slot(obs::Stage::kMachine)
-                                  : nullptr);
-      sink_->Text(text, level_);
-    }
+  void Text(std::string_view text, int level) override {
+    sink_->Text(text, level);
   }
-
-  void OnEndDocument() override { sink_->EndDocument(); }
-
-  /// Number of elements seen so far.
-  NodeId element_count() const { return next_id_; }
-
-  /// Rewinds level/id assignment for a new document. The attached sink and
-  /// instrumentation stay bound.
-  void Reset() {
-    level_ = 0;
-    next_id_ = 0;
+  void Comment(std::string_view text) override { sink_->Comment(text); }
+  void ProcessingInstruction(std::string_view target,
+                             std::string_view data) override {
+    sink_->ProcessingInstruction(target, data);
   }
+  void EndDocument() override { sink_->EndDocument(); }
+
+  /// Number of elements passed since construction or the last Reset.
+  NodeId element_count() const { return elements_; }
+  void Reset() { elements_ = 0; }
 
  private:
   StreamEventSink* sink_;
-  obs::Instrumentation* instr_ = nullptr;
-  int level_ = 0;
-  NodeId next_id_ = 0;
+  NodeId elements_ = 0;
+};
+
+/// Times a sink for the stage ledger (obs/instrumentation.h): forwards each
+/// event to `sink`, accumulating obs::Stage::kDrive around the forward and
+/// obs::Stage::kMachine around the sink's own call, and declares the sink's
+/// filter as its own, so the parser skips the same events with timing on
+/// as off. Processors put it in front of their sink only when an
+/// Instrumentation is attached; without one the parser calls the sink
+/// directly and nothing is timed.
+class StageTimedSink final : public StreamEventSink {
+ public:
+  /// Neither is owned; both must outlive this object. A null `instr`
+  /// times nothing.
+  StageTimedSink(StreamEventSink* sink, obs::Instrumentation* instr)
+      : sink_(sink),
+        drive_(instr != nullptr ? instr->stage_slot(obs::Stage::kDrive)
+                                : nullptr),
+        machine_(instr != nullptr ? instr->stage_slot(obs::Stage::kMachine)
+                                  : nullptr) {}
+
+  const EventFilter* event_filter() const override {
+    return sink_->event_filter();
+  }
+  void StartDocument() override { sink_->StartDocument(); }
+  void StartElement(const TagToken& tag, int level, NodeId id,
+                    const std::vector<Attribute>& attrs) override {
+    obs::TimerScope drive(drive_);
+    obs::TimerScope machine(machine_);
+    sink_->StartElement(tag, level, id, attrs);
+  }
+  void EndElement(const TagToken& tag, int level) override {
+    obs::TimerScope drive(drive_);
+    obs::TimerScope machine(machine_);
+    sink_->EndElement(tag, level);
+  }
+  void Text(std::string_view text, int level) override {
+    obs::TimerScope drive(drive_);
+    obs::TimerScope machine(machine_);
+    sink_->Text(text, level);
+  }
+  void Comment(std::string_view text) override { sink_->Comment(text); }
+  void ProcessingInstruction(std::string_view target,
+                             std::string_view data) override {
+    sink_->ProcessingInstruction(target, data);
+  }
+  void EndDocument() override { sink_->EndDocument(); }
+
+ private:
+  StreamEventSink* sink_;
+  uint64_t* drive_;
+  uint64_t* machine_;
 };
 
 }  // namespace twigm::xml

@@ -87,8 +87,8 @@ bool IsValidXmlName(std::string_view name) {
   return true;
 }
 
-SaxParser::SaxParser(SaxHandler* handler, SaxParserOptions options)
-    : handler_(handler), options_(options) {}
+SaxParser::SaxParser(StreamEventSink* sink, SaxParserOptions options)
+    : sink_(sink), options_(options) {}
 
 void SaxParser::Reset() {
   buffer_.clear();  // clear() keeps capacity
@@ -112,6 +112,7 @@ void SaxParser::Reset() {
   have_pending_u16_byte_ = false;
   pending_high_surrogate_ = 0;
   open_tags_.clear();
+  next_id_ = 0;
   seen_root_ = false;
   started_ = false;
   finished_ = false;
@@ -138,7 +139,8 @@ Status SaxParser::Consume(const InputChunk& chunk) {
   }
   if (!started_) {
     started_ = true;
-    handler_->OnStartDocument();
+    ReadFilter();
+    sink_->StartDocument();
   }
   error_ = Ingest(chunk.bytes, chunk.last);
   if (!error_.ok()) return error_;
@@ -164,6 +166,16 @@ Status SaxParser::Consume(const InputChunk& chunk) {
   }
   if (chunk.last) error_ = FinishInput();
   return error_;
+}
+
+void SaxParser::ReadFilter() {
+  static const EventFilter kReadsAll;
+  const EventFilter* filter = sink_->event_filter();
+  if (filter == nullptr) filter = &kReadsAll;
+  read_elements_ = filter->elements.data();
+  read_size_ = filter->elements.size();
+  read_other_ = filter->other_elements;
+  read_text_ = filter->text;
 }
 
 Status SaxParser::Pump(ByteSource* source) {
@@ -199,7 +211,7 @@ Status SaxParser::FinishInput() {
     return ErrorHere("document contains no root element");
   }
   if (offset_slot_ != nullptr) *offset_slot_ = bytes_consumed_;
-  handler_->OnEndDocument();
+  sink_->EndDocument();
   return Status::Ok();
 }
 
@@ -337,7 +349,7 @@ Status SaxParser::NulError() {
 Status SaxParser::Drain() {
   constexpr size_t npos = StructuralIndex::npos;
   while (pos_ < buffer_.size() && buffer_[pos_] != '\0') {
-    // Publish the construct-start offset before any handler fires for it.
+    // Publish the construct-start offset before the sink is called for it.
     if (offset_slot_ != nullptr) *offset_slot_ = bytes_consumed_;
     if (pending_ == Construct::kNone) {
       if (buffer_[pos_] != '<') {
@@ -627,12 +639,18 @@ inline Status SaxParser::EmitText(size_t lt, bool has_amp) {
     } else if (!has_amp) {
       // Fast path: no entity references, so the raw bytes are the decoded
       // text — emit the buffer view directly, no copy.
-      handler_->OnCharacters(raw);
+      if (read_text_) {
+        sink_->Text(raw, static_cast<int>(open_tags_.size()));
+      }
     } else {
+      // Decoded even when the sink skips text: a bad reference is an error
+      // either way.
       text_scratch_.clear();
       TWIGM_RETURN_IF_ERROR(
           DecodeEntities(raw, "character data", &text_scratch_));
-      handler_->OnCharacters(text_scratch_);
+      if (read_text_) {
+        sink_->Text(text_scratch_, static_cast<int>(open_tags_.size()));
+      }
     }
   }
   Advance(lt);
@@ -645,7 +663,7 @@ Status SaxParser::ConsumeComment(size_t gt) {
   if (body.find("--") != std::string_view::npos) {
     return ErrorHere("'--' is not allowed inside a comment");
   }
-  handler_->OnComment(body);
+  sink_->Comment(body);
   Advance(gt + 1);
   return Status::Ok();
 }
@@ -655,8 +673,11 @@ Status SaxParser::ConsumeCdata(size_t gt) {
     return ErrorHere("CDATA section outside the root element");
   }
   const size_t body_begin = pos_ + 9;  // past "<![CDATA["
-  handler_->OnCharacters(
-      std::string_view(buffer_.data() + body_begin, gt - 2 - body_begin));
+  if (read_text_) {
+    sink_->Text(
+        std::string_view(buffer_.data() + body_begin, gt - 2 - body_begin),
+        static_cast<int>(open_tags_.size()));
+  }
   Advance(gt + 1);
   return Status::Ok();
 }
@@ -678,7 +699,7 @@ Status SaxParser::ConsumePi(size_t gt) {
   // counts canonical bytes, so a stripped BOM does not forfeit the
   // position).
   if (target != "xml") {
-    handler_->OnProcessingInstruction(target, data);
+    sink_->ProcessingInstruction(target, data);
   } else if (seen_root_ || !open_tags_.empty() || bytes_consumed_ != 0 ||
              pos_ != 0) {
     return ErrorHere("XML declaration must be at the start of the document");
@@ -785,13 +806,14 @@ Status SaxParser::ConsumeStartTag(size_t gt) {
 
   seen_root_ = true;
   const SymbolId sym = interner_.Intern(name);
-  const TagToken tag(name, sym);
-  handler_->OnStartElement(tag, attr_scratch_);
-  if (self_closing) {
-    handler_->OnEndElement(tag);
-  } else {
-    open_tags_.push_back(sym);
+  const int level = static_cast<int>(open_tags_.size()) + 1;
+  const NodeId id = ++next_id_;
+  if (ReadsElement(sym)) {
+    const TagToken tag(name, sym);
+    sink_->StartElement(tag, level, id, attr_scratch_);
+    if (self_closing) sink_->EndElement(tag, level);
   }
+  if (!self_closing) open_tags_.push_back(sym);
   Advance(gt + 1);
   return Status::Ok();
 }
@@ -810,9 +832,13 @@ inline Status SaxParser::ConsumeEndTag(size_t gt) {
       size_t i = name_begin + open.size();
       while (Is(b[i], kSpace)) ++i;
       if (i == gt) {
+        const int level = static_cast<int>(open_tags_.size());
         open_tags_.pop_back();
-        handler_->OnEndElement(
-            TagToken(std::string_view(b + name_begin, open.size()), sym));
+        if (ReadsElement(sym)) {
+          sink_->EndElement(
+              TagToken(std::string_view(b + name_begin, open.size()), sym),
+              level);
+        }
         Advance(gt + 1);
         return Status::Ok();
       }

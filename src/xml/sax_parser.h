@@ -2,8 +2,8 @@
 //
 // This is the library's substitute for Expat (which the paper uses): a
 // non-validating, streaming parser that accepts input in arbitrary chunks
-// and fires `SaxHandler` callbacks as soon as complete constructs are
-// available. It supports:
+// and calls its `StreamEventSink` (xml/sax_event.h) as soon as complete
+// constructs are available. It supports:
 //   * elements with attributes (single or double quoted),
 //   * character data with the predefined entities (&amp; &lt; &gt; &apos;
 //     &quot;) and decimal/hex character references,
@@ -34,6 +34,14 @@
 // buffered input keeps its walk state (mark cursor, construct kind, open
 // quote, DOCTYPE bracket depth) and resumes there on the next Consume, so
 // chunked input costs the same linear work as one whole-document call.
+//
+// Events (stage 3): the parser assigns each element its level (open-tag
+// depth, root = 1) and pre-order id itself and calls the one sink directly.
+// The sink's EventFilter, read once per document, names the events it
+// reads; the parser skips the start/end calls of the other elements and,
+// unless the sink reads text, every Text call. Skipped constructs are still
+// checked, counted and given byte offsets, so errors, ids, levels and
+// offsets do not depend on the filter.
 //
 // Hot path: every element name is interned into a TagInterner and events
 // carry the resulting SymbolId (TagToken). Attribute names and values are
@@ -80,8 +88,8 @@ struct SaxParserOptions {
 
 /// Push-model SAX parser. Typical use:
 ///
-///   MyHandler handler;
-///   SaxParser parser(&handler);
+///   MySink sink;  // an xml::StreamEventSink
+///   SaxParser parser(&sink);
 ///   while (have more bytes)
 ///     TWIGM_RETURN_IF_ERROR(parser.Consume({chunk, /*last=*/false}));
 ///   TWIGM_RETURN_IF_ERROR(parser.Consume({{}, /*last=*/true}));
@@ -89,8 +97,8 @@ struct SaxParserOptions {
 /// or, pulling from a ByteSource: TWIGM_RETURN_IF_ERROR(parser.Pump(&src));
 class SaxParser {
  public:
-  /// `handler` must outlive the parser. Does not take ownership.
-  explicit SaxParser(SaxHandler* handler,
+  /// `sink` must outlive the parser. Does not take ownership.
+  explicit SaxParser(StreamEventSink* sink,
                      SaxParserOptions options = SaxParserOptions());
 
   SaxParser(const SaxParser&) = delete;
@@ -99,7 +107,7 @@ class SaxParser {
   /// THE byte entry point: appends one chunk of the document (through the
   /// encoding front end), processes every construct that is now complete,
   /// and — when chunk.last — verifies the document ended cleanly (all tags
-  /// closed, a root element present) and fires OnEndDocument. Returns the
+  /// closed, a root element present) and fires EndDocument. Returns the
   /// first error encountered; after an error the parser is poisoned and
   /// further calls return the same error.
   Status Consume(const InputChunk& chunk);
@@ -135,6 +143,11 @@ class SaxParser {
   /// counted after transcoding to UTF-8).
   size_t bytes_consumed() const { return bytes_consumed_; }
 
+  /// Elements started / ended in the current document, whether or not the
+  /// sink read their events. The last id assigned is elements_started().
+  NodeId elements_started() const { return next_id_; }
+  NodeId elements_ended() const { return next_id_ - open_tags_.size(); }
+
   /// The tag dictionary this parser stamps into its TagTokens. Query
   /// machines intern their label strings here at bind time so per-event
   /// dispatch is symbol comparison. Valid for the parser's lifetime; never
@@ -142,11 +155,12 @@ class SaxParser {
   TagInterner* interner() { return &interner_; }
   const TagInterner* interner() const { return &interner_; }
 
-  /// Optional: before firing the handler callbacks for a construct, the
-  /// parser stores the construct's starting byte offset into `*slot` (one
-  /// store per construct). XPathStreamProcessor points this at its shared
-  /// stream-offset word so machines can stamp MatchInfo::byte_offset and
-  /// trace events. Null (default) disables the store.
+  /// Optional: before calling the sink for a construct, the parser stores
+  /// the construct's starting byte offset into `*slot` (one store per
+  /// construct, whether the sink reads it or not). XPathStreamProcessor
+  /// points this at its shared stream-offset word so machines can stamp
+  /// MatchInfo::byte_offset and trace events. Null (default) disables the
+  /// store.
   void set_offset_slot(uint64_t* slot) { offset_slot_ = slot; }
 
   /// Optional: accumulates the wall time of the structural scan (stage 1)
@@ -179,7 +193,7 @@ class SaxParser {
   bool AtNul() const {
     return pos_ < buffer_.size() && buffer_[pos_] == '\0';
   }
-  // End-of-document checks + OnEndDocument (consuming a last=true chunk).
+  // End-of-document checks + EndDocument (consuming a last=true chunk).
   Status FinishInput();
   // Consumes as many complete constructs from buffer_ as possible,
   // resuming the construct left pending by the previous call.
@@ -226,7 +240,14 @@ class SaxParser {
     pos_ = to;
   }
 
-  SaxHandler* handler_;
+  // Reads the sink's EventFilter for the document about to start.
+  void ReadFilter();
+  // Whether the sink reads the events of element `sym` (its filter).
+  bool ReadsElement(SymbolId sym) const {
+    return sym < read_size_ ? read_elements_[sym] != 0 : read_other_;
+  }
+
+  StreamEventSink* sink_;
   SaxParserOptions options_;
   TagInterner interner_;
 
@@ -294,6 +315,14 @@ class SaxParser {
   uint32_t pending_high_surrogate_ = 0;  // 0 = none
 
   std::vector<SymbolId> open_tags_;  // interned names of open elements
+  NodeId next_id_ = 0;               // pre-order id of the last element
+
+  // The sink's EventFilter for the current document, unpacked (see
+  // ReadFilter); the defaults read everything.
+  const uint8_t* read_elements_ = nullptr;
+  size_t read_size_ = 0;
+  bool read_other_ = true;
+  bool read_text_ = true;
   bool seen_root_ = false;
   bool started_ = false;
   bool finished_ = false;

@@ -401,8 +401,7 @@ TEST(LevelBoundsTest, PreservesResultsWithFewerPushes) {
         machine.value()->set_level_bounds(
             analysis::ComputeMachineLevelBounds(machine.value()->graph(), s));
       }
-      xml::EventDriver driver(machine.value().get());
-      xml::SaxParser parser(&driver);
+      xml::SaxParser parser(machine.value().get());
       machine.value()->BindInterner(parser.interner());
       EXPECT_TRUE(parser.ParseAll(doc.value()).ok());
       *pushes = machine.value()->stats().pushes;

@@ -77,8 +77,7 @@ TEST(LazyDfaTest, MatchesSimplePaths) {
   VectorResultSink sink;
   auto engine = LazyDfaEngine::Create(tree.value(), &sink);
   ASSERT_TRUE(engine.ok());
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.ParseAll("<a><x><b/></x><b/></a>").ok());
   EXPECT_EQ(sink.ids(), (std::vector<xml::NodeId>{3, 4}));
   EXPECT_GT(engine.value()->stats().dfa_states, 0u);
@@ -103,8 +102,7 @@ TEST(LazyDfaTest, DfaIsBuiltLazily) {
   ASSERT_TRUE(engine.ok());
   const uint64_t initial_states = engine.value()->stats().dfa_states;
   EXPECT_LE(initial_states, 1u);  // only the start state exists up front
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.ParseAll("<a><b><c/></b></a>").ok());
   EXPECT_GT(engine.value()->stats().dfa_states, initial_states);
 }
@@ -119,8 +117,7 @@ TEST(LazyDfaTest, TransitionCacheIsReused) {
   std::string doc = "<a>";
   for (int i = 0; i < 100; ++i) doc += "<b/>";
   doc += "</a>";
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.ParseAll(doc).ok());
   EXPECT_EQ(engine.value()->stats().results, 100u);
   EXPECT_LE(engine.value()->stats().dfa_transitions, 6u);
@@ -142,8 +139,7 @@ TEST(LazyDfaTest, CollapsedStarsAndMixedAxes) {
     VectorResultSink sink;
     auto engine = LazyDfaEngine::Create(tree.value(), &sink);
     ASSERT_TRUE(engine.ok()) << query;
-    xml::EventDriver driver(engine.value().get());
-    xml::SaxParser parser(&driver);
+    xml::SaxParser parser(engine.value().get());
     ASSERT_TRUE(parser.ParseAll(doc).ok());
     std::vector<xml::NodeId> got = sink.TakeIds();
     std::sort(got.begin(), got.end());
@@ -158,16 +154,14 @@ TEST(LazyDfaTest, ResetKeepsDfaCache) {
   auto engine = LazyDfaEngine::Create(tree.value(), &sink);
   ASSERT_TRUE(engine.ok());
   {
-    xml::EventDriver driver(engine.value().get());
-    xml::SaxParser parser(&driver);
+    xml::SaxParser parser(engine.value().get());
     ASSERT_TRUE(parser.ParseAll("<a><b/></a>").ok());
   }
   const uint64_t states = engine.value()->stats().dfa_states;
   engine.value()->Reset();
   EXPECT_EQ(engine.value()->stats().dfa_states, states);
   EXPECT_EQ(engine.value()->stats().results, 0u);
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.ParseAll("<a><b/></a>").ok());
   EXPECT_EQ(engine.value()->stats().results, 1u);
 }
@@ -185,8 +179,7 @@ NaiveRun RunNaive(std::string_view query, std::string_view doc,
   VectorResultSink sink;
   auto engine = NaiveEnumEngine::Create(tree.value(), &sink, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   EXPECT_TRUE(parser.ParseAll(doc).ok());
   NaiveRun run;
   run.ids = sink.TakeIds();
@@ -268,14 +261,12 @@ TEST(NaiveEnumTest, ResetClearsState) {
   auto engine = NaiveEnumEngine::Create(tree.value(), &sink);
   ASSERT_TRUE(engine.ok());
   {
-    xml::EventDriver driver(engine.value().get());
-    xml::SaxParser parser(&driver);
+    xml::SaxParser parser(engine.value().get());
     ASSERT_TRUE(parser.ParseAll("<a><b/></a>").ok());
   }
   engine.value()->Reset();
   EXPECT_EQ(engine.value()->stats().results, 0u);
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.ParseAll("<a><b/></a>").ok());
   EXPECT_EQ(engine.value()->stats().results, 1u);
   EXPECT_EQ(sink.ids().size(), 2u);

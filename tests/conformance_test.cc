@@ -24,28 +24,28 @@ namespace {
 // Records every event as a compact trace string, each prefixed with the
 // stream byte offset published through the parser's offset slot — so two
 // traces compare equal only if the event streams are byte-offset-identical.
-class OffsetTraceHandler : public SaxHandler {
+class OffsetTraceHandler : public StreamEventSink {
  public:
-  void OnStartDocument() override { Stamp("D+"); }
-  void OnEndDocument() override { Stamp("D-"); }
-  void OnStartElement(const TagToken& tag,
-                      const std::vector<Attribute>& attrs) override {
+  void StartDocument() override { Stamp("D+"); }
+  void EndDocument() override { Stamp("D-"); }
+  void StartElement(const TagToken& tag, int, NodeId,
+                    const std::vector<Attribute>& attrs) override {
     Stamp("<" + std::string(tag.text));
     for (const Attribute& a : attrs) {
       trace_ += " " + std::string(a.name) + "='" + std::string(a.value) + "'";
     }
   }
-  void OnEndElement(const TagToken& tag) override {
+  void EndElement(const TagToken& tag, int) override {
     Stamp("</" + std::string(tag.text) + ">");
   }
-  void OnCharacters(std::string_view text) override {
+  void Text(std::string_view text, int) override {
     Stamp("T(" + std::string(text) + ")");
   }
-  void OnComment(std::string_view text) override {
+  void Comment(std::string_view text) override {
     Stamp("C(" + std::string(text) + ")");
   }
-  void OnProcessingInstruction(std::string_view target,
-                               std::string_view data) override {
+  void ProcessingInstruction(std::string_view target,
+                             std::string_view data) override {
     Stamp("PI(" + std::string(target) + "," + std::string(data) + ")");
   }
 

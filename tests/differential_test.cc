@@ -178,8 +178,7 @@ std::vector<xml::NodeId> LazyDfaEval(const xpath::QueryTree& query,
       baselines::LazyDfaEngine::Create(query, &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return {};
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   EXPECT_TRUE(parser.ParseAll(doc).ok());
   std::vector<xml::NodeId> ids = sink.TakeIds();
   std::sort(ids.begin(), ids.end());
@@ -193,8 +192,7 @@ std::vector<xml::NodeId> NaiveEval(const xpath::QueryTree& query,
       baselines::NaiveEnumEngine::Create(query, &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return {};
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   EXPECT_TRUE(parser.ParseAll(doc).ok());
   EXPECT_TRUE(engine.value()->status().ok())
       << engine.value()->status().ToString();

@@ -25,8 +25,7 @@ EosRun RunEos(std::string_view query, std::string_view doc) {
   VectorResultSink sink;
   auto engine = EosEngine::Create(query, &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   EXPECT_TRUE(parser.ParseAll(doc).ok());
   EXPECT_TRUE(engine.value()->status().ok());
   EosRun run;
@@ -55,8 +54,7 @@ TEST(EosEngineTest, EmitsNothingBeforeEndOfStream) {
   VectorResultSink sink;
   auto engine = EosEngine::Create("//b", &sink);
   ASSERT_TRUE(engine.ok());
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.Consume({"<a><b/><b/><b/>", false}).ok());
   EXPECT_TRUE(sink.ids().empty());  // blocking output
   ASSERT_TRUE(parser.Consume({"</a>", false}).ok());
@@ -87,14 +85,12 @@ TEST(EosEngineTest, ResetClearsBuffer) {
   auto engine = EosEngine::Create("//b", &sink);
   ASSERT_TRUE(engine.ok());
   {
-    xml::EventDriver driver(engine.value().get());
-    xml::SaxParser parser(&driver);
+    xml::SaxParser parser(engine.value().get());
     ASSERT_TRUE(parser.ParseAll("<a><b/></a>").ok());
   }
   engine.value()->Reset();
   EXPECT_EQ(engine.value()->stats().results, 0u);
-  xml::EventDriver driver(engine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(engine.value().get());
   ASSERT_TRUE(parser.ParseAll("<a><b/><b/></a>").ok());
   EXPECT_EQ(engine.value()->stats().results, 2u);
   EXPECT_EQ(sink.ids().size(), 3u);

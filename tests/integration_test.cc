@@ -65,8 +65,7 @@ void CheckDataset(const std::string& doc,
     auto naive = baselines::NaiveEnumEngine::Create(tree.value(), &naive_sink,
                                                     naive_options);
     if (naive.ok()) {
-      xml::EventDriver driver(naive.value().get());
-      xml::SaxParser parser(&driver);
+      xml::SaxParser parser(naive.value().get());
       ASSERT_TRUE(parser.ParseAll(doc).ok());
       if (naive.value()->status().ok()) {
         std::vector<xml::NodeId> naive_ids = naive_sink.TakeIds();

@@ -91,8 +91,7 @@ TEST_P(LinearAgreementTest, PathMTwigMDfaAgree) {
     ASSERT_TRUE(tree.ok());
     auto dfa = baselines::LazyDfaEngine::Create(tree.value(), &sink);
     ASSERT_TRUE(dfa.ok());
-    xml::EventDriver driver(dfa.value().get());
-    xml::SaxParser parser(&driver);
+    xml::SaxParser parser(dfa.value().get());
     ASSERT_TRUE(parser.ParseAll(doc).ok());
     std::vector<xml::NodeId> got = sink.TakeIds();
     std::sort(got.begin(), got.end());
@@ -149,8 +148,7 @@ TEST_P(AdversarialScalingTest, OneResultAndLinearState) {
   core::VectorResultSink sink;
   auto machine = core::TwigMachine::Create(tree.value(), &sink);
   ASSERT_TRUE(machine.ok());
-  xml::EventDriver driver(machine.value().get());
-  xml::SaxParser parser(&driver);
+  xml::SaxParser parser(machine.value().get());
   machine.value()->BindInterner(parser.interner());
   ASSERT_TRUE(parser.ParseAll(doc).ok());
 

@@ -54,7 +54,7 @@ TEST(RobustnessTest, RandomByteMutationsNeverCrash) {
 TEST(RobustnessTest, TruncationAtEveryPrefixFailsCleanly) {
   const std::string doc = "<a><b x=\"1\">text</b><c/></a>";
   for (size_t len = 0; len < doc.size(); ++len) {
-    xml::SaxHandler handler;
+    xml::StreamEventSink handler;
     xml::SaxParser parser(&handler);
     Status s = parser.Consume({std::string_view(doc).substr(0, len), false});
     if (s.ok()) s = parser.Consume({std::string_view(), true});
@@ -109,7 +109,7 @@ TEST(RobustnessTest, PathologicalDeepNestingHitsDepthLimit) {
 double BestParseMs(const std::string& doc, size_t chunk) {
   double best = 0;
   for (int run = 0; run < 3; ++run) {
-    xml::SaxHandler handler;
+    xml::StreamEventSink handler;
     xml::SaxParser parser(&handler);
     Stopwatch sw;
     Status s;

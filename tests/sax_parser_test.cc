@@ -11,29 +11,29 @@ namespace twigm::xml {
 namespace {
 
 // Records every event as a compact trace string for easy assertions.
-class TraceHandler : public SaxHandler {
+class TraceHandler : public StreamEventSink {
  public:
-  void OnStartDocument() override { trace_ += "D+ "; }
-  void OnEndDocument() override { trace_ += "D- "; }
-  void OnStartElement(const TagToken& tag,
-                      const std::vector<Attribute>& attrs) override {
+  void StartDocument() override { trace_ += "D+ "; }
+  void EndDocument() override { trace_ += "D- "; }
+  void StartElement(const TagToken& tag, int, NodeId,
+                    const std::vector<Attribute>& attrs) override {
     trace_ += "<" + std::string(tag.text);
     for (const Attribute& a : attrs) {
       trace_ += " " + std::string(a.name) + "='" + std::string(a.value) + "'";
     }
     trace_ += "> ";
   }
-  void OnEndElement(const TagToken& tag) override {
+  void EndElement(const TagToken& tag, int) override {
     trace_ += "</" + std::string(tag.text) + "> ";
   }
-  void OnCharacters(std::string_view text) override {
+  void Text(std::string_view text, int) override {
     trace_ += "T(" + std::string(text) + ") ";
   }
-  void OnComment(std::string_view text) override {
+  void Comment(std::string_view text) override {
     trace_ += "C(" + std::string(text) + ") ";
   }
-  void OnProcessingInstruction(std::string_view target,
-                               std::string_view data) override {
+  void ProcessingInstruction(std::string_view target,
+                             std::string_view data) override {
     trace_ += "PI(" + std::string(target) + "," + std::string(data) + ") ";
   }
 

@@ -1,6 +1,6 @@
 // Golden-trace oracle for the SAX tokenizer.
 //
-// Every SaxHandler callback — element names and their interned symbols,
+// Every StreamEventSink callback — element names and their interned symbols,
 // attribute names and values, text pieces, comments, processing
 // instructions — is serialized together with the value of the parser's
 // offset slot at the moment the callback fires. The final Status message
@@ -68,14 +68,14 @@ class Digest {
   uint64_t h_ = 14695981039346656037ull;
 };
 
-class DigestHandler : public SaxHandler {
+class DigestHandler : public StreamEventSink {
  public:
   explicit DigestHandler(Digest* digest) : d_(digest) {}
 
-  void OnStartDocument() override { Stamp('D'); }
-  void OnEndDocument() override { Stamp('E'); }
-  void OnStartElement(const TagToken& tag,
-                      const std::vector<Attribute>& attrs) override {
+  void StartDocument() override { Stamp('D'); }
+  void EndDocument() override { Stamp('E'); }
+  void StartElement(const TagToken& tag, int, NodeId,
+                    const std::vector<Attribute>& attrs) override {
     Stamp('<');
     d_->Field(tag.text);
     d_->Number(tag.symbol);
@@ -85,21 +85,21 @@ class DigestHandler : public SaxHandler {
       d_->Field(a.value);
     }
   }
-  void OnEndElement(const TagToken& tag) override {
+  void EndElement(const TagToken& tag, int) override {
     Stamp('>');
     d_->Field(tag.text);
     d_->Number(tag.symbol);
   }
-  void OnCharacters(std::string_view text) override {
+  void Text(std::string_view text, int) override {
     Stamp('T');
     d_->Field(text);
   }
-  void OnComment(std::string_view text) override {
+  void Comment(std::string_view text) override {
     Stamp('C');
     d_->Field(text);
   }
-  void OnProcessingInstruction(std::string_view target,
-                               std::string_view data) override {
+  void ProcessingInstruction(std::string_view target,
+                             std::string_view data) override {
     Stamp('P');
     d_->Field(target);
     d_->Field(data);

@@ -91,19 +91,19 @@ TEST(TagInternerTest, DistinguishesPrefixes) {
 // split lands mid-tag-name and the buffer compacts between chunks.
 
 // Records "tag:symbol" per element event.
-class SymbolRecorder : public SaxHandler {
+class SymbolRecorder : public StreamEventSink {
  public:
-  void OnStartElement(const TagToken& tag,
-                      const std::vector<Attribute>&) override {
+  void StartElement(const TagToken& tag, int, NodeId,
+                    const std::vector<Attribute>&) override {
     log_ += "+" + std::string(tag.text) + ":" + std::to_string(tag.symbol) +
             " ";
   }
-  void OnEndElement(const TagToken& tag) override {
+  void EndElement(const TagToken& tag, int) override {
     log_ += "-" + std::string(tag.text) + ":" + std::to_string(tag.symbol) +
             " ";
   }
-  void OnCharacters(std::string_view) override {}
-  void OnEndDocument() override { log_ += "."; }
+  void Text(std::string_view, int) override {}
+  void EndDocument() override { log_ += "."; }
 
   const std::string& log() const { return log_; }
 

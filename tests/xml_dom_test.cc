@@ -130,6 +130,8 @@ TEST(DomTest, MemoryEstimatePositive) {
   EXPECT_GT(doc.value().ApproximateMemoryBytes(), sizeof(DomNode) * 2);
 }
 
+// The parser assigns levels and pre-order ids; the EventDriver shim passes
+// them through unchanged and counts the elements.
 TEST(EventDriverTest, AssignsLevelsAndPreOrderIds) {
   struct Recorder : StreamEventSink {
     std::string log;
@@ -153,6 +155,8 @@ TEST(EventDriverTest, AssignsLevelsAndPreOrderIds) {
   EXPECT_EQ(recorder.log,
             "+a/1#1 +b/2#2 t2(x) -b/2 +c/2#3 +d/3#4 -d/3 -c/2 -a/1 eof");
   EXPECT_EQ(driver.element_count(), 4u);
+  EXPECT_EQ(parser.elements_started(), 4u);
+  EXPECT_EQ(parser.elements_ended(), 4u);
 }
 
 }  // namespace
